@@ -49,25 +49,27 @@ def _clamp_unit(x: float, what: str) -> float:
     return x
 
 
+def _half_sinh_sq(a: float, b: float, c: float) -> tuple[float, float, float, float]:
+    # p = sinh^2(a/2), q, r and the root of their Heron form
+    p = math.sinh(a / 2) ** 2
+    q = math.sinh(b / 2) ** 2
+    r = math.sinh(c / 2) ** 2
+    return p, q, r, math.sqrt(max(0.0, _heron_sinh_sq(p, q, r)))
+
+
 def angles_from_edges(a: float, b: float, c: float) -> tuple[float, float, float]:
     """Angles of the hyperbolic triangle with edges (a, b, c), a opposite A.
 
-    cos A = (s_b^2 + s_c^2 - s_a^2 + 2 s_b^2 s_c^2) / (2 s_b s_c c_b c_c)
-    with s_t = sinh(t/2), c_t = cosh(t/2), which is the law of cosines
-    rewritten free of the cosh-difference cancellation.
+    A = atan2(sqrt(H), q + r - p + 2qr) with p = sinh^2(a/2) etc. and H
+    their Heron form: the laws of sines and cosines in half-edge variables
+    share the denominator 2 sqrt(q r (1+q)(1+r)), so the angle keeps full
+    relative accuracy whether it is tiny, near pi/2 or near pi.
     """
     _check_edges(a, b, c)
-    sa, sb, sc = math.sinh(a / 2), math.sinh(b / 2), math.sinh(c / 2)
-    ca, cb, cc = math.cosh(a / 2), math.cosh(b / 2), math.cosh(c / 2)
-
-    def one(sa, sb, sc, cb, cc):
-        num = sb * sb + sc * sc - sa * sa + 2 * sb * sb * sc * sc
-        den = 2 * sb * sc * cb * cc
-        return math.acos(_clamp_unit(num / den, "cos(angle)"))
-
-    return (one(sa, sb, sc, cb, cc),
-            one(sb, sc, sa, cc, ca),
-            one(sc, sa, sb, ca, cb))
+    p, q, r, root = _half_sinh_sq(a, b, c)
+    return (math.atan2(root, q + r - p + 2 * q * r),
+            math.atan2(root, r + p - q + 2 * r * p),
+            math.atan2(root, p + q - r + 2 * p * q))
 
 
 def edges_from_angles(A: float, B: float, C: float) -> tuple[float, float, float]:
@@ -164,6 +166,19 @@ class MedialData:
                 f"{self.m_c!r}), l=({self.l_a!r}, {self.l_b!r}, {self.l_c!r}))")
 
 
+def _tanh_product(a: float, b: float, c: float) -> float:
+    return (math.tanh((a + b + c) / 4) * math.tanh((a + b - c) / 4)
+            * math.tanh((c + a - b) / 4) * math.tanh((b + c - a) / 4))
+
+
+def _midline(x: float, T: float) -> float:
+    # the midline facing edge x, from the tanh product T of the triangle
+    th = math.tanh(x / 4)
+    h = math.cosh(x / 4) ** 2 * (th * th - T) / (1 + T)  # sinh^2(m/2)
+    assert h >= 0, "cosh(m) < 1 is impossible for a valid triangle"
+    return 2 * math.asinh(math.sqrt(h))
+
+
 def medial_data(a: float, b: float, c: float) -> MedialData:
     """Midlines and Lambert foot distances of the triangle (a, b, c).
 
@@ -174,21 +189,11 @@ def medial_data(a: float, b: float, c: float) -> MedialData:
     sinh l_x = 2 cosh(x/2) sqrt(T) / ((1 + T) sinh m_x).
     """
     _check_edges(a, b, c)
-    T = (math.tanh((a + b + c) / 4) * math.tanh((a + b - c) / 4)
-         * math.tanh((c + a - b) / 4) * math.tanh((b + c - a) / 4))
-    mu = (1 - T) / (1 + T)
-    sqrtT = math.sqrt(T)
-    ms = []
-    ls = []
-    for x in (a, b, c):
-        th = math.tanh(x / 4)
-        h = math.cosh(x / 4) ** 2 * (th * th - T) / (1 + T)  # sinh^2(m/2)
-        assert h >= 0, "cosh(m) < 1 is impossible for a valid triangle"
-        m = 2 * math.asinh(math.sqrt(h))
-        sinh_m = 2 * math.sqrt(h * (1 + h))
-        ls.append(math.asinh(2 * math.cosh(x / 2) * sqrtT / ((1 + T) * sinh_m)))
-        ms.append(m)
-    return MedialData(mu, ms[0], ms[1], ms[2], ls[0], ls[1], ls[2])
+    T = _tanh_product(a, b, c)
+    ms = [_midline(x, T) for x in (a, b, c)]
+    ls = [math.asinh(2 * math.cosh(x / 2) * math.sqrt(T) / ((1 + T) * math.sinh(m)))
+          for x, m in zip((a, b, c), ms)]
+    return MedialData((1 - T) / (1 + T), *ms, *ls)
 
 
 class TraceCoords:
@@ -240,13 +245,9 @@ def trace_parent_area(tc: TraceCoords) -> float:
 
 
 def _sin_angles(a: float, b: float, c: float) -> tuple[float, float, float]:
-    # sin of each angle straight from the edges: sin A = sqrt(H) / (2
-    # sqrt(q r (1+q)(1+r))) in sinh^2 half-edge variables.  Full relative
-    # accuracy even for sliver angles, where acos would cost ~eps/angle^2.
-    p = math.sinh(a / 2) ** 2
-    q = math.sinh(b / 2) ** 2
-    r = math.sinh(c / 2) ** 2
-    root = math.sqrt(max(0.0, _heron_sinh_sq(p, q, r)))
+    # sin A = sqrt(H) / (2 sqrt(q r (1+q)(1+r))) in the variables of
+    # angles_from_edges, with full relative accuracy for sliver angles
+    p, q, r, root = _half_sinh_sq(a, b, c)
     return (root / (2 * math.sqrt(q * r * (1 + q) * (1 + r))),
             root / (2 * math.sqrt(r * p * (1 + r) * (1 + p))),
             root / (2 * math.sqrt(p * q * (1 + p) * (1 + q))))
@@ -260,12 +261,5 @@ def area_from_edges(a: float, b: float, c: float) -> float:
     variables, which is the same identity with the cancellation removed.
     """
     _check_edges(a, b, c)
-    p = math.sinh(a / 2) ** 2
-    q = math.sinh(b / 2) ** 2
-    r = math.sinh(c / 2) ** 2
-    H = _heron_sinh_sq(p, q, r)
-    if H < 0:
-        if H < -CLAMP_TOL * max(1.0, p * p, q * q, r * r):
-            raise InconsistentInputError("area ratio exceeds 1")
-        H = 0.0
-    return 2 * math.atan(math.sqrt(H) / (2 + p + q + r))
+    p, q, r, root = _half_sinh_sq(a, b, c)
+    return 2 * math.atan(root / (2 + p + q + r))

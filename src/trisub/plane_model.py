@@ -66,17 +66,19 @@ def midpoint(u: HPoint, v: HPoint) -> HPoint:
 def angle_at(v: HPoint, p: HPoint, q: HPoint) -> float:
     """Angle at v between the geodesics toward p and toward q.
 
-    Uses the tangent-space projections of p and q at v; their induced
-    inner product is <v,p><v,q> - <p,q> with squared norms <v,p>^2 - 1.
+    atan2(|det(v, t_p, t_q)|, <t_p, t_q>) of the tangent vectors
+    t_p = p - <v,p> v and t_q = q - <v,q> v at v: their induced inner
+    product is <v,p><v,q> - <p,q>, and the determinant, which equals
+    det(v, p, q), is |t_p| |t_q| sin(angle).  Unlike acos of the cosine,
+    this keeps small and near-straight angles accurate.
     """
     gp = minkowski(v, p)
     gq = minkowski(v, q)
-    npp = gp * gp - 1.0
-    nqq = gq * gq - 1.0
-    if npp <= 0 or nqq <= 0:
+    if gp * gp - 1.0 <= 0 or gq * gq - 1.0 <= 0:
         raise InvalidPointError("angle_at needs points distinct from the vertex")
-    ct = (gp * gq - minkowski(p, q)) / math.sqrt(npp * nqq)
-    return math.acos(max(-1.0, min(1.0, ct)))
+    det = (v.x0 * (p.x1 * q.x2 - p.x2 * q.x1) - v.x1 * (p.x0 * q.x2 - p.x2 * q.x0)
+           + v.x2 * (p.x0 * q.x1 - p.x1 * q.x0))
+    return math.atan2(abs(det), gp * gq - minkowski(p, q))
 
 
 def place(e: EdgeLengths) -> PlacedTriangle:

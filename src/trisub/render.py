@@ -111,15 +111,17 @@ def render_svg(spec: RenderSpec, edges: EdgeLengths) -> str:
         _poly(root, spec, "#000000"),
     ]
     if spec.depth is not None:
-        def descend(cell: Cell, depth: int, letter: str | None):
+        # depth-first, cells in A, B, C, M order; an explicit stack rather
+        # than a recursive closure, which would hold lines in a reference cycle
+        stack = [(root, spec.depth, None)]
+        while stack:
+            cell, depth, letter = stack.pop()
             if depth == 0:
                 if letter is not None:
                     lines.append(_poly(cell, spec, spec.palette[letter]))
-                return
+                continue
             kids = cell_children(cell)
-            for ch in "ABCM":
-                descend(kids[ch], depth - 1, ch)
-        descend(root, spec.depth, None)
+            stack.extend((kids[ch], depth - 1, ch) for ch in "MCBA")
     else:
         cell = root
         for i, letter in enumerate(spec.word):

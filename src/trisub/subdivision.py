@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 
 from . import hyptrig, plane_model
-from .shape import AngleShape, EdgeLengths, ShapeRecord, project_euclidean
+from .shape import (AngleShape, EdgeLengths, ShapeRecord, project_euclidean,
+                    shape_from_edges)
 from ._fmt import csv_line
 
 LETTERS = ("A", "B", "C", "M")
@@ -36,17 +37,24 @@ def _check_letter(letter: str) -> None:
         raise ValueError(f"unknown letter {letter!r}; expected one of {LETTERS}")
 
 
+def _child(letter: str, a: float, b: float, c: float) -> tuple[float, float, float]:
+    # the numerical core: child edges on bare floats, computing only the
+    # midlines the letter needs
+    _check_letter(letter)
+    T = hyptrig._tanh_product(a, b, c)
+    if letter == "M":
+        return (hyptrig._midline(a, T), hyptrig._midline(b, T),
+                hyptrig._midline(c, T))
+    if letter == "A":
+        return hyptrig._midline(a, T), b / 2, c / 2
+    if letter == "B":
+        return a / 2, hyptrig._midline(b, T), c / 2
+    return a / 2, b / 2, hyptrig._midline(c, T)
+
+
 def child_edges(letter: str, e: EdgeLengths) -> EdgeLengths:
     """Edge lengths of the chosen subdivision cell, in slot order."""
-    _check_letter(letter)
-    md = hyptrig.medial_data(e.a, e.b, e.c)
-    if letter == "M":
-        return EdgeLengths(md.m_a, md.m_b, md.m_c)
-    if letter == "A":
-        return EdgeLengths(md.m_a, e.b / 2, e.c / 2)
-    if letter == "B":
-        return EdgeLengths(e.a / 2, md.m_b, e.c / 2)
-    return EdgeLengths(e.a / 2, e.b / 2, md.m_c)
+    return EdgeLengths(*_child(letter, e.a, e.b, e.c))
 
 
 def apply(letter: str, s: ShapeRecord) -> ShapeRecord:
@@ -58,9 +66,7 @@ def apply(letter: str, s: ShapeRecord) -> ShapeRecord:
     _check_letter(letter)
     if s.is_euclidean:
         return s
-    e = child_edges(letter, s.edges)
-    angles = AngleShape(*hyptrig.angles_from_edges(*e.as_tuple()))
-    return ShapeRecord(angles, e, hyptrig.defect_area(*angles.as_tuple()))
+    return shape_from_edges(*_child(letter, s.edges.a, s.edges.b, s.edges.c))
 
 
 _CHILD_SLOTS = {
@@ -150,26 +156,27 @@ def limit_shape_info(seq, s0: ShapeRecord, tol: float = 1e-13,
                      max_iter: int = 10_000) -> LimitResult:
     """Follow an infinite letter sequence until the shape is Euclidean to tol.
 
-    Stops once the area and the per-step angle change both drop below tol,
-    then projects onto angle sum pi.  seq is any iterable of letters; an
+    Iterates the maps on bare edge triples and stops after the first step
+    whose residual, the sum of sinh^2(edge/2) over the three edges, is
+    below tol; then projects the angles onto angle sum pi.  By the paper's
+    Cauchy lemma the residual bounds how far ln sin of any angle can still
+    drift along the exact orbit, before projection; it does not cover
+    floating-point rounding.  seq is any iterable of letters; an
     eventually periodic sequence object works directly.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if s0.is_euclidean:
         return LimitResult(s0.angles, 0, 0.0)
-    s = s0
-    n = 0
-    for letter in seq:
-        if n >= max_iter:
+    a, b, c = s0.edges.as_tuple()
+    for n, letter in enumerate(seq, start=1):
+        if n > max_iter:
             raise ConvergenceError(f"no convergence within {max_iter} steps")
-        prev = s.angles
-        s = apply(letter, s)
-        n += 1
-        step = max(abs(s.angles.A - prev.A), abs(s.angles.B - prev.B),
-                   abs(s.angles.C - prev.C))
-        if s.area < tol and step < tol:
-            return LimitResult(project_euclidean(s.angles), n, max(s.area, step))
+        a, b, c = _child(letter, a, b, c)
+        residual = sum(math.sinh(x / 2) ** 2 for x in (a, b, c))
+        if residual < tol:
+            angles = AngleShape(*hyptrig.angles_from_edges(a, b, c))
+            return LimitResult(project_euclidean(angles), n, residual)
     raise ValueError("letter sequence ended before convergence")
 
 

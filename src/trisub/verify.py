@@ -14,15 +14,15 @@ mask a real defect.
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import hyptrig, symbolic
 from .shape import AngleShape, EdgeLengths, ShapeRecord, metric_distance, \
     shape_from_angles, shape_from_edges
-from .subdivision import child_edges, limit_shape
+from .subdivision import apply, child_edges, limit_shape
 
 RESOLUTION = 1e-11
-# constant of the post-burn-in lower bound (the sigma = 1 case)
+# constant of the post-burn-in lower bound (the paper's sigma = 1 case)
 LOWER_CONST = math.exp(-1.5)
 MAX_STORED_FAILURES = 25
 
@@ -37,15 +37,12 @@ class SampleSpec:
     samples: int
     edge_range: tuple[float, float] = (0.01, 5.0)
     max_steps: int = 40
-    sigma: float = 1.0
 
     def __post_init__(self):
         if self.edge_range[0] <= 0:
             raise ValueError("edge range must be positive")
         if self.samples < 1:
             raise ValueError("need at least one sample")
-        if self.sigma < 1.0:
-            raise ValueError("sigma below 1 breaks the lower-bound constant")
 
 
 @dataclass
@@ -240,7 +237,7 @@ def run_noncontraction() -> Report:
     fixed = AngleShape(math.pi / 3, math.pi / 3, math.pi / 3)
 
     witness = shape_from_edges(4.0, 4.0, 7.0)
-    child = shape_from_edges(*child_edges("M", witness.edges).as_tuple())
+    child = apply("M", witness)
     apex0, apex1 = witness.angles.C, child.angles.C
     d0 = metric_distance(witness.angles, fixed)
     d1 = metric_distance(child.angles, fixed)
@@ -259,11 +256,11 @@ def run_noncontraction() -> Report:
     report.stats["distance_after"] = d1
 
     eq = shape_from_edges(1.0, 1.0, 1.0)
-    eq_child = shape_from_edges(*child_edges("M", eq.edges).as_tuple())
+    eq_child = apply("M", eq)
     report.stats["equilateral_distance_before"] = metric_distance(eq.angles, fixed)
     report.stats["equilateral_distance_after"] = metric_distance(eq_child.angles, fixed)
 
-    corner = shape_from_edges(*child_edges("A", witness.edges).as_tuple())
+    corner = apply("A", witness)
     report.stats["corner_A_angles"] = list(corner.angles.as_tuple())
     report.stats["corner_A_distance"] = metric_distance(corner.angles, fixed)
     report.stats.setdefault("violations", 0)
@@ -277,6 +274,8 @@ def run_eq1_probe(spec: SampleSpec) -> Report:
     Records the distribution of the worst angle difference delta and the
     slope of log(delta) against log(area); asserts nothing.
     """
+    from statistics import linear_regression
+
     report = Report("eq1probe", True, spec.samples)
     rng = random.Random(spec.seed)
     deltas = []
@@ -296,12 +295,7 @@ def run_eq1_probe(spec: SampleSpec) -> Report:
     report.stats["delta_min"] = deltas[0]
     report.stats["delta_median"] = deltas[n // 2]
     report.stats["delta_max"] = deltas[-1]
-    sx = sum(p[0] for p in points)
-    sy = sum(p[1] for p in points)
-    sxx = sum(p[0] ** 2 for p in points)
-    sxy = sum(p[0] * p[1] for p in points)
-    k = len(points)
-    report.stats["log_slope_vs_area"] = (k * sxy - sx * sy) / (k * sxx - sx * sx)
+    report.stats["log_slope_vs_area"] = linear_regression(*zip(*points)).slope
     report.stats.setdefault("violations", 0)
     return report
 
@@ -552,12 +546,9 @@ def run_suite(name: str, seed: int | None = None,
               samples: int | None = None) -> Report:
     """Run one named suite with its default plan, optionally reseeded."""
     if name in DEFAULT_SPECS:
-        spec = DEFAULT_SPECS[name]
-        if seed is not None or samples is not None:
-            spec = SampleSpec(seed=seed if seed is not None else spec.seed,
-                              samples=samples if samples is not None else spec.samples,
-                              edge_range=spec.edge_range,
-                              max_steps=spec.max_steps, sigma=spec.sigma)
+        overrides = {k: v for k, v in (("seed", seed), ("samples", samples))
+                     if v is not None}
+        spec = replace(DEFAULT_SPECS[name], **overrides)
         runner = {
             "lemma21": run_lemma21,
             "area": run_area_bounds,

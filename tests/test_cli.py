@@ -1,5 +1,6 @@
 """Tests for the command-line interface and SVG rendering."""
 
+import gc
 import json
 import math
 import re
@@ -8,7 +9,7 @@ import pytest
 
 from trisub import plane_model
 from trisub.cli import main
-from trisub.render import RenderSpec
+from trisub.render import RenderSpec, render_svg
 from trisub.shape import EdgeLengths
 
 
@@ -33,6 +34,11 @@ class TestShapeCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["edges"] is None and doc["area"] == 0
+
+    def test_long_sliver_edges(self, capsys):
+        code, out, _ = run(capsys, "shape", "--edges", "20,20,39")
+        assert code == 0
+        assert min(json.loads(out)["angles"]) > 0
 
     def test_domain_error_exit_code(self, capsys):
         code, out, err = run(capsys, "shape", "--edges", "1,2,5")
@@ -74,6 +80,14 @@ class TestLimitCommand:
         assert doc["angles"][0] == pytest.approx(0.022804857078761738, abs=1e-13)
         assert doc["angles"][2] == pytest.approx(3.0959829394322695, abs=1e-13)
         assert sum(doc["angles"]) == pytest.approx(math.pi, abs=1e-12)
+
+    @pytest.mark.parametrize("edges", ["5,5,9.9", "5,5,9.99", "3,3,5.9999"])
+    def test_slivers(self, capsys, edges):
+        code, out, _ = run(capsys, "limit", "--edges", edges, "--seq", "|M")
+        assert code == 0
+        doc = json.loads(out)
+        assert 0 < doc["residual"] < 1e-13
+        assert min(doc["angles"]) > 0
 
     def test_bad_sequence(self, capsys):
         assert run(capsys, "limit", "--edges", "1,1,1", "--seq", "A|")[0] == 1
@@ -199,6 +213,15 @@ class TestRenderCommand:
         first = re.search(r'd="M ([^"]+?) Z"', svg).group(1)
         # 3 edges x 32 samples per edge
         assert first.count(" L ") == 3 * 32 - 1
+
+    def test_render_leaves_no_reference_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            render_svg(RenderSpec(depth=3), EdgeLengths(2, 2, 3))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestRenderSpecValidation:

@@ -1,11 +1,13 @@
 """Tests for the subdivision maps, orbits and the limit map."""
 
+import itertools
 import math
 import random
 
 import pytest
 
-from trisub import hyptrig
+from trisub import hyptrig, plane_model
+from trisub.render import cell_children
 from trisub.shape import (EdgeLengths, metric_distance, shape_from_angles,
                           shape_from_edges)
 from trisub.subdivision import (ConvergenceError, LETTERS, ORBIT_CSV_COLUMNS,
@@ -78,6 +80,17 @@ class TestApplyOracle:
         e = EdgeLengths(1e-5, 1.1e-5, 0.9e-5)
         child = apply_oracle("A", e)
         assert abs(child.a - e.a / 2) / e.a < 1e-6
+
+    def test_sliver_corner_angle_matches_high_precision(self):
+        # angle at slot A of the C cell of a sliver, from a 50-digit mpmath
+        # evaluation of the law of cosines on the cell's float edges
+        expect = 0.0051135422244012187
+        e = EdgeLengths(0.0656142423003001, 4.326566773899118, 4.375307821632646)
+        closed = apply("C", shape_from_edges(*e.as_tuple())).angles.A
+        tri = plane_model.place(e)
+        v_a, v_b, v_c = cell_children((tri.p_a, tri.p_b, tri.p_c))["C"]
+        assert abs(closed - expect) < 1e-15
+        assert abs(plane_model.angle_at(v_a, v_b, v_c) - expect) < 1e-14
 
     def test_sampled_agreement(self):
         rng = random.Random(43)
@@ -200,6 +213,20 @@ class TestLimitShape:
             out_p = limit_shape(tail(word_p), shape_from_edges(*e_p.as_tuple()))
             expect = (out.C, out.A, out.B)
             assert max(abs(x - y) for x, y in zip(expect, out_p.as_tuple())) < 1e-12
+
+    def test_long_edges_and_slivers_do_not_raise(self):
+        rng = random.Random(1)
+        for _ in range(2000):
+            rec = shape_from_edges(*sample_edges(rng, 0.01, 15.0).as_tuple())
+            lim = limit_shape(itertools.repeat("M"), rec)
+            assert min(lim.as_tuple()) > 0
+
+    def test_long_sliver_converges_in_few_steps(self):
+        rec = shape_from_edges(13.140595535938424, 14.72431452329242,
+                               5.922214276086785)
+        res = limit_shape_info(itertools.cycle("CB"), rec)
+        assert res.iterations <= 40
+        assert 0 < res.residual < 1e-13
 
     def test_iteration_cap_raises(self):
         rec = shape_from_edges(1, 1, 1)

@@ -22,8 +22,6 @@ class TestSpecValidation:
             SampleSpec(seed=1, samples=0)
         with pytest.raises(ValueError):
             SampleSpec(seed=1, samples=10, edge_range=(0.0, 5.0))
-        with pytest.raises(ValueError):
-            SampleSpec(seed=1, samples=10, sigma=0.5)
 
 
 class TestSuitesPass:
