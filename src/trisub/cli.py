@@ -13,7 +13,7 @@ import sys
 
 from . import verify
 from ._fmt import csv_line, dumps
-from .render import RenderSpec, render_svg
+from .render import RenderSpec, svg_lines
 from .shape import EdgeLengths, shape_from_angles, shape_from_edges
 from .subdivision import limit_shape_info, orbit
 from .symbolic import SymbolSequence, address_approx, address_exact, \
@@ -180,9 +180,24 @@ def _cmd_sweep(args) -> int:
 def _cmd_render(args) -> int:
     spec = RenderSpec(model=args.model, depth=args.depth, word=args.word,
                       size=args.size, samples_per_edge=args.arc_samples)
-    svg = render_svg(spec, EdgeLengths(*args.edges))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    # the spec, the edges and their placement are checked before the file
+    # is opened, so that bad input leaves no empty file behind
+    lines = svg_lines(spec, EdgeLengths(*args.edges))
+    try:
+        fh = open(args.out, "w", encoding="utf-8")
+        try:
+            with fh:
+                fh.writelines(lines)
+        except BaseException:
+            import os
+            # no truncated SVG either; but never remove what is not a plain
+            # file, such as /dev/stdout
+            if os.path.isfile(args.out) and not os.path.islink(args.out):
+                os.remove(args.out)
+            raise
+    except OSError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     return 0
 
 

@@ -103,12 +103,29 @@ def to_disk(u: HPoint, model: str = "klein") -> tuple[float, float]:
     raise ValueError(f"unknown disk model {model!r}")
 
 
-def geodesic_point(u: HPoint, v: HPoint, t: float) -> HPoint:
-    """Point at parameter t in [0, 1] along the geodesic from u to v."""
-    d = dist(u, v)
+def _geodesic_at(u: HPoint, v: HPoint, d: float, sinh_d: float, t: float) -> HPoint:
+    # u and v are d apart and sinh_d = sinh(d), so that callers sampling one
+    # geodesic many times pay for the distance once
     if d < 1e-15:
         return _renorm(u.x0 + t * (v.x0 - u.x0), u.x1 + t * (v.x1 - u.x1),
                        u.x2 + t * (v.x2 - u.x2))
-    wu = math.sinh((1 - t) * d) / math.sinh(d)
-    wv = math.sinh(t * d) / math.sinh(d)
+    wu = math.sinh((1 - t) * d) / sinh_d
+    wv = math.sinh(t * d) / sinh_d
     return _renorm(wu * u.x0 + wv * v.x0, wu * u.x1 + wv * v.x1, wu * u.x2 + wv * v.x2)
+
+
+def geodesic_point(u: HPoint, v: HPoint, t: float) -> HPoint:
+    """Point at parameter t in [0, 1] along the geodesic from u to v."""
+    d = dist(u, v)
+    return _geodesic_at(u, v, d, math.sinh(d), t)
+
+
+def geodesic_samples(u: HPoint, v: HPoint, n: int) -> list[HPoint]:
+    """geodesic_point(u, v, i / n) for i = 0..n, from one distance.
+
+    When n is a power of two, i / n and 1 - i / n are exact, so the list
+    read backwards is bit for bit the samples from v to u.
+    """
+    d = dist(u, v)
+    sinh_d = math.sinh(d)
+    return [_geodesic_at(u, v, d, sinh_d, i / n) for i in range(n + 1)]

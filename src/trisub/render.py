@@ -1,11 +1,14 @@
 """SVG rendering of nested subdivision cells in a disk model.
 
-Cells are tracked as hyperboloid vertex triples and projected per point:
-geodesics are straight chords in the Klein disk and sampled polylines in
-the Poincare disk.  Output is fully deterministic (fixed element order
-and number formatting) so renders can be compared byte for byte.
+Cells are triples of hyperboloid vertices, named by integer lattice
+keys: geodesics are straight chords in the Klein disk and sampled
+polylines in the Poincare disk.  A vertex shared by several cells is
+computed, projected and formatted once, and an edge shared by two cells
+is sampled once.  Output is fully deterministic (fixed element order and
+number formatting) so renders can be compared byte for byte.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import plane_model
@@ -48,19 +51,22 @@ class RenderSpec:
             for ch in self.word:
                 if ch not in "ABCM":
                     raise ValueError(f"bad letter {ch!r} in word")
+        if self.size <= 0:
+            raise ValueError("size must be positive")
         if self.samples_per_edge < 2:
             raise ValueError("need at least 2 samples per edge")
 
 
-Cell = tuple[HPoint, HPoint, HPoint]
+def cell_children(cell: tuple, midpoint=plane_model.midpoint) -> dict[str, tuple]:
+    """The four subdivision cells of a vertex triple, in slot order.
 
-
-def cell_children(cell: Cell) -> dict[str, Cell]:
-    """The four subdivision cells of a vertex triple, in slot order."""
+    midpoint(u, v) is the vertex halfway between u and v; the default works
+    on hyperboloid points.
+    """
     v_a, v_b, v_c = cell
-    m_a = plane_model.midpoint(v_b, v_c)
-    m_b = plane_model.midpoint(v_c, v_a)
-    m_c = plane_model.midpoint(v_a, v_b)
+    m_a = midpoint(v_b, v_c)
+    m_b = midpoint(v_c, v_a)
+    m_c = midpoint(v_a, v_b)
     return {
         "A": (v_a, m_c, m_b),
         "B": (m_c, v_b, m_a),
@@ -69,66 +75,95 @@ def cell_children(cell: Cell) -> dict[str, Cell]:
     }
 
 
-def _fmt(x: float) -> str:
-    return "%.12f" % (0.0 if x == 0.0 else x)
+def _point_text(p: HPoint, model: str) -> str:
+    x, y = plane_model.to_disk(p, model)
+    # SVG y grows downward, so y is mirrored; -0.0 + 0.0 and 0.0 - 0.0 are
+    # +0.0, so that no zero is written as "-0.000000000000"
+    return "%.12f %.12f" % (x + 0.0, 0.0 - y)
 
 
-def _edge_points(u: HPoint, v: HPoint, spec: RenderSpec):
-    if spec.model == "klein":
-        yield plane_model.to_disk(u, "klein")
-        return
+_PATH = ('  <path d="M %s L %s L %s Z" fill="%s" stroke="%s" '
+         'stroke-width="0.004"%s />\n')
+
+
+def svg_lines(spec: RenderSpec, edges: EdgeLengths) -> Iterator[str]:
+    """The SVG document as lines, each ending in a newline.
+
+    The triangle is placed before this returns, so edges that cannot be
+    placed raise here rather than partway through the output.
+    """
+    return _svg_lines(spec, plane_model.place(edges))
+
+
+def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[str]:
     n = spec.samples_per_edge
-    for i in range(n):
-        t = i / n
-        yield plane_model.to_disk(plane_model.geodesic_point(u, v, t), "poincare")
+    # Vertices are lattice points (i, j, k), i + j + k = side, keyed by
+    # i * (side + 1) + j, so the key of a midpoint is the mean of the keys
+    # of its ends and each vertex is computed once.
+    side = 2 ** (spec.depth if spec.word is None else len(spec.word))
+    root = (side * (side + 1), side, 0)
+    points = dict(zip(root, tri))
+    texts = {}    # Klein: vertex key -> its formatted point
+    pending = {}  # Poincare: (u, v) -> the samples from u to v, not yet used
 
+    def mid(ku, kv):
+        k = (ku + kv) >> 1
+        if k not in points:
+            points[k] = plane_model.midpoint(points[ku], points[kv])
+        return k
 
-def _cell_path(cell: Cell, spec: RenderSpec) -> str:
-    pts = []
-    for u, v in ((cell[0], cell[1]), (cell[1], cell[2]), (cell[2], cell[0])):
-        pts.extend(_edge_points(u, v, spec))
-    # SVG y grows downward; mirror to keep the usual orientation
-    cmds = [f"{'M' if i == 0 else 'L'} {_fmt(x)} {_fmt(-y)}"
-            for i, (x, y) in enumerate(pts)]
-    return " ".join(cmds) + " Z"
+    # an edge's text is its polyline from u towards v without its end point
+    def klein_edge(ku, kv):
+        text = texts.get(ku)
+        if text is None:
+            text = texts[ku] = _point_text(points[ku], "klein")
+        return text
 
+    def poincare_edge(ku, kv):
+        # All cells have the orientation of the root, so the two cells on an
+        # edge run it in opposite directions: the second takes the samples
+        # of the first backwards.  An edge of a single cell (on the outline,
+        # or any edge in word mode) stays until the render ends.
+        text = pending.pop((ku, kv), None)
+        if text is None:
+            pts = [_point_text(p, "poincare")
+                   for p in plane_model.geodesic_samples(points[ku], points[kv], n)]
+            text = " L ".join(pts[:n])
+            pending[kv, ku] = " L ".join(pts[n:0:-1])
+        return text
 
-def _poly(cell: Cell, spec: RenderSpec, stroke: str, fill: str = "none",
-          extra: str = "") -> str:
-    return (f'  <path d="{_cell_path(cell, spec)}" fill="{fill}" '
-            f'stroke="{stroke}" stroke-width="0.004"{extra} />')
+    edge = klein_edge if spec.model == "klein" else poincare_edge
+
+    def path(cell, stroke, fill="none", extra=""):
+        a, b, c = cell
+        return _PATH % (edge(a, b), edge(b, c), edge(c, a), fill, stroke, extra)
+
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.size}" '
+           f'height="{spec.size}" viewBox="-1.05 -1.05 2.1 2.1">\n')
+    yield ('  <circle cx="0" cy="0" r="1" fill="none" stroke="#cccccc" '
+           'stroke-width="0.004" />\n')
+    yield path(root, "#000000")
+    if spec.word is None:
+        # depth-first, cells in A, B, C, M order
+        stack = [(root, spec.depth, None)]
+        while stack:
+            cell, depth, letter = stack.pop()
+            if depth:
+                kids = cell_children(cell, mid)
+                stack.extend((kids[ch], depth - 1, ch) for ch in "MCBA")
+            elif letter is not None:
+                yield path(cell, spec.palette[letter])
+    else:
+        cell = root
+        for i, letter in enumerate(spec.word):
+            cell = cell_children(cell, mid)[letter]
+            last = i == len(spec.word) - 1
+            fill = spec.palette[letter] if last else "none"
+            extra = ' fill-opacity="0.25"' if last else ""
+            yield path(cell, spec.palette[letter], fill, extra)
+    yield "</svg>\n"
 
 
 def render_svg(spec: RenderSpec, edges: EdgeLengths) -> str:
     """Render the placed triangle with its subdivision cells (or orbit path)."""
-    tri = plane_model.place(edges)
-    root: Cell = (tri.p_a, tri.p_b, tri.p_c)
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.size}" '
-        f'height="{spec.size}" viewBox="-1.05 -1.05 2.1 2.1">',
-        '  <circle cx="0" cy="0" r="1" fill="none" stroke="#cccccc" '
-        'stroke-width="0.004" />',
-        _poly(root, spec, "#000000"),
-    ]
-    if spec.depth is not None:
-        # depth-first, cells in A, B, C, M order; an explicit stack rather
-        # than a recursive closure, which would hold lines in a reference cycle
-        stack = [(root, spec.depth, None)]
-        while stack:
-            cell, depth, letter = stack.pop()
-            if depth == 0:
-                if letter is not None:
-                    lines.append(_poly(cell, spec, spec.palette[letter]))
-                continue
-            kids = cell_children(cell)
-            stack.extend((kids[ch], depth - 1, ch) for ch in "MCBA")
-    else:
-        cell = root
-        for i, letter in enumerate(spec.word):
-            cell = cell_children(cell)[letter]
-            last = i == len(spec.word) - 1
-            fill = spec.palette[letter] if last else "none"
-            extra = ' fill-opacity="0.25"' if last else ""
-            lines.append(_poly(cell, spec, spec.palette[letter], fill, extra))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return "".join(svg_lines(spec, edges))

@@ -7,9 +7,9 @@ import re
 
 import pytest
 
-from trisub import plane_model
+from trisub import cli, plane_model
 from trisub.cli import main
-from trisub.render import RenderSpec, render_svg
+from trisub.render import RenderSpec, cell_children, render_svg
 from trisub.shape import EdgeLengths
 
 
@@ -218,10 +218,143 @@ class TestRenderCommand:
         gc.collect()
         gc.disable()
         try:
-            render_svg(RenderSpec(depth=3), EdgeLengths(2, 2, 3))
-            assert gc.collect() == 0
+            for model in ("klein", "poincare"):
+                render_svg(RenderSpec(model=model, depth=3), EdgeLengths(2, 2, 3))
+                assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_missing_output_directory(self, capsys, tmp_path):
+        code, _, err = run(capsys, "render", "--edges", "1,1,1", "--depth", "1",
+                           "-o", str(tmp_path / "no" / "such" / "t.svg"))
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--edges", "1,2,5", "--depth", "1"),
+        ("--edges", "1,1,1", "--depth", "9"),
+        ("--edges", "1,1,1", "--depth", "1", "--size", "-5"),
+    ])
+    def test_failing_render_leaves_file_untouched(self, capsys, tmp_path, argv):
+        out_file = tmp_path / "t.svg"
+        out_file.write_text("before")
+        code, _, err = run(capsys, "render", *argv, "-o", str(out_file))
+        assert code == 1 and err.startswith("error:")
+        assert out_file.read_text() == "before"
+
+    def test_failed_write_removes_partial_file(self, capsys, tmp_path, monkeypatch):
+        def disk_full(spec, edges):
+            yield "<svg>\n"
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "svg_lines", disk_full)
+        out_file = tmp_path / "t.svg"
+        code, _, err = run(capsys, "render", "--edges", "1,1,1", "--depth", "1",
+                           "-o", str(out_file))
+        assert code == 1 and "No space left" in err
+        assert not out_file.exists()
+
+
+def _reference_path(cell, spec, stroke, fill="none", extra=""):
+    # each cell on its own: its own geodesic samples and formatted numbers
+    def fmt(x):
+        return "%.12f" % (0.0 if x == 0.0 else x)
+
+    pts = []
+    for u, v in ((cell[0], cell[1]), (cell[1], cell[2]), (cell[2], cell[0])):
+        if spec.model == "klein":
+            pts.append(plane_model.to_disk(u, "klein"))
+        else:
+            n = spec.samples_per_edge
+            pts.extend(plane_model.to_disk(plane_model.geodesic_point(u, v, i / n), "poincare")
+                       for i in range(n))
+    d = " ".join(f"{'M' if i == 0 else 'L'} {fmt(x)} {fmt(-y)}"
+                 for i, (x, y) in enumerate(pts))
+    return (f'  <path d="{d} Z" fill="{fill}" stroke="{stroke}" '
+            f'stroke-width="0.004"{extra} />')
+
+
+def _reference_leaves(cell, depth, letter):
+    if depth == 0:
+        yield cell, letter
+        return
+    kids = cell_children(cell)
+    for ch in "ABCM":
+        yield from _reference_leaves(kids[ch], depth - 1, ch)
+
+
+def reference_svg(spec, edges):
+    """The SVG built cell by cell, each cell taking its own midpoints."""
+    tri = plane_model.place(edges)
+    root = (tri.p_a, tri.p_b, tri.p_c)
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.size}" '
+             f'height="{spec.size}" viewBox="-1.05 -1.05 2.1 2.1">',
+             '  <circle cx="0" cy="0" r="1" fill="none" stroke="#cccccc" '
+             'stroke-width="0.004" />',
+             _reference_path(root, spec, "#000000")]
+    if spec.depth is not None:
+        if spec.depth > 0:
+            lines += [_reference_path(cell, spec, spec.palette[letter])
+                      for cell, letter in _reference_leaves(root, spec.depth, None)]
+    else:
+        cell = root
+        for i, letter in enumerate(spec.word):
+            cell = cell_children(cell)[letter]
+            last = i == len(spec.word) - 1
+            lines.append(_reference_path(
+                cell, spec, spec.palette[letter],
+                spec.palette[letter] if last else "none",
+                ' fill-opacity="0.25"' if last else ""))
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+COORD = re.compile(r"-?\d+\.\d{12}")
+
+
+class TestRenderSharing:
+    EDGES = EdgeLengths(1.3, 0.7, 1.1)
+
+    @pytest.mark.parametrize("spec", [
+        RenderSpec(model="klein", depth=4),
+        RenderSpec(model="poincare", depth=3),
+        RenderSpec(model="poincare", word="MMABCA"),
+        RenderSpec(model="klein", word="CAMB"),
+    ], ids=["klein-depth4", "poincare-depth3", "poincare-word", "klein-word"])
+    def test_matches_cell_by_cell_reference(self, spec):
+        assert render_svg(spec, self.EDGES) == reference_svg(spec, self.EDGES)
+
+    def test_other_sample_counts_match_to_last_digit(self):
+        # at 12 samples per edge these edges give a last-digit difference
+        spec = RenderSpec(model="poincare", depth=3, samples_per_edge=12)
+        edges = EdgeLengths(2, 2, 3)
+        got, want = render_svg(spec, edges), reference_svg(spec, edges)
+        assert COORD.sub("#", got) == COORD.sub("#", want)
+        got_nums, want_nums = COORD.findall(got), COORD.findall(want)
+        assert len(got_nums) == len(want_nums) == 2 * (3 * 12) * (1 + 4 ** 3)
+        # in units of the last printed digit, 1e-12
+        ulps = [abs(int(g.replace(".", "")) - int(w.replace(".", "")))
+                for g, w in zip(got_nums, want_nums)]
+        assert max(ulps) <= 1
+
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    def test_one_distance_per_edge_one_midpoint_per_vertex(self, monkeypatch, depth):
+        calls = {"dist": 0, "midpoint": 0}
+
+        def counted(name):
+            fn = getattr(plane_model, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(plane_model, name, counted(name))
+        render_svg(RenderSpec(model="poincare", depth=depth), self.EDGES)
+        side = 2 ** depth
+        assert calls["dist"] == 3 + 3 * (4 ** depth + side) // 2
+        assert calls["midpoint"] == (side + 1) * (side + 2) // 2 - 3
 
 
 class TestRenderSpecValidation:
@@ -238,6 +371,11 @@ class TestRenderSpecValidation:
     def test_sampling_floor(self):
         with pytest.raises(ValueError):
             RenderSpec(depth=1, samples_per_edge=1)
+
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_size_must_be_positive(self, size):
+        with pytest.raises(ValueError):
+            RenderSpec(depth=1, size=size)
 
 
 class TestDeterminism:
