@@ -51,9 +51,14 @@ def _clamp_unit(x: float, what: str) -> float:
 
 def _half_sinh_sq(a: float, b: float, c: float) -> tuple[float, float, float, float]:
     # p = sinh^2(a/2), q, r and the root of their Heron form
-    p = math.sinh(a / 2) ** 2
-    q = math.sinh(b / 2) ** 2
-    r = math.sinh(c / 2) ** 2
+    try:
+        p = math.sinh(a / 2) ** 2
+        q = math.sinh(b / 2) ** 2
+        r = math.sinh(c / 2) ** 2
+    except OverflowError:
+        # sinh^2(x/2) passes the largest binary64 value above x ~ 710
+        raise DomainError(f"edges ({a!r}, {b!r}, {c!r}) are too long: "
+                          f"sinh^2(edge/2) overflows") from None
     return p, q, r, math.sqrt(max(0.0, _heron_sinh_sq(p, q, r)))
 
 

@@ -15,6 +15,8 @@ mask a real defect.
 import math
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import chain, islice, repeat
 
 from . import hyptrig, symbolic
 from .shape import AngleShape, EdgeLengths, ShapeRecord, metric_distance, \
@@ -59,24 +61,74 @@ class Report:
         if len(self.failures) < MAX_STORED_FAILURES:
             self.failures.append(payload)
 
+    def check(self, start, step, observed, bound, upper=True) -> bool:
+        """Record observed beyond bound (upper or lower) by over RESOLUTION relative."""
+        violated = (observed > bound * (1 + RESOLUTION) if upper
+                    else observed < bound * (1 - RESOLUTION))
+        if violated:
+            self.add_failure(input=list(start.as_tuple()), step=step,
+                             observed=observed, bound=bound)
+        return violated
+
+    def finish(self, **stats) -> "Report":
+        """Add the closing stats; every report ends with its violation count."""
+        self.stats.update(stats)
+        self.stats.setdefault("violations", 0)
+        return self
+
     def to_json_dict(self) -> dict:
         return {"suite": self.suite, "pass": self.passed, "samples": self.samples,
                 "failures": self.failures, "stats": self.stats}
 
 
-def _sample_edges(rng: random.Random, lo: float, hi: float) -> EdgeLengths:
+def _sample_edges(rng: random.Random, spec: SampleSpec, small: bool) -> EdgeLengths:
+    # a small start needs no burn-in: sinh(edge/2) < 1 on all edges
+    lo, hi = spec.edge_range
+    if small:
+        hi = min(hi, SINH_HALF_LT_1 * 0.999999)
     while True:
         a, b, c = (rng.uniform(lo, hi) for _ in range(3))
         if a < b + c and b < c + a and c < a + b:
-            return EdgeLengths(a, b, c)
+            e = EdgeLengths(a, b, c)
+            if not small or max(_sinh_halves(e)) < 1.0:
+                return e
+
+
+def _run_seeded(suite: str, spec: SampleSpec, orbit, small=False, stats=()) -> Report:
+    """Run orbit(report, rng, start) from spec.samples seeded (small) starts;
+    a DomainError is raised again naming the suite and the start."""
+    report = Report(suite, True, spec.samples, stats=dict(stats))
+    rng = random.Random(spec.seed)
+    for _ in range(spec.samples):
+        start = _sample_edges(rng, spec, small)
+        try:
+            orbit(report, rng, start)
+        except hyptrig.DomainError as exc:
+            raise type(exc)(f"{suite} orbit from {list(start.as_tuple())}: "
+                            f"{exc}") from exc
+    return report
 
 
 def _sinh_halves(e: EdgeLengths) -> tuple[float, float, float]:
-    return tuple(math.sinh(x / 2) for x in e.as_tuple())
+    return math.sinh(e.a / 2), math.sinh(e.b / 2), math.sinh(e.c / 2)
 
 
 def _sin_half_area(e: EdgeLengths) -> float:
-    return math.sin(hyptrig.area_from_edges(*e.as_tuple()) / 2)
+    return math.sin(hyptrig.area_from_edges(e.a, e.b, e.c) / 2)
+
+
+def _burn_in(e: EdgeLengths, letters, steps: int = 0):
+    """The orbit of e under the letter iterator, e first: burn-in until
+    sinh(edge/2) < 1 on all edges, then steps more; and the burn-in length."""
+    path = [e]
+    while max(_sinh_halves(path[-1])) >= 1.0:
+        if len(path) > 500:
+            raise RuntimeError("burn-in did not terminate")
+        path.append(child_edges(next(letters), path[-1]))
+    burn = len(path) - 1
+    for _ in range(steps):
+        path.append(child_edges(next(letters), path[-1]))
+    return path, burn
 
 
 def run_lemma21(spec: SampleSpec, halving_factor: float = 0.5,
@@ -88,62 +140,30 @@ def run_lemma21(spec: SampleSpec, halving_factor: float = 0.5,
     sinh(edge/2) drop below 1 (burn-in, rebased to n = 0),
     sinh(x_n/2) > lower_const * 2^-n * sinh(x_0/2) for n up to max_steps.
     """
-    report = Report("lemma21", True, spec.samples)
-    report.stats["halving_violations"] = 0
-    report.stats["lower_violations"] = 0
-    rng = random.Random(spec.seed)
-    worst_halving = math.inf
-    worst_lower = math.inf
+    worst_halving = worst_lower = math.inf
 
-    def check_halving(start, step, old, new):
-        nonlocal worst_halving
-        for slot in range(3):
-            worst_halving = min(worst_halving, halving_factor - new[slot] / old[slot])
-            if new[slot] >= halving_factor * old[slot] * (1 + RESOLUTION):
-                report.stats["halving_violations"] += 1
-                report.add_failure(input=list(start.as_tuple()), step=step,
-                                   observed=new[slot],
-                                   bound=halving_factor * old[slot])
-
-    for idx in range(spec.samples):
-        e = _sample_edges(rng, *spec.edge_range)
-        start = e
+    def orbit(report, rng, start):
+        nonlocal worst_halving, worst_lower
         # burn-in segment: random letters until sinh(edge/2) < 1 on all edges
-        burn = 0
-        while max(_sinh_halves(e)) >= 1.0:
-            e2 = child_edges(rng.choice("ABCM"), e)
-            check_halving(start, burn, _sinh_halves(e), _sinh_halves(e2))
-            e = e2
-            burn += 1
-            if burn > 500:
-                raise RuntimeError("burn-in did not terminate")
-        base = _sinh_halves(e)
-        for n in range(1, spec.max_steps + 1):
-            e2 = child_edges(rng.choice("ABCM"), e)
-            old, new = _sinh_halves(e), _sinh_halves(e2)
-            check_halving(start, burn + n, old, new)
+        path, burn = _burn_in(start, map(rng.choice, repeat("ABCM")), spec.max_steps)
+        halves = [_sinh_halves(e) for e in path]
+        # step i is the i-th child; n counts the steps after burn-in
+        for i, (old, new) in enumerate(zip(halves, halves[1:]), start=1):
             for slot in range(3):
-                bound = lower_const * 2.0 ** (-n) * base[slot]
-                worst_lower = min(worst_lower, new[slot] / bound)
-                if new[slot] <= bound * (1 - RESOLUTION):
-                    report.stats["lower_violations"] += 1
-                    report.add_failure(input=list(start.as_tuple()), step=n,
-                                       observed=new[slot], bound=bound)
-            e = e2
-    report.stats["worst_halving_margin"] = worst_halving
-    report.stats["worst_lower_ratio"] = worst_lower
-    report.stats.setdefault("violations", 0)
-    return report
+                worst_halving = min(worst_halving, halving_factor - new[slot] / old[slot])
+                if report.check(start, i, new[slot], halving_factor * old[slot]):
+                    report.stats["halving_violations"] += 1
+            n = i - burn
+            if n > 0:
+                for slot in range(3):
+                    bound = lower_const * 2.0 ** (-n) * halves[burn][slot]
+                    worst_lower = min(worst_lower, new[slot] / bound)
+                    if report.check(start, n, new[slot], bound, upper=False):
+                        report.stats["lower_violations"] += 1
 
-
-def _burn_in_medial(e: EdgeLengths):
-    n = 0
-    while max(_sinh_halves(e)) >= 1.0:
-        e = child_edges("M", e)
-        n += 1
-        if n > 500:
-            raise RuntimeError("burn-in did not terminate")
-    return e, n
+    report = _run_seeded("lemma21", spec, orbit,
+                         stats={"halving_violations": 0, "lower_violations": 0})
+    return report.finish(worst_halving_margin=worst_halving, worst_lower_ratio=worst_lower)
 
 
 def run_area_bounds(spec: SampleSpec, upper_scale: float = 1.0,
@@ -153,31 +173,24 @@ def run_area_bounds(spec: SampleSpec, upper_scale: float = 1.0,
     After burn-in, exp(-1/2) * 4^-n <= sin(S_n/2)/sin(S_0/2) <= 4^-n
     for n up to max_steps.
     """
-    report = Report("area", True, spec.samples)
-    rng = random.Random(spec.seed)
-    worst_hi = math.inf
-    worst_lo = math.inf
-    for idx in range(spec.samples):
-        start = _sample_edges(rng, *spec.edge_range)
-        e, _ = _burn_in_medial(start)
-        s0 = _sin_half_area(e)
-        for n in range(1, spec.max_steps + 1):
-            e = child_edges("M", e)
+    worst_hi = worst_lo = math.inf
+    lo_scale = lower_scale * math.exp(-0.5)
+
+    def orbit(report, rng, start):
+        nonlocal worst_hi, worst_lo
+        path, burn = _burn_in(start, repeat("M"), spec.max_steps)
+        s0 = _sin_half_area(path[burn])
+        for n, e in enumerate(path[burn + 1:], start=1):
             ratio = _sin_half_area(e) / s0
-            hi = upper_scale * 4.0 ** (-n)
-            lo = lower_scale * math.exp(-0.5) * 4.0 ** (-n)
+            quarter = 4.0 ** (-n)
+            hi, lo = upper_scale * quarter, lo_scale * quarter
             worst_hi = min(worst_hi, (hi - ratio) / hi)
             worst_lo = min(worst_lo, (ratio - lo) / lo)
-            if ratio > hi * (1 + RESOLUTION):
-                report.add_failure(input=list(start.as_tuple()), step=n,
-                                   observed=ratio, bound=hi)
-            if ratio < lo * (1 - RESOLUTION):
-                report.add_failure(input=list(start.as_tuple()), step=n,
-                                   observed=ratio, bound=lo)
-    report.stats["worst_upper_margin"] = worst_hi
-    report.stats["worst_lower_margin"] = worst_lo
-    report.stats.setdefault("violations", 0)
-    return report
+            report.check(start, n, ratio, hi)
+            report.check(start, n, ratio, lo, upper=False)
+
+    report = _run_seeded("area", spec, orbit)
+    return report.finish(worst_upper_margin=worst_hi, worst_lower_margin=worst_lo)
 
 
 def run_ratio_limit(spec: SampleSpec, interval: tuple[float, float] | None = None,
@@ -189,37 +202,26 @@ def run_ratio_limit(spec: SampleSpec, interval: tuple[float, float] | None = Non
     """
     if interval is None:
         interval = (math.exp(-0.5), math.exp(0.5))
-    report = Report("ratiolimit", True, spec.samples)
-    rng = random.Random(spec.seed)
-    r_lo, r_hi = math.inf, -math.inf
-    worst_settle = 0.0
-    n_half = 40
-    n_full = 80
-    for idx in range(spec.samples):
-        start = _sample_edges(rng, *spec.edge_range)
-        e, _ = _burn_in_medial(start)
-        s0 = _sin_half_area(e)
-        r40 = r80 = None
-        for n in range(1, n_full + 1):
-            e = child_edges("M", e)
-            if n == n_half:
-                r40 = 4.0 ** n * _sin_half_area(e) / s0
-            elif n == n_full:
-                r80 = 4.0 ** n * _sin_half_area(e) / s0
+    r_lo, r_hi, worst_settle = math.inf, -math.inf, 0.0
+    n_half, n_full = 40, 80
+
+    def orbit(report, rng, start):
+        nonlocal r_lo, r_hi, worst_settle
+        path, burn = _burn_in(start, repeat("M"), n_full)
+        s0 = _sin_half_area(path[burn])
+        r40, r80 = (4.0 ** n * _sin_half_area(path[burn + n]) / s0
+                    for n in (n_half, n_full))
         settle = abs(r80 - r40)
         worst_settle = max(worst_settle, settle)
         r_lo, r_hi = min(r_lo, r80), max(r_hi, r80)
+        fail = partial(report.add_failure, input=list(start.as_tuple()), step=n_full)
         if settle >= settle_tol:
-            report.add_failure(input=list(start.as_tuple()), step=n_full,
-                               observed=settle, bound=settle_tol)
+            fail(observed=settle, bound=settle_tol)
         if not (interval[0] < r80 < interval[1]):
-            report.add_failure(input=list(start.as_tuple()), step=n_full,
-                               observed=r80, bound=list(interval))
-    report.stats["r80_min"] = r_lo
-    report.stats["r80_max"] = r_hi
-    report.stats["worst_settle"] = worst_settle
-    report.stats.setdefault("violations", 0)
-    return report
+            fail(observed=r80, bound=list(interval))
+
+    report = _run_seeded("ratiolimit", spec, orbit)
+    return report.finish(r80_min=r_lo, r80_max=r_hi, worst_settle=worst_settle)
 
 
 def run_noncontraction() -> Report:
@@ -238,11 +240,10 @@ def run_noncontraction() -> Report:
 
     witness = shape_from_edges(4.0, 4.0, 7.0)
     child = apply("M", witness)
-    apex0, apex1 = witness.angles.C, child.angles.C
     d0 = metric_distance(witness.angles, fixed)
     d1 = metric_distance(child.angles, fixed)
     checks = [
-        ("apex_increases", apex1 - apex0),
+        ("apex_increases", child.angles.C - witness.angles.C),
         ("base_A_decreases", witness.angles.A - child.angles.A),
         ("base_B_decreases", witness.angles.B - child.angles.B),
         ("distance_increases", d1 - d0),
@@ -252,19 +253,16 @@ def run_noncontraction() -> Report:
         if not value > margin:
             report.add_failure(input=[4.0, 4.0, 7.0], step=1,
                                observed=value, bound=margin)
-    report.stats["distance_before"] = d0
-    report.stats["distance_after"] = d1
 
     eq = shape_from_edges(1.0, 1.0, 1.0)
     eq_child = apply("M", eq)
-    report.stats["equilateral_distance_before"] = metric_distance(eq.angles, fixed)
-    report.stats["equilateral_distance_after"] = metric_distance(eq_child.angles, fixed)
-
     corner = apply("A", witness)
-    report.stats["corner_A_angles"] = list(corner.angles.as_tuple())
-    report.stats["corner_A_distance"] = metric_distance(corner.angles, fixed)
-    report.stats.setdefault("violations", 0)
-    return report
+    return report.finish(
+        distance_before=d0, distance_after=d1,
+        equilateral_distance_before=metric_distance(eq.angles, fixed),
+        equilateral_distance_after=metric_distance(eq_child.angles, fixed),
+        corner_A_angles=list(corner.angles.as_tuple()),
+        corner_A_distance=metric_distance(corner.angles, fixed))
 
 
 def run_eq1_probe(spec: SampleSpec) -> Report:
@@ -276,36 +274,22 @@ def run_eq1_probe(spec: SampleSpec) -> Report:
     """
     from statistics import linear_regression
 
-    report = Report("eq1probe", True, spec.samples)
-    rng = random.Random(spec.seed)
-    deltas = []
-    points = []
-    for idx in range(spec.samples):
-        e = _sample_edges(rng, *spec.edge_range)
+    deltas, points = [], []
+
+    def orbit(report, rng, e):
         parent = hyptrig.angles_from_edges(*e.as_tuple())
-        medial = child_edges("M", e)
-        probed = hyptrig.angles_from_edges(*medial.as_tuple())
+        probed = hyptrig.angles_from_edges(*child_edges("M", e).as_tuple())
         delta = max(abs(x - y) for x, y in zip(parent, probed))
         area = hyptrig.area_from_edges(*e.as_tuple())
         deltas.append(delta)
         if delta > 0 and area > 0:
             points.append((math.log(area), math.log(delta)))
+
+    report = _run_seeded("eq1probe", spec, orbit)
     deltas.sort()
-    n = len(deltas)
-    report.stats["delta_min"] = deltas[0]
-    report.stats["delta_median"] = deltas[n // 2]
-    report.stats["delta_max"] = deltas[-1]
-    report.stats["log_slope_vs_area"] = linear_regression(*zip(*points)).slope
-    report.stats.setdefault("violations", 0)
-    return report
-
-
-def _small_start(rng: random.Random, spec: SampleSpec) -> EdgeLengths:
-    hi = min(spec.edge_range[1], SINH_HALF_LT_1 * 0.999999)
-    while True:
-        e = _sample_edges(rng, spec.edge_range[0], hi)
-        if max(_sinh_halves(e)) < 1.0:
-            return e
+    return report.finish(delta_min=deltas[0], delta_median=deltas[len(deltas) // 2],
+                         delta_max=deltas[-1],
+                         log_slope_vs_area=linear_regression(*zip(*points)).slope)
 
 
 def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
@@ -315,44 +299,30 @@ def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
     every slot X and all 0 <= n <= n+k <= max_steps; limits along the
     orbit stay nondegenerate.
     """
-    report = Report("cauchy", True, spec.samples)
-    rng = random.Random(spec.seed)
-    worst = 0.0
-    min_limit_angle = math.inf
-    for idx in range(spec.samples):
-        e = _small_start(rng, spec)
-        start = e
-        budget = sum(s * s for s in _sinh_halves(e)) * bound_scale
+    worst, min_limit_angle = 0.0, math.inf
+
+    def orbit(report, rng, start):
+        nonlocal worst, min_limit_angle
+        budget = sum(s * s for s in _sinh_halves(start)) * bound_scale
         word = [rng.choice("ABCM") for _ in range(spec.max_steps)]
-        rho = [[math.log(s) for s in hyptrig._sin_angles(*e.as_tuple())]]
-        for letter in word:
-            e = child_edges(letter, e)
-            rho.append([math.log(s) for s in hyptrig._sin_angles(*e.as_tuple())])
-        for n in range(spec.max_steps + 1):
+        path, _ = _burn_in(start, iter(word), spec.max_steps)  # no burn-in
+        rho = [[math.log(s) for s in hyptrig._sin_angles(e.a, e.b, e.c)]
+               for e in path]
+        for n, here in enumerate(rho):
             bound = 2.0 ** (-n) * budget
-            for m in range(n, spec.max_steps + 1):
-                for slot in range(3):
-                    drift = abs(rho[m][slot] - rho[n][slot])
-                    worst = max(worst, drift - bound)
-                    if drift > bound * (1 + RESOLUTION):
-                        report.add_failure(input=list(start.as_tuple()),
-                                           step=[n, m - n], observed=drift,
-                                           bound=bound)
-
-        def extended():
-            yield from word
-            while True:
-                yield "M"
-
-        lim = limit_shape(extended(), shape_from_edges(*start.as_tuple()))
+            # slot drifts from step n to each step n + k, k = 0, 1, ...
+            drifts = [abs(x - y) for there in rho[n:] for x, y in zip(there, here)]
+            worst = max(worst, max(drifts) - bound)
+            for i, drift in enumerate(drifts):
+                report.check(start, [n, i // 3], drift, bound)
+        lim = limit_shape(chain(word, repeat("M")), shape_from_edges(*start.as_tuple()))
         min_limit_angle = min(min_limit_angle, min(lim.as_tuple()))
         if not min(lim.as_tuple()) > 0:
             report.add_failure(input=list(start.as_tuple()), step=-1,
                                observed=min(lim.as_tuple()), bound=0.0)
-    report.stats["worst_excess"] = worst
-    report.stats["min_limit_angle"] = min_limit_angle
-    report.stats.setdefault("violations", 0)
-    return report
+
+    report = _run_seeded("cauchy", spec, orbit, small=True)
+    return report.finish(worst_excess=worst, min_limit_angle=min_limit_angle)
 
 
 def run_angle_ratio(spec: SampleSpec, lower_scale: float = 1.0,
@@ -362,46 +332,39 @@ def run_angle_ratio(spec: SampleSpec, lower_scale: float = 1.0,
     1/cosh(x_n/2) < sin X_{n+1}/sin X_n < cosh(y_n/2) cosh(z_n/2) where
     (x, y, z) cycles through the edge labels as X runs over the slots.
     """
-    report = Report("angleratio", True, spec.samples)
-    rng = random.Random(spec.seed)
-    worst_lo = math.inf
-    worst_hi = math.inf
+    worst_lo = worst_hi = math.inf
     cycled = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    for idx in range(spec.samples):
-        e = _small_start(rng, spec)
-        start = e
-        sines = hyptrig._sin_angles(*e.as_tuple())
+
+    def orbit(report, rng, start):
+        nonlocal worst_lo, worst_hi
+        # small starts need no burn-in
+        path, _ = _burn_in(start, map(rng.choice, repeat("ABCM")), spec.max_steps)
+        sines = [hyptrig._sin_angles(e.a, e.b, e.c) for e in path]
         for n in range(1, spec.max_steps + 1):
-            letter = rng.choice("ABCM")
-            e2 = child_edges(letter, e)
-            sines2 = hyptrig._sin_angles(*e2.as_tuple())
-            edges = e.as_tuple()
+            a, b, c = path[n - 1].as_tuple()
+            cosh_halves = math.cosh(a / 2), math.cosh(b / 2), math.cosh(c / 2)
             for (i, j, k) in cycled:
-                ratio = sines2[i] / sines[i]
-                lo = lower_scale / math.cosh(edges[i] / 2)
-                hi = upper_scale * math.cosh(edges[j] / 2) * math.cosh(edges[k] / 2)
+                ratio = sines[n][i] / sines[n - 1][i]
+                lo = lower_scale / cosh_halves[i]
+                hi = upper_scale * cosh_halves[j] * cosh_halves[k]
                 worst_lo = min(worst_lo, ratio - lo)
                 worst_hi = min(worst_hi, hi - ratio)
-                if ratio <= lo * (1 - RESOLUTION):
-                    report.add_failure(input=list(start.as_tuple()), step=n,
-                                       observed=ratio, bound=lo)
-                if ratio >= hi * (1 + RESOLUTION):
-                    report.add_failure(input=list(start.as_tuple()), step=n,
-                                       observed=ratio, bound=hi)
-            e, sines = e2, sines2
-    report.stats["worst_lower_margin"] = worst_lo
-    report.stats["worst_upper_margin"] = worst_hi
-    report.stats.setdefault("violations", 0)
-    return report
+                report.check(start, n, ratio, lo, upper=False)
+                report.check(start, n, ratio, hi)
+
+    report = _run_seeded("angleratio", spec, orbit, small=True)
+    return report.finish(worst_lower_margin=worst_lo, worst_upper_margin=worst_hi)
 
 
-def _truncated(seq: symbolic.SymbolSequence, depth: int, tail: str):
-    def gen():
-        for i in range(depth):
-            yield seq[i]
-        while True:
-            yield tail
-    return gen()
+def _must_shrink(report: Report, inputs, values, final_bound) -> None:
+    # values must not grow along inputs and must end below final_bound(inputs[-1])
+    for i in range(1, len(values)):
+        if values[i] > values[i - 1] + 1e-12:
+            report.add_failure(input=inputs[i], step=i, observed=values[i],
+                               bound=values[i - 1])
+    if values and values[-1] >= final_bound(inputs[-1]):
+        report.add_failure(input=inputs[-1], step=len(values) - 1,
+                           observed=values[-1], bound=final_bound(inputs[-1]))
 
 
 def run_continuity(seq, base: ShapeRecord, radii,
@@ -443,42 +406,24 @@ def run_continuity(seq, base: ShapeRecord, radii,
             out = limit_shape(iter(seq), shape_from_angles(*ang))
             sup = max(sup, metric_distance(out, ref))
         sups.append(sup)
-    report.stats["radii"] = radii
-    report.stats["sup_deviation"] = sups
-    for i in range(1, len(sups)):
-        if sups[i] > sups[i - 1] + 1e-12:
-            report.add_failure(input=radii[i], step=i, observed=sups[i],
-                               bound=sups[i - 1])
+    report.stats.update(radii=radii, sup_deviation=sups)
     # decay to zero, operationalized as a bounded modulus at the finest
     # radius: a jump discontinuity would stay O(1) instead
-    if sups and sups[-1] >= 1000 * radii[-1]:
-        report.add_failure(input=radii[-1], step=len(sups) - 1,
-                           observed=sups[-1], bound=1000 * radii[-1])
+    _must_shrink(report, radii, sups, lambda r: 1000 * r)
 
     envelopes = []
     for depth in depths:
-        env = 0.0
-        for tail in "ABCM":
-            out = limit_shape(_truncated(seq, depth, tail), base)
-            env = max(env, metric_distance(out, ref))
-        envelopes.append(env)
-    report.stats["truncation_depths"] = list(depths)
-    report.stats["truncation_envelopes"] = envelopes
+        truncated = (chain(islice(seq, depth), repeat(tail)) for tail in "ABCM")
+        envelopes.append(max(metric_distance(limit_shape(t, base), ref)
+                             for t in truncated))
     irrational = symbolic.classify(seq) == "irrational"
-    report.stats["truncation_asserted"] = irrational
+    report.stats.update(truncation_depths=list(depths), truncation_envelopes=envelopes,
+                        truncation_asserted=irrational)
     if irrational:
-        for i in range(1, len(envelopes)):
-            if envelopes[i] > envelopes[i - 1] + 1e-12:
-                report.add_failure(input=depths[i], step=i,
-                                   observed=envelopes[i], bound=envelopes[i - 1])
         # sharing N letters pins the areas down like 4^-N; 2^-N is a safe
         # envelope while a divergent tail family would stay O(1)
-        if envelopes and envelopes[-1] >= 10 * 2.0 ** (-depths[-1]):
-            report.add_failure(input=depths[-1], step=len(envelopes) - 1,
-                               observed=envelopes[-1],
-                               bound=10 * 2.0 ** (-depths[-1]))
-    report.stats.setdefault("violations", 0)
-    return report
+        _must_shrink(report, depths, envelopes, lambda d: 10 * 2.0 ** (-d))
+    return report.finish()
 
 
 def run_surjectivity(seq, grid_n: int, residual_tol: float = 1e-6,
@@ -523,10 +468,7 @@ def run_surjectivity(seq, grid_n: int, residual_tol: float = 1e-6,
         if not r < residual_tol:
             report.add_failure(input=list(target), step=int(res.nfev),
                                observed=r, bound=residual_tol)
-    report.stats["max_residual"] = max(residuals)
-    report.stats["residuals"] = residuals
-    report.stats.setdefault("violations", 0)
-    return report
+    return report.finish(max_residual=max(residuals), residuals=residuals)
 
 
 DEFAULT_SPECS = {
@@ -549,15 +491,9 @@ def run_suite(name: str, seed: int | None = None,
         overrides = {k: v for k, v in (("seed", seed), ("samples", samples))
                      if v is not None}
         spec = replace(DEFAULT_SPECS[name], **overrides)
-        runner = {
-            "lemma21": run_lemma21,
-            "area": run_area_bounds,
-            "ratiolimit": run_ratio_limit,
-            "cauchy": run_cauchy_bound,
-            "angleratio": run_angle_ratio,
-            "eq1probe": run_eq1_probe,
-        }[name]
-        return runner(spec)
+        return {"lemma21": run_lemma21, "area": run_area_bounds,
+                "ratiolimit": run_ratio_limit, "cauchy": run_cauchy_bound,
+                "angleratio": run_angle_ratio, "eq1probe": run_eq1_probe}[name](spec)
     if name == "noncontraction":
         return run_noncontraction()
     if name == "continuity":

@@ -59,6 +59,40 @@ class TestShapeCommand:
         assert run(capsys, "limit", "--help")[0] == 0
 
 
+class TestLongEdges:
+    """Edges too long for binary64 end in an error message, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("shape", "--edges", "800,800,800"),
+        ("limit", "--edges", "800,800,800", "--seq", "|M"),
+        ("orbit", "--edges", "800,800,800", "--word", "M"),
+    ])
+    def test_overflowing_edges(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "overflows" in err
+
+    @pytest.mark.parametrize("edge", ["15.5", "300", "400"])
+    def test_render_refuses_unplaceable_edges(self, capsys, tmp_path, edge):
+        out_file = tmp_path / "t.svg"
+        code, _, err = run(capsys, "render", "--edges", f"{edge},{edge},{edge}",
+                           "--depth", "1", "-o", str(out_file))
+        assert code == 1
+        assert err.startswith("error:") and "exceeds" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("model", ["klein", "poincare"])
+    def test_render_at_the_edge_limit(self, capsys, tmp_path, model):
+        edge = plane_model.MAX_PLACED_EDGE
+        out_file = tmp_path / "t.svg"
+        code, _, _ = run(capsys, "render", "--edges", f"{edge},{edge},{edge}",
+                         "--depth", "3", "--model", model, "-o", str(out_file))
+        assert code == 0
+        svg = out_file.read_text()
+        assert "nan" not in svg and "inf" not in svg
+        assert svg.count("<path") == 1 + 4 ** 3
+
+
 class TestOrbitCommand:
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "orbit", "--edges", "2,2,3",

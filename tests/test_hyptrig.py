@@ -40,6 +40,12 @@ class TestAnglesFromEdges:
         assert A == B == C
         assert abs(A - expect) < 1e-14
 
+    def test_overflowing_edges_raise_domain_error(self):
+        # sinh^2(edge/2) leaves binary64 above edge ~710
+        for edges in ((800.0, 800.0, 800.0), (1e308, 1e308, 1e308)):
+            with pytest.raises(DomainError, match="too long"):
+                angles_from_edges(*edges)
+
     def test_equilateral_matches_placed_angle(self):
         # independent geometric oracle on the same triangle
         tri = plane_model.place(EdgeLengths(1, 1, 1))

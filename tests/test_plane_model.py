@@ -10,6 +10,7 @@ from trisub.plane_model import (HPoint, InvalidPointError, angle_at, dist,
                                 geodesic_point, midpoint, minkowski, place,
                                 to_disk)
 from trisub.shape import EdgeLengths
+from trisub.subdivision import apply_oracle, child_edges
 
 
 def random_point(rng, spread=2.0):
@@ -112,6 +113,26 @@ class TestPlace:
                     break
             tri = place(EdgeLengths(a, b, c))
             assert abs(dist(tri.p_b, tri.p_c) - a) < 1e-10
+
+    def test_longest_placeable_edge(self):
+        # at the limit, children measured on the hyperboloid still match the
+        # closed form (~1e-7 relative); beyond it place refuses
+        longest = plane_model.MAX_PLACED_EDGE
+        rng = random.Random(2)
+        worst = 0.0
+        for _ in range(50):
+            while True:
+                b, c = (rng.uniform(0.05, 1.0) * longest for _ in range(2))
+                if longest < b + c:
+                    break
+            e = EdgeLengths(longest, b, c)
+            for letter in "ABCM":
+                for x, y in zip(apply_oracle(letter, e).as_tuple(),
+                                child_edges(letter, e).as_tuple()):
+                    worst = max(worst, abs(x - y) / y)
+        assert worst < 1e-6
+        with pytest.raises(ValueError, match="exceeds"):
+            place(EdgeLengths(longest * 1.01, longest, longest))
 
 
 class TestAngleAt:

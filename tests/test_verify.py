@@ -1,10 +1,12 @@
 """Tests for the verification suites, including their self-test channels."""
 
 import math
+import random
 
 import pytest
 
 from trisub import verify
+from trisub.hyptrig import DomainError
 from trisub.shape import shape_from_angles, shape_from_edges
 from trisub.verify import Report, SampleSpec
 
@@ -155,6 +157,52 @@ class TestSelfTestChannels:
         r = verify.run_angle_ratio(small("angleratio"), lower_scale=1.5)
         assert not r.passed
 
+    def test_area_lower_raised(self):
+        # the worst lower margin on this plan is ~0.30 relative, so raising
+        # the envelope by half must fail and by a tenth must not
+        spec = SampleSpec(seed=2, samples=40, max_steps=30)
+        r = verify.run_area_bounds(spec, lower_scale=1.5)
+        assert not r.passed and r.stats["violations"] > 100
+        assert verify.run_area_bounds(spec, lower_scale=1.1).passed
+
+    def test_ratio_settle_tightened(self):
+        # the worst settle on this plan is ~5e-14
+        spec = SampleSpec(seed=3, samples=25, max_steps=80)
+        r = verify.run_ratio_limit(spec, settle_tol=1e-14)
+        assert not r.passed
+        assert all(f["bound"] == 1e-14 for f in r.failures)
+
+
+class TestBoundCheck:
+    """The RESOLUTION guard of Report.check, and continuity's shrink rule."""
+
+    def test_guard_and_payload(self):
+        start = shape_from_edges(1, 1, 1).edges
+        r = Report("t", True, 1)
+        eps = verify.RESOLUTION
+        assert not r.check(start, 1, 1 + eps / 2, 1.0)
+        assert not r.check(start, 1, 1 - eps / 2, 1.0, upper=False)
+        assert r.passed and r.failures == []
+        assert r.check(start, 2, 1 + 2 * eps, 1.0)
+        assert r.check(start, [3, 4], 1 - 2 * eps, 1.0, upper=False)
+        assert not r.passed and r.stats["violations"] == 2
+        assert r.failures == [
+            {"input": [1, 1, 1], "step": 2, "observed": 1 + 2 * eps, "bound": 1.0},
+            {"input": [1, 1, 1], "step": [3, 4], "observed": 1 - 2 * eps, "bound": 1.0},
+        ]
+
+    def test_continuity_catches_a_jump(self, monkeypatch):
+        # a limit map that stays 0.5 away from the reference however close
+        # the start: neither the radius nor the truncation modulus decays
+        monkeypatch.setattr(verify, "metric_distance", lambda a, b: 0.5)
+        radii = [1e-1, 1e-2, 1e-3, 1e-4]
+        r = verify.run_continuity("|M", shape_from_edges(1, 1, 1), radii,
+                                  samples=4, depths=(2, 8))
+        assert not r.passed
+        assert [f["input"] for f in r.failures] == [1e-4, 8]
+        assert r.failures[0]["bound"] == 1000 * 1e-4
+        assert r.failures[1]["bound"] == 10 * 2.0 ** -8
+
 
 class TestReseededRobustness:
     """The bounds hold under sampling plans other than the default seeds."""
@@ -199,3 +247,90 @@ class TestReports:
     def test_run_suite_unknown(self):
         with pytest.raises(ValueError):
             verify.run_suite("nope")
+
+
+class TestStatsKeyOrder:
+    """The CLI prints stats in insertion order, so the order is output."""
+
+    ORDERS = {
+        "lemma21": ["halving_violations", "lower_violations",
+                    "worst_halving_margin", "worst_lower_ratio", "violations"],
+        "area": ["worst_upper_margin", "worst_lower_margin", "violations"],
+        "ratiolimit": ["r80_min", "r80_max", "worst_settle", "violations"],
+        "cauchy": ["worst_excess", "min_limit_angle", "violations"],
+        "angleratio": ["worst_lower_margin", "worst_upper_margin", "violations"],
+        "eq1probe": ["delta_min", "delta_median", "delta_max",
+                     "log_slope_vs_area", "violations"],
+        "noncontraction": ["apex_increases", "base_A_decreases",
+                           "base_B_decreases", "distance_increases",
+                           "distance_before", "distance_after",
+                           "equilateral_distance_before",
+                           "equilateral_distance_after", "corner_A_angles",
+                           "corner_A_distance", "violations"],
+        "continuity": ["radii", "sup_deviation", "truncation_depths",
+                       "truncation_envelopes", "truncation_asserted",
+                       "violations"],
+        "surjectivity": ["max_residual", "residuals", "violations"],
+    }
+
+    @staticmethod
+    def run_small(name):
+        if name == "noncontraction":
+            return verify.run_noncontraction()
+        if name == "continuity":
+            return verify.run_continuity("|M", shape_from_edges(1, 1, 1),
+                                         [1e-1, 1e-2], samples=4, depths=(2, 4))
+        if name == "surjectivity":
+            return verify.run_surjectivity("|M", 2)
+        return verify.run_suite(name, samples=5)
+
+    @pytest.mark.parametrize("name", verify.SUITE_NAMES)
+    def test_key_order(self, name):
+        r = self.run_small(name)
+        assert r.passed
+        assert list(r.stats) == self.ORDERS[name]
+
+
+class TestErrorContext:
+    """A DomainError inside an orbit names the suite and the start."""
+
+    @pytest.mark.parametrize("name", ["lemma21", "area", "ratiolimit", "cauchy",
+                                      "angleratio", "eq1probe"])
+    def test_orbit_error_names_suite_and_start(self, monkeypatch, name):
+        real = verify.child_edges
+        calls = []
+
+        def failing(letter, e):
+            calls.append(e)
+            if len(calls) == 3:
+                raise DomainError("angle sum 3.25 exceeds pi")
+            return real(letter, e)
+
+        monkeypatch.setattr(verify, "child_edges", failing)
+        with pytest.raises(DomainError) as info:
+            verify.run_suite(name, samples=5)
+        message = str(info.value)
+        assert message.startswith(f"{name} orbit from [")
+        assert message.endswith(": angle sum 3.25 exceeds pi")
+        assert isinstance(info.value.__cause__, DomainError)
+
+    def test_start_is_the_failing_sample(self, monkeypatch):
+        # eq1probe takes one medial step per sample, so the third call is
+        # the third sample's
+        real = verify.child_edges
+        calls = []
+
+        def failing(letter, e):
+            calls.append(e)
+            if len(calls) == 3:
+                raise DomainError("edge a=0.0 must be positive")
+            return real(letter, e)
+
+        monkeypatch.setattr(verify, "child_edges", failing)
+        spec = SampleSpec(seed=6, samples=10)
+        with pytest.raises(DomainError, match="edge a=0.0") as info:
+            verify.run_eq1_probe(spec)
+        rng = random.Random(spec.seed)
+        starts = [verify._sample_edges(rng, spec, False) for _ in range(3)]
+        assert calls == starts
+        assert str(list(starts[2].as_tuple())) in str(info.value)
