@@ -55,11 +55,16 @@ def _half_sinh_sq(a: float, b: float, c: float) -> tuple[float, float, float, fl
         p = math.sinh(a / 2) ** 2
         q = math.sinh(b / 2) ** 2
         r = math.sinh(c / 2) ** 2
+        H = _heron_sinh_sq(p, q, r)
     except OverflowError:
         # sinh^2(x/2) passes the largest binary64 value above x ~ 710
+        H = math.inf
+    # near-equilateral edges above ~237 overflow 4pqr to inf, and above
+    # ~500 the form reads inf - inf = nan
+    if not H < math.inf:
         raise DomainError(f"edges ({a!r}, {b!r}, {c!r}) are too long: "
-                          f"sinh^2(edge/2) overflows") from None
-    return p, q, r, math.sqrt(max(0.0, _heron_sinh_sq(p, q, r)))
+                          f"sinh^2(edge/2) or its Heron form overflows")
+    return p, q, r, math.sqrt(max(0.0, H))
 
 
 def angles_from_edges(a: float, b: float, c: float) -> tuple[float, float, float]:

@@ -381,6 +381,8 @@ def run_continuity(seq, base: ShapeRecord, radii,
     seq = symbolic._as_seq(seq)
     if base.is_euclidean:
         raise hyptrig.DomainError("continuity probe needs a hyperbolic base")
+    if samples < 1:
+        raise ValueError("need at least one sample")
     radii = list(radii)
     report = Report("continuity", True, samples)
     rng = random.Random(seed)
@@ -426,16 +428,55 @@ def run_continuity(seq, base: ShapeRecord, radii,
     return report.finish()
 
 
+def _invert_limit(seq, target: AngleShape, slice_defect: float, maxfev: int):
+    """Newton search on the fixed-defect slice for a start whose limit is
+    target, from its angles scaled onto the slice.  A step that does not
+    lower the residual is halved, down to 1/64.  Stops when no step helps,
+    the Jacobian is singular, a probe leaves the slice or maxfev limit
+    evaluations are spent; returns the residual and the evaluations."""
+    evals, h = 0, 1e-7
+
+    def limit(A, B):  # None off the slice
+        nonlocal evals
+        C = math.pi - slice_defect - A - B
+        if min(A, B, C) > 1e-9:
+            evals += 1
+            return limit_shape(iter(seq), shape_from_angles(A, B, C))
+
+    scale = (math.pi - slice_defect) / math.pi
+    A, B = target.A * scale, target.B * scale
+    out = limit(A, B)
+    res = metric_distance(out, target)
+    while evals + 3 <= maxfev:
+        pa, pb = limit(A + h, B), limit(A, B + h)
+        if pa is None or pb is None:
+            break
+        j11, j12, j21, j22 = ((pa.A - out.A) / h, (pb.A - out.A) / h,
+                              (pa.B - out.B) / h, (pb.B - out.B) / h)
+        det = j11 * j22 - j12 * j21
+        if not det:
+            break
+        fa, fb = out.A - target.A, out.B - target.B
+        da, db = (j22 * fa - j12 * fb) / det, (j11 * fb - j21 * fa) / det
+        for k in range(min(7, maxfev - evals)):
+            trial = limit(A - da / 2 ** k, B - db / 2 ** k)
+            if trial is not None and (r := metric_distance(trial, target)) < res:
+                A, B, out, res = A - da / 2 ** k, B - db / 2 ** k, trial, r
+                break
+        else:
+            break
+    return res, evals
+
+
 def run_surjectivity(seq, grid_n: int, residual_tol: float = 1e-6,
                      slice_defect: float = 0.2, maxfev: int = 800) -> Report:
     """Numerical inversion of the limit map over a grid of Euclidean targets.
 
     Searches a fixed-defect slice of hyperbolic shapes (two angle
-    coordinates, third from the defect) with a derivative-free simplex
-    method; each interior target must be hit within residual_tol.
+    coordinates, third from the defect) by Newton steps with step halving
+    and at most maxfev limit evaluations; each interior target must be hit
+    within residual_tol.
     """
-    from scipy.optimize import minimize
-
     seq = symbolic._as_seq(seq)
     if grid_n < 2:
         raise ValueError("grid must be at least 2x2")
@@ -447,26 +488,12 @@ def run_surjectivity(seq, grid_n: int, residual_tol: float = 1e-6,
             targets.append((alpha, beta, math.pi - alpha - beta))
 
     report = Report("surjectivity", True, len(targets))
-
-    def residual(v, target):
-        A, B = v
-        C = math.pi - slice_defect - A - B
-        if A <= 1e-9 or B <= 1e-9 or C <= 1e-9:
-            return 1e6
-        out = limit_shape(iter(seq), shape_from_angles(A, B, C))
-        return metric_distance(out, AngleShape(*target))
-
     residuals = []
     for target in targets:
-        scale = (math.pi - slice_defect) / math.pi
-        x0 = [target[0] * scale, target[1] * scale]
-        res = minimize(residual, x0, args=(target,), method="Nelder-Mead",
-                       options=dict(xatol=1e-12, fatol=1e-14,
-                                    maxiter=maxfev, maxfev=maxfev))
-        r = residual(res.x, target)
+        r, evals = _invert_limit(seq, AngleShape(*target), slice_defect, maxfev)
         residuals.append(r)
         if not r < residual_tol:
-            report.add_failure(input=list(target), step=int(res.nfev),
+            report.add_failure(input=list(target), step=evals,
                                observed=r, bound=residual_tol)
     return report.finish(max_residual=max(residuals), residuals=residuals)
 

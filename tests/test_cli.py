@@ -3,7 +3,10 @@
 import gc
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -71,6 +74,22 @@ class TestLongEdges:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "overflows" in err
+
+    @pytest.mark.parametrize("edge", ["238", "500", "709"])
+    @pytest.mark.parametrize("command", [("shape",), ("limit", "--seq", "|M"),
+                                         ("orbit", "--word", "M")])
+    def test_overflowing_heron_form(self, capsys, command, edge):
+        # sinh^2(edge/2) is finite here, but the Heron form of three such
+        # edges is inf (from ~238) or inf - inf = nan (from ~500)
+        code, out, err = run(capsys, *command, "--edges", f"{edge},{edge},{edge}")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "too long" in err
+
+    def test_longest_equilateral_shape(self, capsys):
+        code, out, _ = run(capsys, "shape", "--edges", "237,237,237")
+        assert code == 0
+        angles = json.loads(out)["angles"]
+        assert angles[0] == angles[1] == angles[2] > 0
 
     @pytest.mark.parametrize("edge", ["15.5", "300", "400"])
     def test_render_refuses_unplaceable_edges(self, capsys, tmp_path, edge):
@@ -171,6 +190,26 @@ class TestVerifyCommand:
 
     def test_unknown_suite_usage(self, capsys):
         assert run(capsys, "verify", "--suite", "bogus")[0] == 64
+
+    @pytest.mark.parametrize("suite", ["lemma21", "continuity"])
+    def test_no_samples_is_an_error(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--samples", "0")
+        assert code == 1 and out == ""
+        assert "need at least one sample" in err
+
+    def test_surjectivity_without_scipy(self):
+        # the package needs only the standard library
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None\n"
+                "sys.modules['numpy'] = None\n"
+                "from trisub import cli\n"
+                "sys.exit(cli.main(['verify', '--suite', 'surjectivity']))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src},
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["pass"] is True
 
 
 class TestSweepCommand:

@@ -118,8 +118,9 @@ class TestSuitesPass:
         from trisub.symbolic import SymbolSequence
         seq = SymbolSequence.parse("|M")
         target = limit_shape(iter(seq), shape_from_edges(1.0, 1.2, 1.4))
-        r = verify.run_surjectivity(seq, 2)
-        assert r.passed
+        residual, evals = verify._invert_limit(seq, target, 0.2, 800)
+        assert residual < 1e-12
+        assert 1 <= evals <= 800
 
 
 class TestSelfTestChannels:
@@ -164,6 +165,16 @@ class TestSelfTestChannels:
         r = verify.run_area_bounds(spec, lower_scale=1.5)
         assert not r.passed and r.stats["violations"] > 100
         assert verify.run_area_bounds(spec, lower_scale=1.1).passed
+
+    def test_surjectivity_tightened(self):
+        # the Newton search stalls near 1e-14, so a 1e-16 tolerance must
+        # fail on every target, each after at most maxfev evaluations
+        r = verify.run_surjectivity("|M", 2, residual_tol=1e-16)
+        assert not r.passed and len(r.failures) == 4
+        assert all(1 <= f["step"] <= 800 for f in r.failures)
+        r = verify.run_surjectivity("|M", 2, maxfev=1)
+        assert not r.passed
+        assert [f["step"] for f in r.failures] == [1, 1, 1, 1]
 
     def test_ratio_settle_tightened(self):
         # the worst settle on this plan is ~5e-14
