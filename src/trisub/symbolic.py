@@ -6,6 +6,10 @@ shrinks to a single point whose barycentric coordinates are exact
 rationals.  Exact rational equality of those points is the ground truth
 for two sequences being addresses of the same point; the six-tail-form
 pattern matcher is validated against it, never the other way around.
+
+The cycle's maps compose to x -> (S*x + T)/2^|cycle| with S = +-1 and T
+an integer vector, so addresses are computed as integer numerators over
+the dyadic denominator 2^|prefix| * (2^|cycle| - S), with no gcd per step.
 """
 
 import math
@@ -15,13 +19,9 @@ from itertools import permutations
 
 ALPHABET = "ABCM"
 
-# Barycentric affine maps of the four cells, in vector form x -> s*x + t.
+# Barycentric affine maps of the four cells.
 # Corner cells: x -> (x + e_L)/2; medial cell: x -> (1 - x)/2.
-_VERTEX = {
-    "A": (Fraction(1), Fraction(0), Fraction(0)),
-    "B": (Fraction(0), Fraction(1), Fraction(0)),
-    "C": (Fraction(0), Fraction(0), Fraction(1)),
-}
+_VERTEX = {"A": (1, 0, 0), "B": (0, 1, 0), "C": (0, 0, 1)}
 
 # Diameter of the reference 2-simplex in the ambient Euclidean metric.
 REFERENCE_DIAMETER = math.sqrt(2.0)
@@ -150,52 +150,62 @@ def classify(s) -> str:
     return "rational" if len(distinct) == 1 else "irrational"
 
 
+def _push(letters, n, den):
+    """Carry the point n/den through the maps of `letters`, the last one first.
+
+    Returns integer numerators over den * 2^len(letters): a corner letter L
+    adds den to n_L, M replaces n by den - n, and every letter doubles den.
+    """
+    n = list(n)
+    for letter in reversed(letters):
+        if letter == "M":
+            n = [den - x for x in n]
+        else:
+            n["ABC".index(letter)] += den
+        den *= 2
+    return n, den
+
+
+def _numerators(s: SymbolSequence):
+    """Numerators and denominator of the address: pushing 0 through the
+    cycle gives T/2^|cycle|, S = (-1)^(M count), and the prefix carries
+    the fixed point T/(2^|cycle| - S)."""
+    t, scale = _push(s.cycle, (0, 0, 0), 1)
+    return _push(s.prefix, t, scale - (-1) ** s.cycle.count("M"))
+
+
 def address_approx(s, depth: int) -> tuple[tuple[float, float, float], float]:
     """Centroid pushed through the first `depth` maps, with an error bound.
 
+    The point is n/(3 * 2^depth) in integers, rounded once per coordinate.
     The maps halve distances, so the point is within 2^-depth times the
     reference diameter of the true address.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     s = _as_seq(s)
-    p = Bary(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-    letters = [s[i] for i in range(depth)]
-    for letter in reversed(letters):
-        p = letter_map(letter)(p)
-    return p.as_floats(), REFERENCE_DIAMETER * 2.0 ** (-depth)
+    n, den = _push([s[i] for i in range(depth)], (1, 1, 1), 3)
+    return tuple(x / den for x in n), REFERENCE_DIAMETER * 2.0 ** (-depth)
 
 
 def address_exact(s) -> Bary:
     """Exact rational address of an eventually periodic sequence.
 
-    The cycle's composed affine map contracts by 2^-|cycle|, so it has a
-    unique rational fixed point; the prefix maps then carry it to the
-    address.
+    The cycle's composed affine map x -> (S*x + T)/2^|cycle| contracts, so
+    it has a unique fixed point T/(2^|cycle| - S); the prefix maps then
+    carry it to the address, over the denominator
+    2^|prefix| * (2^|cycle| - S) before reduction.
     """
-    s = _as_seq(s)
-    # compose the cycle: F = f_c1 o f_c2 o ... o f_ck, tracked as x -> s*x + t
-    scale = Fraction(1)
-    shift = (Fraction(0), Fraction(0), Fraction(0))
-    for letter in s.cycle:
-        # extend on the right: F' = F o f_letter
-        if letter == "M":
-            # f_M: x -> -x/2 + 1/2
-            scale_l, shift_l = Fraction(-1, 2), (Fraction(1, 2),) * 3
-        else:
-            e = _VERTEX[letter]
-            scale_l, shift_l = Fraction(1, 2), tuple(x / 2 for x in e)
-        shift = tuple(scale * b + t for b, t in zip(shift_l, shift))
-        scale = scale * scale_l
-    q = Bary(*(t / (1 - scale) for t in shift))
-    for letter in reversed(s.prefix):
-        q = letter_map(letter)(q)
-    return q
+    n, den = _numerators(_as_seq(s))
+    return Bary(*(Fraction(x, den) for x in n))
 
 
 def equivalent(s, t) -> bool:
-    """True when the two sequences address the same point (exact arithmetic)."""
-    return address_exact(s) == address_exact(t)
+    """True when the two sequences address the same point (exact
+    cross-multiplication of numerators, n_s * den_t == n_t * den_s)."""
+    ns, ds = _numerators(_as_seq(s))
+    nt, dt = _numerators(_as_seq(t))
+    return all(x * dt == y * ds for x, y in zip(ns, nt))
 
 
 @dataclass(frozen=True)

@@ -270,7 +270,8 @@ def run_eq1_probe(spec: SampleSpec) -> Report:
     applied to the medial cell's edges.
 
     Records the distribution of the worst angle difference delta and the
-    slope of log(delta) against log(area); asserts nothing.
+    slope of log(delta) against log(area), None when fewer than two
+    distinct areas give a positive delta; asserts nothing.
     """
     from statistics import linear_regression
 
@@ -287,9 +288,11 @@ def run_eq1_probe(spec: SampleSpec) -> Report:
 
     report = _run_seeded("eq1probe", spec, orbit)
     deltas.sort()
+    slope = None
+    if len({x for x, _ in points}) >= 2:
+        slope = linear_regression(*zip(*points)).slope
     return report.finish(delta_min=deltas[0], delta_median=deltas[len(deltas) // 2],
-                         delta_max=deltas[-1],
-                         log_slope_vs_area=linear_regression(*zip(*points)).slope)
+                         delta_max=deltas[-1], log_slope_vs_area=slope)
 
 
 def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:

@@ -161,6 +161,33 @@ class TestAddressCommand:
         assert doc["bary"][0] == pytest.approx(1 / 3, abs=1e-6)
 
 
+class TestAddressGoldens:
+    """stdout of address and equiv, captured from the Fraction implementation."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("address", "--seq", "AM|A", "--exact"),
+         '{"exact": true, "bary": ["1/2", "1/4", "1/4"]}'),
+        (("address", "--seq", "AB|CM", "--exact"),
+         '{"exact": true, "bary": ["11/20", "3/10", "3/20"]}'),
+        (("address", "--seq", "MMB|ACMB", "--exact"),
+         '{"exact": true, "bary": ["11/34", "13/34", "5/17"]}'),
+        (("address", "--seq", "AB|CM", "--depth", "40"),
+         '{"exact": false, "depth": 40, "bary": [0.5499999999998787, '
+         '0.29999999999987875, 0.15000000000024252], '
+         '"error_bound": 1.2862197421537486e-12}'),
+        (("address", "--seq", "AB|CM", "--depth", "2000"),
+         '{"exact": false, "depth": 2000, "bary": [0.55000000000000004, '
+         '0.29999999999999999, 0.14999999999999999], "error_bound": 0}'),
+        (("equiv", "--s", "AM|A", "--t", "MM|A"),
+         '{"equivalent": true, "prop31_form": {"prefix": "", "sigma": '
+         '{"A": "A", "B": "B", "C": "C"}, "zeta": "", "m": 0, "forms": [1, 4]}}'),
+    ])
+    def test_stdout(self, capsys, argv, expected):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == expected + "\n"
+
+
 class TestEquivCommand:
     def test_equivalent_with_witness(self, capsys):
         code, out, _ = run(capsys, "equiv", "--s", "AB|C", "--t", "AC|B")
@@ -196,6 +223,17 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--suite", suite, "--samples", "0")
         assert code == 1 and out == ""
         assert "need at least one sample" in err
+
+    @pytest.mark.parametrize("suite", ["eq1probe", "all"])
+    def test_one_sample(self, capsys, suite):
+        # one sample gives one (log area, log delta) point: no slope to fit
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--samples", "1")
+        assert code == 0
+        doc = json.loads(out)
+        reports = doc["suites"] if suite == "all" else [doc]
+        probe, = [r for r in reports if r["suite"] == "eq1probe"]
+        assert probe["pass"] is True
+        assert probe["stats"]["log_slope_vs_area"] is None
 
     def test_surjectivity_without_scipy(self):
         # the package needs only the standard library

@@ -1,7 +1,9 @@
 """Tests for sequence parsing, addresses, equivalence, and the form matcher."""
 
+import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -272,3 +274,109 @@ class TestExhaustiveEnumeration:
             for depth in (10, 20, 40):
                 approx, bound = address_approx(s, depth)
                 assert math.dist(approx, exact) <= bound
+
+
+def _affine(letter):
+    """(scale, shift) with letter_map(letter)(x) == scale*x + shift."""
+    f = letter_map(letter)
+    scale = f(Bary(1, 0, 0))[0] - f(Bary(0, 1, 0))[0]
+    return scale, tuple(q - scale * x for q, x in zip(f(CENTROID), CENTROID))
+
+
+AFFINE = {letter: _affine(letter) for letter in "ABCM"}
+
+
+def _composed(word):
+    """(scale, shift) of f_w1 o ... o f_wk, composed over Fractions."""
+    scale, shift = Fraction(1), (Fraction(0),) * 3
+    for letter in word:
+        # extend on the right: F' = F o f_letter
+        s, t = AFFINE[letter]
+        shift = tuple(scale * b + a for b, a in zip(t, shift))
+        scale *= s
+    return scale, shift
+
+
+def oracle_exact(seq):
+    """Reference address: the fixed point of the composed cycle map,
+    carried through the composed prefix map."""
+    scale, shift = _composed(seq.cycle)
+    fixed = [a / (1 - scale) for a in shift]
+    scale, shift = _composed(seq.prefix)
+    return Bary(*(scale * x + a for x, a in zip(fixed, shift)))
+
+
+def oracle_approx():
+    """Reference approximation: the centroid through the first `depth`
+    letter maps, last letter first, over Fractions.  Memoized on
+    (prefix, cycle, depth), so words that share a tail share its points."""
+    @functools.lru_cache(maxsize=None)
+    def point(prefix, cycle, depth):
+        if depth == 0:
+            return CENTROID
+        if prefix:
+            return letter_map(prefix[0])(point(prefix[1:], cycle, depth - 1))
+        return letter_map(cycle[0])(point("", cycle[1:] + cycle[0], depth - 1))
+    return lambda seq, depth: point(seq.prefix, seq.cycle, depth).as_floats()
+
+
+def seeded_words(n=500, seed=7):
+    """Canonical words with a prefix of up to 20 and a cycle of up to 40 letters."""
+    rng = random.Random(seed)
+
+    def word(lo, hi):
+        return "".join(rng.choice("ABCM") for _ in range(rng.randint(lo, hi)))
+    return [SymbolSequence(word(0, 20), word(1, 40)).canonical()
+            for _ in range(n)]
+
+
+class TestAgainstFractionOracle:
+    """The integer walk against letter maps composed over Fractions."""
+
+    @pytest.fixture(scope="class")
+    def words(self):
+        seqs = enumerate_sequences(2, 4) + seeded_words()
+        return seqs, [oracle_exact(s) for s in seqs]
+
+    def test_address_exact(self, words):
+        for s, expected in zip(*words):
+            got = address_exact(s)
+            assert got == expected, s
+            assert got.fraction_strings() == expected.fraction_strings()
+
+    def test_equivalent_on_equal_groups(self, words):
+        groups = {}
+        for s, addr in zip(*words):
+            groups.setdefault(addr, []).append(s)
+        pairs = 0
+        for group in groups.values():
+            for s, t in itertools.combinations(group, 2):
+                assert equivalent(s, t), (s, t)
+                pairs += 1
+        assert pairs > 0
+
+    def test_equivalent_on_random_pairs(self, words):
+        rng = random.Random(11)
+        seqs, addrs = words
+        for _ in range(3000):
+            i, j = rng.randrange(len(seqs)), rng.randrange(len(seqs))
+            assert equivalent(seqs[i], seqs[j]) == (addrs[i] == addrs[j])
+
+    def test_equivalent_on_respellings(self, words):
+        # w|c and wc0|c1...c0 spell the same infinite word; M|A and B|C
+        # name the same edge midpoint, M|B another one
+        for s in words[0]:
+            c = s.cycle
+            assert equivalent(s, SymbolSequence(s.prefix + c[0], c[1:] + c[0]))
+            assert equivalent(s.prefix + "M|A", s.prefix + "B|C")
+            assert not equivalent(s.prefix + "M|A", s.prefix + "M|B")
+
+    def test_address_approx(self, words):
+        # every word at depths 1 and 40; depth 200 on the last 100 seeded
+        # words, whose long prefixes and cycles share no tails to memoize
+        reference = oracle_approx()
+        seqs = words[0]
+        for k, s in enumerate(seqs):
+            for depth in (1, 40, 200) if k >= len(seqs) - 100 else (1, 40):
+                assert address_approx(s, depth)[0] == reference(s, depth), \
+                    (s, depth)
