@@ -7,6 +7,7 @@ naive cosh-difference forms lose all precision.
 """
 
 import math
+from typing import NamedTuple
 
 # Values may overshoot a domain bound by at most this much (relative) and
 # get clamped; anything worse is treated as a caller bug.
@@ -97,10 +98,15 @@ def edges_from_angles(A: float, B: float, C: float) -> tuple[float, float, float
         raise DomainError(f"angle sum {A + B + C!r} is not hyperbolic")
 
     def one(A, B, C):
-        val = math.sin(S / 2) * math.sin(A + S / 2) / (math.sin(B) * math.sin(C))
+        den = math.sin(B) * math.sin(C)  # 0 once the product underflows
+        val = math.sin(S / 2) * math.sin(A + S / 2) / den if den else math.inf
         return 2 * math.asinh(math.sqrt(val))
 
-    return one(A, B, C), one(B, C, A), one(C, A, B)
+    edges = one(A, B, C), one(B, C, A), one(C, A, B)
+    if math.inf in edges:
+        raise DomainError(f"angles ({A!r}, {B!r}, {C!r}) are too small: "
+                          f"an edge overflows")
+    return edges
 
 
 def defect_area(A: float, B: float, C: float) -> float:
@@ -142,7 +148,7 @@ def law_of_sines_ratio(a: float, A: float) -> float:
     return math.sin(A) / math.sinh(a)
 
 
-class MedialData:
+class MedialData(NamedTuple):
     """Midline data of a hyperbolic triangle.
 
     mu scales cosh of the half-edges down to cosh of the midlines
@@ -152,16 +158,13 @@ class MedialData:
     quadrilateral relation sinh(x/2) = sinh(m_x) cosh(l_x).
     """
 
-    __slots__ = ("mu", "m_a", "m_b", "m_c", "l_a", "l_b", "l_c")
-
-    def __init__(self, mu, m_a, m_b, m_c, l_a, l_b, l_c):
-        self.mu = mu
-        self.m_a = m_a
-        self.m_b = m_b
-        self.m_c = m_c
-        self.l_a = l_a
-        self.l_b = l_b
-        self.l_c = l_c
+    mu: float
+    m_a: float
+    m_b: float
+    m_c: float
+    l_a: float
+    l_b: float
+    l_c: float
 
     @property
     def midlines(self) -> tuple[float, float, float]:
@@ -170,10 +173,6 @@ class MedialData:
     @property
     def feet(self) -> tuple[float, float, float]:
         return self.l_a, self.l_b, self.l_c
-
-    def __repr__(self):
-        return (f"MedialData(mu={self.mu!r}, m=({self.m_a!r}, {self.m_b!r}, "
-                f"{self.m_c!r}), l=({self.l_a!r}, {self.l_b!r}, {self.l_c!r}))")
 
 
 def _tanh_product(a: float, b: float, c: float) -> float:
@@ -206,22 +205,16 @@ def medial_data(a: float, b: float, c: float) -> MedialData:
     return MedialData((1 - T) / (1 + T), *ms, *ls)
 
 
-class TraceCoords:
+class TraceCoords(NamedTuple):
     """Doubled cosh coordinates (x, y, z) = (2cosh a, 2cosh b, 2cosh c)."""
 
-    __slots__ = ("x", "y", "z")
-
-    def __init__(self, x, y, z):
-        self.x = x
-        self.y = y
-        self.z = z
+    x: float
+    y: float
+    z: float
 
     @classmethod
     def from_edges(cls, a: float, b: float, c: float) -> "TraceCoords":
         return cls(2 * math.cosh(a), 2 * math.cosh(b), 2 * math.cosh(c))
-
-    def __repr__(self):
-        return f"TraceCoords({self.x!r}, {self.y!r}, {self.z!r})"
 
 
 def _heron_sinh_sq(p: float, q: float, r: float) -> float:

@@ -63,6 +63,24 @@ def midpoint(u: HPoint, v: HPoint) -> HPoint:
     return _renorm(u.x0 + v.x0, u.x1 + v.x1, u.x2 + v.x2)
 
 
+def cell_children(cell: tuple, midpoint=midpoint) -> dict[str, tuple]:
+    """The four subdivision cells of a vertex triple, in slot order.
+
+    midpoint(u, v) is the vertex halfway between u and v; the default works
+    on hyperboloid points.
+    """
+    v_a, v_b, v_c = cell
+    m_a = midpoint(v_b, v_c)
+    m_b = midpoint(v_c, v_a)
+    m_c = midpoint(v_a, v_b)
+    return {
+        "A": (v_a, m_c, m_b),
+        "B": (m_c, v_b, m_a),
+        "C": (m_b, m_a, v_c),
+        "M": (m_a, m_b, m_c),
+    }
+
+
 def angle_at(v: HPoint, p: HPoint, q: HPoint) -> float:
     """Angle at v between the geodesics toward p and toward q.
 

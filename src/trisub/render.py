@@ -12,8 +12,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import plane_model
-from .plane_model import HPoint
+from .plane_model import HPoint, cell_children
 from .shape import EdgeLengths
+from .symbolic import LETTERS, _check_letter
 
 MAX_DEPTH = 8
 
@@ -49,30 +50,11 @@ class RenderSpec:
                                  f"({MAX_DEPTH}; 4^d cells)")
         if self.word is not None:
             for ch in self.word:
-                if ch not in "ABCM":
-                    raise ValueError(f"bad letter {ch!r} in word")
+                _check_letter(ch)
         if self.size <= 0:
             raise ValueError("size must be positive")
         if self.samples_per_edge < 2:
             raise ValueError("need at least 2 samples per edge")
-
-
-def cell_children(cell: tuple, midpoint=plane_model.midpoint) -> dict[str, tuple]:
-    """The four subdivision cells of a vertex triple, in slot order.
-
-    midpoint(u, v) is the vertex halfway between u and v; the default works
-    on hyperboloid points.
-    """
-    v_a, v_b, v_c = cell
-    m_a = midpoint(v_b, v_c)
-    m_b = midpoint(v_c, v_a)
-    m_c = midpoint(v_a, v_b)
-    return {
-        "A": (v_a, m_c, m_b),
-        "B": (m_c, v_b, m_a),
-        "C": (m_b, m_a, v_c),
-        "M": (m_a, m_b, m_c),
-    }
 
 
 def _point_text(p: HPoint, model: str) -> str:
@@ -150,7 +132,7 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
             cell, depth, letter = stack.pop()
             if depth:
                 kids = cell_children(cell, mid)
-                stack.extend((kids[ch], depth - 1, ch) for ch in "MCBA")
+                stack.extend((kids[ch], depth - 1, ch) for ch in reversed(LETTERS))
             elif letter is not None:
                 yield path(cell, spec.palette[letter])
     else:

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from . import hyptrig, plane_model
 from .shape import (AngleShape, EdgeLengths, ShapeRecord, project_euclidean,
                     shape_from_edges)
+from .symbolic import LETTERS, _check_letter  # LETTERS stays public here
 from ._fmt import csv_line
-
-LETTERS = ("A", "B", "C", "M")
 
 ORBIT_CSV_COLUMNS = ("n", "letter", "A", "B", "C", "a", "b", "c", "S",
                      "ln_sin_A", "sinh_a2", "sinh_b2", "sinh_c2")
@@ -30,11 +29,6 @@ ORBIT_CSV_COLUMNS = ("n", "letter", "A", "B", "C", "a", "b", "c", "S",
 
 class ConvergenceError(RuntimeError):
     """The iteration cap was hit; for valid inputs this signals a bug."""
-
-
-def _check_letter(letter: str) -> None:
-    if letter not in LETTERS:
-        raise ValueError(f"unknown letter {letter!r}; expected one of {LETTERS}")
 
 
 def _child(letter: str, a: float, b: float, c: float) -> tuple[float, float, float]:
@@ -69,15 +63,6 @@ def apply(letter: str, s: ShapeRecord) -> ShapeRecord:
     return shape_from_edges(*_child(letter, s.edges.a, s.edges.b, s.edges.c))
 
 
-_CHILD_SLOTS = {
-    # child vertex triple in slot order, from (p_a, p_b, p_c, m_a, m_b, m_c)
-    "A": (0, 5, 4),
-    "B": (5, 1, 3),
-    "C": (4, 3, 2),
-    "M": (3, 4, 5),
-}
-
-
 def apply_oracle(letter: str, e: EdgeLengths) -> EdgeLengths:
     """Subdivide by actually placing the triangle and measuring the child.
 
@@ -86,13 +71,7 @@ def apply_oracle(letter: str, e: EdgeLengths) -> EdgeLengths:
     an independent route that must agree with child_edges.
     """
     _check_letter(letter)
-    tri = plane_model.place(e)
-    pts = (tri.p_a, tri.p_b, tri.p_c,
-           plane_model.midpoint(tri.p_b, tri.p_c),
-           plane_model.midpoint(tri.p_c, tri.p_a),
-           plane_model.midpoint(tri.p_a, tri.p_b))
-    i, j, k = _CHILD_SLOTS[letter]
-    v_a, v_b, v_c = pts[i], pts[j], pts[k]
+    v_a, v_b, v_c = plane_model.cell_children(plane_model.place(e))[letter]
     return EdgeLengths(plane_model.dist(v_b, v_c),
                        plane_model.dist(v_c, v_a),
                        plane_model.dist(v_a, v_b))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-ALPHABET = "ABCM"
+LETTERS = ("A", "B", "C", "M")
 
 # Barycentric affine maps of the four cells.
 # Corner cells: x -> (x + e_L)/2; medial cell: x -> (1 - x)/2.
@@ -25,6 +25,11 @@ _VERTEX = {"A": (1, 0, 0), "B": (0, 1, 0), "C": (0, 0, 1)}
 
 # Diameter of the reference 2-simplex in the ambient Euclidean metric.
 REFERENCE_DIAMETER = math.sqrt(2.0)
+
+
+def _check_letter(letter: str) -> None:
+    if letter not in LETTERS:
+        raise ValueError(f"unknown letter {letter!r}; expected one of {LETTERS}")
 
 
 class Bary(tuple):
@@ -57,12 +62,11 @@ class Bary(tuple):
 
 def letter_map(letter: str):
     """The exact affine self-map of the reference triangle for one letter."""
+    _check_letter(letter)
     if letter == "M":
         def f(p: Bary) -> Bary:
             return Bary((1 - p[0]) / 2, (1 - p[1]) / 2, (1 - p[2]) / 2)
         return f
-    if letter not in _VERTEX:
-        raise ValueError(f"unknown letter {letter!r}")
     e = _VERTEX[letter]
 
     def f(p: Bary) -> Bary:
@@ -93,8 +97,7 @@ class SymbolSequence:
         if not self.cycle:
             raise ValueError("cycle must be nonempty")
         for ch in self.prefix + self.cycle:
-            if ch not in ALPHABET:
-                raise ValueError(f"bad letter {ch!r}; alphabet is {ALPHABET}")
+            _check_letter(ch)
 
     @classmethod
     def parse(cls, text: str) -> "SymbolSequence":

@@ -22,6 +22,7 @@ from . import hyptrig, symbolic
 from .shape import AngleShape, EdgeLengths, ShapeRecord, metric_distance, \
     shape_from_angles, shape_from_edges
 from .subdivision import apply, child_edges, limit_shape
+from .symbolic import LETTERS
 
 RESOLUTION = 1e-11
 # constant of the post-burn-in lower bound (the paper's sigma = 1 case)
@@ -85,13 +86,15 @@ def _sample_edges(rng: random.Random, spec: SampleSpec, small: bool) -> EdgeLeng
     # a small start needs no burn-in: sinh(edge/2) < 1 on all edges
     lo, hi = spec.edge_range
     if small:
-        hi = min(hi, SINH_HALF_LT_1 * 0.999999)
+        cap = SINH_HALF_LT_1 * 0.999999
+        if lo >= cap:
+            raise ValueError(f"edge range starts at {lo!r}, not below the "
+                             f"small-start cap {cap!r}")
+        hi = min(hi, cap)
     while True:
         a, b, c = (rng.uniform(lo, hi) for _ in range(3))
         if a < b + c and b < c + a and c < a + b:
-            e = EdgeLengths(a, b, c)
-            if not small or max(_sinh_halves(e)) < 1.0:
-                return e
+            return EdgeLengths(a, b, c)
 
 
 def _run_seeded(suite: str, spec: SampleSpec, orbit, small=False, stats=()) -> Report:
@@ -145,7 +148,7 @@ def run_lemma21(spec: SampleSpec, halving_factor: float = 0.5,
     def orbit(report, rng, start):
         nonlocal worst_halving, worst_lower
         # burn-in segment: random letters until sinh(edge/2) < 1 on all edges
-        path, burn = _burn_in(start, map(rng.choice, repeat("ABCM")), spec.max_steps)
+        path, burn = _burn_in(start, map(rng.choice, repeat(LETTERS)), spec.max_steps)
         halves = [_sinh_halves(e) for e in path]
         # step i is the i-th child; n counts the steps after burn-in
         for i, (old, new) in enumerate(zip(halves, halves[1:]), start=1):
@@ -307,7 +310,7 @@ def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
     def orbit(report, rng, start):
         nonlocal worst, min_limit_angle
         budget = sum(s * s for s in _sinh_halves(start)) * bound_scale
-        word = [rng.choice("ABCM") for _ in range(spec.max_steps)]
+        word = [rng.choice(LETTERS) for _ in range(spec.max_steps)]
         path, _ = _burn_in(start, iter(word), spec.max_steps)  # no burn-in
         rho = [[math.log(s) for s in hyptrig._sin_angles(e.a, e.b, e.c)]
                for e in path]
@@ -341,7 +344,7 @@ def run_angle_ratio(spec: SampleSpec, lower_scale: float = 1.0,
     def orbit(report, rng, start):
         nonlocal worst_lo, worst_hi
         # small starts need no burn-in
-        path, _ = _burn_in(start, map(rng.choice, repeat("ABCM")), spec.max_steps)
+        path, _ = _burn_in(start, map(rng.choice, repeat(LETTERS)), spec.max_steps)
         sines = [hyptrig._sin_angles(e.a, e.b, e.c) for e in path]
         for n in range(1, spec.max_steps + 1):
             a, b, c = path[n - 1].as_tuple()
@@ -418,7 +421,7 @@ def run_continuity(seq, base: ShapeRecord, radii,
 
     envelopes = []
     for depth in depths:
-        truncated = (chain(islice(seq, depth), repeat(tail)) for tail in "ABCM")
+        truncated = (chain(islice(seq, depth), repeat(tail)) for tail in LETTERS)
         envelopes.append(max(metric_distance(limit_shape(t, base), ref)
                              for t in truncated))
     irrational = symbolic.classify(seq) == "irrational"

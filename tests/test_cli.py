@@ -85,6 +85,14 @@ class TestLongEdges:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "too long" in err
 
+    @pytest.mark.parametrize("angle", ["1e-155", "1e-170"])
+    def test_tiny_angles(self, capsys, angle):
+        # sin B sin C is subnormal (1e-155) or underflows to 0 (1e-170)
+        code, out, err = run(capsys, "shape", "--angles", f"{angle},{angle},{angle}")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "too small" in err
+        assert "Traceback" not in err
+
     def test_longest_equilateral_shape(self, capsys):
         code, out, _ = run(capsys, "shape", "--edges", "237,237,237")
         assert code == 0

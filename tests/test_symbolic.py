@@ -8,6 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+from trisub.render import RenderSpec
+from trisub.shape import EdgeLengths
+from trisub.subdivision import apply_oracle, child_edges
 from trisub.symbolic import (Bary, SymbolSequence, address_approx,
                              address_exact, classify, equivalent, letter_map,
                              match_prop31, REFERENCE_DIAMETER)
@@ -67,6 +70,19 @@ class TestParsing:
             s = SymbolSequence.parse(text)
             raw = SymbolSequence(*text.split("|"))
             assert [s[i] for i in range(12)] == [raw[i] for i in range(12)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SymbolSequence.parse("A|MX"),
+    lambda: letter_map("X"),
+    lambda: child_edges("X", EdgeLengths(1.0, 1.0, 1.0)),
+    lambda: apply_oracle("X", EdgeLengths(1.0, 1.0, 1.0)),
+    lambda: RenderSpec(word="MX"),
+], ids=["parse", "letter_map", "child_edges", "apply_oracle", "RenderSpec"])
+def test_one_message_for_an_unknown_letter(call):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == "unknown letter 'X'; expected one of ('A', 'B', 'C', 'M')"
 
 
 class TestClassify:

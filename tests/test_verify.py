@@ -25,6 +25,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SampleSpec(seed=1, samples=10, edge_range=(0.0, 5.0))
 
+    @pytest.mark.parametrize("run", [verify.run_cauchy_bound, verify.run_angle_ratio])
+    def test_small_start_needs_room_below_the_cap(self, run):
+        # every draw from (2, 5) has sinh(edge/2) >= 1, so sampling small
+        # starts from it could never end
+        spec = SampleSpec(seed=1, samples=1, edge_range=(2.0, 5.0))
+        with pytest.raises(ValueError, match="small-start cap"):
+            run(spec)
+
 
 class TestSuitesPass:
     def test_lemma21(self):
