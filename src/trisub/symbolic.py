@@ -181,14 +181,17 @@ def address_approx(s, depth: int) -> tuple[tuple[float, float, float], float]:
     """Centroid pushed through the first `depth` maps, with an error bound.
 
     The point is n/(3 * 2^depth) in integers, rounded once per coordinate.
-    The maps halve distances, so the point is within 2^-depth times the
-    reference diameter of the true address.
+    The maps halve distances, so that exact point is within 2^-depth times
+    the reference diameter of the true address; rounding adds at most half
+    an ulp per coordinate, in the same Euclidean metric.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     s = _as_seq(s)
     n, den = _push([s[i] for i in range(depth)], (1, 1, 1), 3)
-    return tuple(x / den for x in n), REFERENCE_DIAMETER * 2.0 ** (-depth)
+    point = tuple(x / den for x in n)
+    rounding = math.hypot(*(math.ulp(x) / 2 for x in point))
+    return point, REFERENCE_DIAMETER * 2.0 ** (-depth) + rounding
 
 
 def address_exact(s) -> Bary:

@@ -182,10 +182,11 @@ class TestAddressGoldens:
         (("address", "--seq", "AB|CM", "--depth", "40"),
          '{"exact": false, "depth": 40, "bary": [0.5499999999998787, '
          '0.29999999999987875, 0.15000000000024252], '
-         '"error_bound": 1.2862197421537486e-12}'),
+         '"error_bound": 1.2862833381668564e-12}'),
         (("address", "--seq", "AB|CM", "--depth", "2000"),
          '{"exact": false, "depth": 2000, "bary": [0.55000000000000004, '
-         '0.29999999999999999, 0.14999999999999999], "error_bound": 0}'),
+         '0.29999999999999999, 0.14999999999999999], '
+         '"error_bound": 6.3596013107845015e-17}'),
         (("equiv", "--s", "AM|A", "--t", "MM|A"),
          '{"equivalent": true, "prop31_form": {"prefix": "", "sigma": '
          '{"A": "A", "B": "B", "C": "C"}, "zeta": "", "m": 0, "forms": [1, 4]}}'),

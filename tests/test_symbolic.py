@@ -119,8 +119,18 @@ class TestLetterMaps:
 class TestAddressApprox:
     def test_vertex(self):
         pt, bound = address_approx("|A", 40)
-        assert bound == REFERENCE_DIAMETER * 2.0 ** -40
+        # the cell diameter, plus the rounding of the returned floats
+        assert 0 < bound - REFERENCE_DIAMETER * 2.0 ** -40 <= math.ulp(1.0)
         assert abs(pt[0] - 1) <= bound and abs(pt[1]) <= bound
+
+    @pytest.mark.parametrize("seq", ["AB|CM", "|M", "MMB|ACMB", "M|A"])
+    def test_bound_covers_rounding(self, seq):
+        # at depth 2000 the cell diameter underflows to 0, and the bound is
+        # the rounding of the floats alone; compared in exact arithmetic
+        pt, bound = address_approx(seq, 2000)
+        assert bound > 0
+        gap = sum((Fraction(x) - y) ** 2 for x, y in zip(pt, address_exact(seq)))
+        assert gap <= Fraction(bound) ** 2
 
     def test_midpoint_of_bc(self):
         pt, bound = address_approx("M|A", 30)

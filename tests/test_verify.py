@@ -2,12 +2,14 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from trisub import verify
-from trisub.hyptrig import DomainError
+from trisub.hyptrig import DomainError, _sin_angles
 from trisub.shape import shape_from_angles, shape_from_edges
+from trisub.symbolic import LETTERS
 from trisub.verify import Report, SampleSpec
 
 
@@ -221,6 +223,50 @@ class TestBoundCheck:
         assert [f["input"] for f in r.failures] == [1e-4, 8]
         assert r.failures[0]["bound"] == 1000 * 1e-4
         assert r.failures[1]["bound"] == 10 * 2.0 ** -8
+
+
+def all_pairs_cauchy(spec, bound_scale=1.0):
+    """The cauchy drift check as a plain loop over every (n, n + k) pair,
+    with the suite's draws; returns its report and the worst excess."""
+    worst = -math.inf
+
+    def orbit(report, rng, start):
+        nonlocal worst
+        budget = sum(s * s for s in verify._sinh_halves(start)) * bound_scale
+        word = [rng.choice(LETTERS) for _ in range(spec.max_steps)]
+        path, _ = verify._burn_in(start, iter(word), spec.max_steps)
+        rho = [[math.log(s) for s in _sin_angles(*e.as_tuple())] for e in path]
+        for n, here in enumerate(rho):
+            bound = 2.0 ** (-n) * budget
+            for k, there in enumerate(rho[n:]):
+                for x, y in zip(there, here):
+                    worst = max(worst, abs(x - y) - bound)
+                    report.check(start, [n, k], abs(x - y), bound)
+
+    report = verify._run_seeded("cauchy", spec, orbit, small=True)
+    return report.finish(), worst
+
+
+class TestCauchyAllPairs:
+    """The suite's suffix-extrema check against the all-pairs reference."""
+
+    @pytest.mark.parametrize("spec, bound_scale", [
+        (small("cauchy"), 1.0),
+        (small("cauchy"), 0.25),
+        (replace(verify.DEFAULT_SPECS["cauchy"], seed=25), 1.0),
+    ], ids=["passing", "quarter-bound", "seed-25"])
+    def test_same_report(self, spec, bound_scale):
+        got = verify.run_cauchy_bound(spec, bound_scale=bound_scale)
+        ref, worst = all_pairs_cauchy(spec, bound_scale)
+        assert got.stats["min_limit_angle"] > 0  # no limit failure to merge
+        assert got.passed == ref.passed
+        assert got.failures == ref.failures
+        assert got.stats["violations"] == ref.stats["violations"]
+        assert got.stats["worst_excess"] == worst
+        if got.passed:
+            assert worst < 0
+        elif bound_scale < 1:
+            assert got.stats["violations"] > verify.MAX_STORED_FAILURES
 
 
 class TestReseededRobustness:
