@@ -9,7 +9,7 @@ number formatting) so renders can be compared byte for byte.
 """
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import plane_model
 from .plane_model import HPoint, cell_children
@@ -33,7 +33,6 @@ class RenderSpec:
     model: str = "klein"
     depth: int | None = None
     word: str | None = None
-    palette: dict = field(default_factory=lambda: dict(DEFAULT_PALETTE))
     size: int = 800
     samples_per_edge: int = 32
 
@@ -134,15 +133,15 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
                 kids = cell_children(cell, mid)
                 stack.extend((kids[ch], depth - 1, ch) for ch in reversed(LETTERS))
             elif letter is not None:
-                yield path(cell, spec.palette[letter])
+                yield path(cell, DEFAULT_PALETTE[letter])
     else:
         cell = root
         for i, letter in enumerate(spec.word):
             cell = cell_children(cell, mid)[letter]
             last = i == len(spec.word) - 1
-            fill = spec.palette[letter] if last else "none"
+            fill = DEFAULT_PALETTE[letter] if last else "none"
             extra = ' fill-opacity="0.25"' if last else ""
-            yield path(cell, spec.palette[letter], fill, extra)
+            yield path(cell, DEFAULT_PALETTE[letter], fill, extra)
     yield "</svg>\n"
 
 

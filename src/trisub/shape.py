@@ -81,7 +81,7 @@ def shape_from_edges(a: float, b: float, c: float) -> ShapeRecord:
     """Build the hyperbolic shape realized by edge lengths (a, b, c)."""
     edges = EdgeLengths(a, b, c)
     angles = AngleShape(*hyptrig.angles_from_edges(a, b, c))
-    return ShapeRecord(angles, edges, hyptrig.defect_area(*angles.as_tuple()))
+    return ShapeRecord(angles, edges, hyptrig.area_from_edges(a, b, c))
 
 
 def shape_from_angles(A: float, B: float, C: float) -> ShapeRecord:
@@ -102,12 +102,10 @@ def project_euclidean(s: AngleShape) -> AngleShape:
     """Projectively rescale an angle triple onto angle sum pi.
 
     Euclidean inputs return unchanged (making the map exactly
-    idempotent); otherwise the last component is recomputed as
-    pi - A - B so the output sum lands on pi.
+    idempotent); otherwise each angle is scaled by pi/(A+B+C), which
+    keeps the relative accuracy of even the smallest one.
     """
     if s.is_euclidean:
         return s
     t = s.angle_sum()
-    A = s.A * math.pi / t
-    B = s.B * math.pi / t
-    return AngleShape(A, B, math.pi - A - B)
+    return AngleShape(s.A * math.pi / t, s.B * math.pi / t, s.C * math.pi / t)

@@ -41,18 +41,6 @@ class Bary(tuple):
             raise ValueError("barycentric coordinates must sum to 1")
         return super().__new__(cls, (u, v, w))
 
-    @property
-    def u(self):
-        return self[0]
-
-    @property
-    def v(self):
-        return self[1]
-
-    @property
-    def w(self):
-        return self[2]
-
     def as_floats(self) -> tuple[float, float, float]:
         return float(self[0]), float(self[1]), float(self[2])
 
@@ -116,9 +104,6 @@ class SymbolSequence:
         if prefix == self.prefix and cycle == self.cycle:
             return self
         return SymbolSequence(prefix, cycle)
-
-    def text(self) -> str:
-        return f"{self.prefix}|{self.cycle}"
 
     def __getitem__(self, n: int) -> str:
         if n < len(self.prefix):
@@ -263,10 +248,9 @@ def _parse_tail_forms(seq: SymbolSequence, n: int, sigma: dict, m_cap: int):
                 out.append((forms[1], m, zeta))
             if switch == sC and seq.constant_from(tail_at, sB):
                 out.append((forms[2], m, zeta))
-            nxt = seq[n + 1 + m]
-            if nxt not in spell:
+            if switch not in spell:
                 break
-            zeta += spell[nxt]
+            zeta += spell[switch]
     return out
 
 
@@ -289,9 +273,8 @@ def match_prop31(s, t, horizon: int = 64):
     common = 0
     while common <= max_common and s[common] == t[common]:
         common += 1
-    m_cap_base = max(len(s.prefix), len(t.prefix)) + 2
+    m_cap = min(horizon, max(len(s.prefix), len(t.prefix)) + 2)
     for n in range(0, min(common, horizon) + 1):
-        m_cap = min(horizon, m_cap_base)
         for pa, pb, pc in permutations("ABC"):
             sigma = {"A": pa, "B": pb, "C": pc}
             ps = _parse_tail_forms(s, n, sigma, m_cap)

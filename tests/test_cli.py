@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from trisub import cli, plane_model
+from trisub import cli, hyptrig, plane_model, render
 from trisub.cli import main
 from trisub.render import RenderSpec, cell_children, render_svg
 from trisub.shape import EdgeLengths
@@ -42,6 +42,12 @@ class TestShapeCommand:
         code, out, _ = run(capsys, "shape", "--edges", "20,20,39")
         assert code == 0
         assert min(json.loads(out)["angles"]) > 0
+
+    def test_tiny_edges_keep_their_area(self, capsys):
+        code, out, _ = run(capsys, "shape", "--edges", "1e-40,1e-40,1e-40")
+        assert code == 0
+        area = json.loads(out)["area"]
+        assert area == pytest.approx(math.sqrt(3) / 4 * 1e-80, rel=1e-12, abs=0)
 
     def test_domain_error_exit_code(self, capsys):
         code, out, err = run(capsys, "shape", "--edges", "1,2,5")
@@ -92,6 +98,13 @@ class TestLongEdges:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "too small" in err
         assert "Traceback" not in err
+
+    def test_tiny_angles_area_is_the_defect(self, capsys):
+        # the edges (~277.7) are too long for the Heron form of area_from_edges
+        code, out, _ = run(capsys, "shape", "--angles", "1e-60,1e-60,1e-60")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["area"] == hyptrig.defect_area(*doc["angles"])
 
     def test_longest_equilateral_shape(self, capsys):
         code, out, _ = run(capsys, "shape", "--edges", "237,237,237")
@@ -414,7 +427,7 @@ def reference_svg(spec, edges):
              _reference_path(root, spec, "#000000")]
     if spec.depth is not None:
         if spec.depth > 0:
-            lines += [_reference_path(cell, spec, spec.palette[letter])
+            lines += [_reference_path(cell, spec, render.DEFAULT_PALETTE[letter])
                       for cell, letter in _reference_leaves(root, spec.depth, None)]
     else:
         cell = root
@@ -422,8 +435,8 @@ def reference_svg(spec, edges):
             cell = cell_children(cell)[letter]
             last = i == len(spec.word) - 1
             lines.append(_reference_path(
-                cell, spec, spec.palette[letter],
-                spec.palette[letter] if last else "none",
+                cell, spec, render.DEFAULT_PALETTE[letter],
+                render.DEFAULT_PALETTE[letter] if last else "none",
                 ' fill-opacity="0.25"' if last else ""))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

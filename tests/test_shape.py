@@ -64,7 +64,7 @@ def test_record_invariants_sampled():
         back = hyptrig.angles_from_edges(*rec.edges.as_tuple())
         assert max(abs(x - y) for x, y in
                    zip(back, rec.angles.as_tuple())) < 1e-10
-        assert rec.area == hyptrig.defect_area(*rec.angles.as_tuple())
+        assert rec.area == hyptrig.area_from_edges(a, b, c)
 
 
 def test_metric_distance_basics():
@@ -90,6 +90,11 @@ def test_projection_examples():
     eu = AngleShape(1.0, 1.0, math.pi - 2.0)
     again = project_euclidean(eu)
     assert max(abs(x - y) for x, y in zip(eu.as_tuple(), again.as_tuple())) < 1e-15
+
+    # a tiny angle is scaled like the others, not rebuilt as pi - A - B
+    sliver = AngleShape(1.0, 1.5, 2e-9)
+    p = project_euclidean(sliver)
+    assert p.C / sliver.C == pytest.approx(p.A / sliver.A, rel=1e-15)
 
 
 def test_projection_idempotent_and_projective():

@@ -120,6 +120,18 @@ class TestOrbit:
             ratio = math.sin(st.area / 2) / s0
             assert math.exp(-0.5) * 4.0 ** (-st.n) < ratio < 4.0 ** (-st.n)
 
+    def test_medial_ratio_limit_settles(self):
+        # r_n = 4^n sin(S_n/2)/sin(S_0/2) converges along M^inf; reading
+        # it needs record areas with full relative accuracy as they shrink
+        trace = orbit("M" * 40, shape_from_edges(1, 1, 1))
+        s0 = math.sin(trace.steps[0].area / 2)
+        r = [4.0 ** st.n * math.sin(st.area / 2) / s0 for st in trace.steps]
+        assert abs(r[40] - r[20]) < 1e-10
+
+    def test_record_areas_come_from_edges(self):
+        for st in orbit("M" * 20, shape_from_edges(2, 2, 3)).steps:
+            assert st.area == hyptrig.area_from_edges(*st.edges.as_tuple())
+
     def test_word_cycle_halving(self):
         rec = shape_from_edges(2, 2, 3)
         trace = orbit("ABCM" * 5, rec)
