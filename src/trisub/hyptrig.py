@@ -3,7 +3,9 @@
 Every formula is evaluated in a half-argument sinh/tanh form so that
 nothing cancels catastrophically when edges get small; iterated medial
 subdivision drives edges below 1e-12 within a few dozen steps, where the
-naive cosh-difference forms lose all precision.
+naive cosh-difference forms lose all precision.  _half_sinh_sq is the one
+derivation of an edge triple; the angles, their sines and the area are
+formulas in its result, so one derivation serves them all.
 """
 
 import math
@@ -50,12 +52,11 @@ def _clamp_unit(x: float, what: str) -> float:
     return x
 
 
-def _half_sinh_sq(a: float, b: float, c: float) -> tuple[float, float, float, float]:
-    # p = sinh^2(a/2), q, r and the root of their Heron form
+def _half_sinh_sq(a: float, b: float, c: float):
+    # ((sinh(a/2), ...), (p, q, r, root)): p = sinh^2(a/2) etc., root = sqrt(Heron)
     try:
-        p = math.sinh(a / 2) ** 2
-        q = math.sinh(b / 2) ** 2
-        r = math.sinh(c / 2) ** 2
+        halves = sa, sb, sc = math.sinh(a / 2), math.sinh(b / 2), math.sinh(c / 2)
+        p, q, r = sa ** 2, sb ** 2, sc ** 2
         H = _heron_sinh_sq(p, q, r)
     except OverflowError:
         # sinh^2(x/2) passes the largest binary64 value above x ~ 710
@@ -65,7 +66,13 @@ def _half_sinh_sq(a: float, b: float, c: float) -> tuple[float, float, float, fl
     if not H < math.inf:
         raise DomainError(f"edges ({a!r}, {b!r}, {c!r}) are too long: "
                           f"sinh^2(edge/2) or its Heron form overflows")
-    return p, q, r, math.sqrt(max(0.0, H))
+    return halves, (p, q, r, math.sqrt(max(0.0, H)))
+
+
+def _angles(p: float, q: float, r: float, root: float) -> tuple[float, float, float]:
+    return (math.atan2(root, q + r - p + 2 * q * r),
+            math.atan2(root, r + p - q + 2 * r * p),
+            math.atan2(root, p + q - r + 2 * p * q))
 
 
 def angles_from_edges(a: float, b: float, c: float) -> tuple[float, float, float]:
@@ -77,10 +84,7 @@ def angles_from_edges(a: float, b: float, c: float) -> tuple[float, float, float
     relative accuracy whether it is tiny, near pi/2 or near pi.
     """
     _check_edges(a, b, c)
-    p, q, r, root = _half_sinh_sq(a, b, c)
-    return (math.atan2(root, q + r - p + 2 * q * r),
-            math.atan2(root, r + p - q + 2 * r * p),
-            math.atan2(root, p + q - r + 2 * p * q))
+    return _angles(*_half_sinh_sq(a, b, c)[1])
 
 
 def edges_from_angles(A: float, B: float, C: float) -> tuple[float, float, float]:
@@ -247,13 +251,16 @@ def trace_parent_area(tc: TraceCoords) -> float:
     return 2 * math.asin(_clamp_unit(s, "sin(S/2)"))
 
 
-def _sin_angles(a: float, b: float, c: float) -> tuple[float, float, float]:
+def _sin_angles(p: float, q: float, r: float, root: float) -> tuple[float, float, float]:
     # sin A = sqrt(H) / (2 sqrt(q r (1+q)(1+r))) in the variables of
     # angles_from_edges, with full relative accuracy for sliver angles
-    p, q, r, root = _half_sinh_sq(a, b, c)
     return (root / (2 * math.sqrt(q * r * (1 + q) * (1 + r))),
             root / (2 * math.sqrt(r * p * (1 + r) * (1 + p))),
             root / (2 * math.sqrt(p * q * (1 + p) * (1 + q))))
+
+
+def _area(p: float, q: float, r: float, root: float) -> float:
+    return 2 * math.atan(root / (2 + p + q + r))
 
 
 def area_from_edges(a: float, b: float, c: float) -> float:
@@ -264,5 +271,4 @@ def area_from_edges(a: float, b: float, c: float) -> float:
     variables, which is the same identity with the cancellation removed.
     """
     _check_edges(a, b, c)
-    p, q, r, root = _half_sinh_sq(a, b, c)
-    return 2 * math.atan(root / (2 + p + q + r))
+    return _area(*_half_sinh_sq(a, b, c)[1])

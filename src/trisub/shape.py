@@ -80,8 +80,8 @@ class ShapeRecord:
 def shape_from_edges(a: float, b: float, c: float) -> ShapeRecord:
     """Build the hyperbolic shape realized by edge lengths (a, b, c)."""
     edges = EdgeLengths(a, b, c)
-    angles = AngleShape(*hyptrig.angles_from_edges(a, b, c))
-    return ShapeRecord(angles, edges, hyptrig.area_from_edges(a, b, c))
+    _, h = hyptrig._half_sinh_sq(a, b, c)
+    return ShapeRecord(AngleShape(*hyptrig._angles(*h)), edges, hyptrig._area(*h))
 
 
 def shape_from_angles(A: float, B: float, C: float) -> ShapeRecord:

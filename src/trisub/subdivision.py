@@ -11,7 +11,9 @@ four maps are the identity on Euclidean shapes:
 
 where M_x is the midpoint of edge x.  Child edges follow from the slot
 order: the corner cell at A has edges (m_a, b/2, c/2), and the medial
-cell has the three midlines (m_a, m_b, m_c).
+cell has the three midlines (m_a, m_b, m_c).  Every orbit, in
+limit_shape_info, orbit and the verify suites, steps a bare edge triple
+through _walk, which validates nothing.
 """
 
 import math
@@ -44,6 +46,12 @@ def _child(letter: str, a: float, b: float, c: float) -> tuple[float, float, flo
     if letter == "B":
         return a / 2, hyptrig._midline(b, T), c / 2
     return a / 2, b / 2, hyptrig._midline(c, T)
+
+
+def _walk(letters, a: float, b: float, c: float):
+    for letter in letters:
+        a, b, c = _child(letter, a, b, c)
+        yield a, b, c
 
 
 def child_edges(letter: str, e: EdgeLengths) -> EdgeLengths:
@@ -106,22 +114,19 @@ class OrbitTrace:
         return "\n".join(self.csv_lines()) + "\n"
 
 
-def _orbit_step(n: int, letter: str | None, s: ShapeRecord) -> OrbitStep:
-    sh = None
-    if s.edges is not None:
-        sh = tuple(math.sinh(x / 2) for x in s.edges.as_tuple())
-    return OrbitStep(n, letter, s.angles, s.edges, s.area,
-                     math.log(math.sin(s.angles.A)), sh)
-
-
 def orbit(word, s0: ShapeRecord) -> OrbitTrace:
     """Trace the orbit of s0 under a finite word of letters."""
-    steps = [_orbit_step(0, None, s0)]
-    s = s0
-    for n, letter in enumerate(word, start=1):
-        s = apply(letter, s)
-        steps.append(_orbit_step(n, letter, s))
-    return OrbitTrace(tuple(steps))
+    word = list(word)
+    records = [s0] * (len(word) + 1)
+    if s0.is_euclidean:  # fixed by all four maps
+        for letter in word:
+            _check_letter(letter)
+    else:
+        records[1:] = (shape_from_edges(*e) for e in _walk(word, *s0.edges.as_tuple()))
+    return OrbitTrace(tuple(
+        OrbitStep(n, letter, s.angles, s.edges, s.area, math.log(math.sin(s.angles.A)),
+                  s.edges and tuple(math.sinh(x / 2) for x in s.edges.as_tuple()))
+        for n, (letter, s) in enumerate(zip([None, *word], records))))
 
 
 @dataclass(frozen=True)
@@ -147,11 +152,9 @@ def limit_shape_info(seq, s0: ShapeRecord, tol: float = 1e-13,
         raise ValueError("tol must be positive")
     if s0.is_euclidean:
         return LimitResult(s0.angles, 0, 0.0)
-    a, b, c = s0.edges.as_tuple()
-    for n, letter in enumerate(seq, start=1):
+    for n, (a, b, c) in enumerate(_walk(seq, *s0.edges.as_tuple()), start=1):
         if n > max_iter:
             raise ConvergenceError(f"no convergence within {max_iter} steps")
-        a, b, c = _child(letter, a, b, c)
         residual = sum(math.sinh(x / 2) ** 2 for x in (a, b, c))
         if residual < tol:
             angles = AngleShape(*hyptrig.angles_from_edges(a, b, c))

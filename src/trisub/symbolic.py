@@ -262,6 +262,8 @@ def match_prop31(s, t, horizon: int = 64):
     witness (edge-midpoint and midline-interior pairs fall outside the
     six forms).
     """
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     s, t = _as_seq(s), _as_seq(t)
     if s == t:
         return None

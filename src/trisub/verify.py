@@ -22,7 +22,7 @@ from operator import sub
 from . import hyptrig, symbolic
 from .shape import AngleShape, EdgeLengths, ShapeRecord, metric_distance, \
     shape_from_angles, shape_from_edges
-from .subdivision import apply, child_edges, limit_shape
+from .subdivision import _walk, apply, limit_shape
 from .symbolic import LETTERS
 
 RESOLUTION = 1e-11
@@ -113,26 +113,26 @@ def _run_seeded(suite: str, spec: SampleSpec, orbit, small=False, stats=()) -> R
     return report
 
 
-def _sinh_halves(e: EdgeLengths) -> tuple[float, float, float]:
-    return math.sinh(e.a / 2), math.sinh(e.b / 2), math.sinh(e.c / 2)
+def _sin_half_area(h) -> float:
+    return math.sin(hyptrig._area(*h) / 2)
 
 
-def _sin_half_area(e: EdgeLengths) -> float:
-    return math.sin(hyptrig.area_from_edges(e.a, e.b, e.c) / 2)
-
-
-def _burn_in(e: EdgeLengths, letters, steps: int = 0):
+def _burn_in(e: EdgeLengths, letters, steps: int):
     """The orbit of e under the letter iterator, e first: burn-in until
-    sinh(edge/2) < 1 on all edges, then steps more; and the burn-in length."""
-    path = [e]
-    while max(_sinh_halves(path[-1])) >= 1.0:
-        if len(path) > 500:
+    sinh(edge/2) < 1 on all edges, then steps more.  Returns the bare edge
+    triples, their halves and h from hyptrig._half_sinh_sq, and the burn-in
+    length; each child is validated as it arrives."""
+    path, burn = [], None
+    for edges in chain([e.as_tuple()], _walk(letters, *e.as_tuple())):
+        if path:
+            hyptrig._check_edges(*edges)
+        path.append((edges, *hyptrig._half_sinh_sq(*edges)))
+        if burn is None and max(path[-1][1]) < 1.0:
+            burn = len(path) - 1
+        if burn is None and len(path) > 500:
             raise RuntimeError("burn-in did not terminate")
-        path.append(child_edges(next(letters), path[-1]))
-    burn = len(path) - 1
-    for _ in range(steps):
-        path.append(child_edges(next(letters), path[-1]))
-    return path, burn
+        if burn is not None and len(path) > burn + steps:
+            return tuple(zip(*path)), burn
 
 
 def run_lemma21(spec: SampleSpec, halving_factor: float = 0.5,
@@ -149,8 +149,8 @@ def run_lemma21(spec: SampleSpec, halving_factor: float = 0.5,
     def orbit(report, rng, start):
         nonlocal worst_halving, worst_lower
         # burn-in segment: random letters until sinh(edge/2) < 1 on all edges
-        path, burn = _burn_in(start, map(rng.choice, repeat(LETTERS)), spec.max_steps)
-        halves = [_sinh_halves(e) for e in path]
+        (_, halves, _), burn = _burn_in(start, map(rng.choice, repeat(LETTERS)),
+                                        spec.max_steps)
         # step i is the i-th child; n counts the steps after burn-in
         for i, (old, new) in enumerate(zip(halves, halves[1:]), start=1):
             for slot in range(3):
@@ -182,10 +182,10 @@ def run_area_bounds(spec: SampleSpec, upper_scale: float = 1.0,
 
     def orbit(report, rng, start):
         nonlocal worst_hi, worst_lo
-        path, burn = _burn_in(start, repeat("M"), spec.max_steps)
-        s0 = _sin_half_area(path[burn])
-        for n, e in enumerate(path[burn + 1:], start=1):
-            ratio = _sin_half_area(e) / s0
+        (_, _, hs), burn = _burn_in(start, repeat("M"), spec.max_steps)
+        s0 = _sin_half_area(hs[burn])
+        for n, h in enumerate(hs[burn + 1:], start=1):
+            ratio = _sin_half_area(h) / s0
             quarter = 4.0 ** (-n)
             hi, lo = upper_scale * quarter, lo_scale * quarter
             worst_hi = min(worst_hi, (hi - ratio) / hi)
@@ -211,9 +211,9 @@ def run_ratio_limit(spec: SampleSpec, interval: tuple[float, float] | None = Non
 
     def orbit(report, rng, start):
         nonlocal r_lo, r_hi, worst_settle
-        path, burn = _burn_in(start, repeat("M"), n_full)
-        s0 = _sin_half_area(path[burn])
-        r40, r80 = (4.0 ** n * _sin_half_area(path[burn + n]) / s0
+        (_, _, hs), burn = _burn_in(start, repeat("M"), n_full)
+        s0 = _sin_half_area(hs[burn])
+        r40, r80 = (4.0 ** n * _sin_half_area(hs[burn + n]) / s0
                     for n in (n_half, n_full))
         settle = abs(r80 - r40)
         worst_settle = max(worst_settle, settle)
@@ -282,10 +282,10 @@ def run_eq1_probe(spec: SampleSpec) -> Report:
     deltas, points = [], []
 
     def orbit(report, rng, e):
-        parent = hyptrig.angles_from_edges(*e.as_tuple())
-        probed = hyptrig.angles_from_edges(*child_edges("M", e).as_tuple())
-        delta = max(abs(x - y) for x, y in zip(parent, probed))
-        area = hyptrig.area_from_edges(*e.as_tuple())
+        _, h = hyptrig._half_sinh_sq(*e.as_tuple())
+        probed = hyptrig.angles_from_edges(*next(_walk("M", *e.as_tuple())))
+        delta = max(abs(x - y) for x, y in zip(hyptrig._angles(*h), probed))
+        area = hyptrig._area(*h)
         deltas.append(delta)
         if delta > 0 and area > 0:
             points.append((math.log(area), math.log(delta)))
@@ -317,11 +317,10 @@ def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
 
     def orbit(report, rng, start):
         nonlocal worst, min_limit_angle
-        budget = sum(s * s for s in _sinh_halves(start)) * bound_scale
         word = [rng.choice(LETTERS) for _ in range(spec.max_steps)]
-        path, _ = _burn_in(start, iter(word), spec.max_steps)  # no burn-in
-        rho = [[math.log(s) for s in hyptrig._sin_angles(e.a, e.b, e.c)]
-               for e in path]
+        (_, halves, hs), _ = _burn_in(start, iter(word), spec.max_steps)  # no burn-in
+        budget = sum(s * s for s in halves[0]) * bound_scale
+        rho = [[math.log(s) for s in hyptrig._sin_angles(*h)] for h in hs]
         reach, hi, lo = [], rho[-1], rho[-1]
         for here in reversed(rho):
             hi, lo = list(map(max, hi, here)), list(map(min, lo, here))
@@ -357,10 +356,11 @@ def run_angle_ratio(spec: SampleSpec, lower_scale: float = 1.0,
     def orbit(report, rng, start):
         nonlocal worst_lo, worst_hi
         # small starts need no burn-in
-        path, _ = _burn_in(start, map(rng.choice, repeat(LETTERS)), spec.max_steps)
-        sines = [hyptrig._sin_angles(e.a, e.b, e.c) for e in path]
+        (path, _, hs), _ = _burn_in(start, map(rng.choice, repeat(LETTERS)),
+                                    spec.max_steps)
+        sines = [hyptrig._sin_angles(*h) for h in hs]
         for n in range(1, spec.max_steps + 1):
-            a, b, c = path[n - 1].as_tuple()
+            a, b, c = path[n - 1]
             cosh_halves = math.cosh(a / 2), math.cosh(b / 2), math.cosh(c / 2)
             for (i, j, k) in cycled:
                 ratio = sines[n][i] / sines[n - 1][i]

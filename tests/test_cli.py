@@ -217,6 +217,15 @@ class TestEquivCommand:
         assert doc["equivalent"] is True
         assert sorted(doc["prop31_form"]["forms"]) == [2, 3]
 
+    def test_negative_horizon_is_an_error(self, capsys):
+        code, out, err = run(capsys, "equiv", "--s", "AM|A", "--t", "MM|A",
+                             "--horizon", "-1")
+        assert (code, out, err) == (1, "", "error: horizon must be >= 0\n")
+        code, out, _ = run(capsys, "equiv", "--s", "AM|A", "--t", "MM|A",
+                           "--horizon", "0")
+        assert code == 0
+        assert json.loads(out)["prop31_form"]["forms"] == [1, 4]
+
     def test_not_equivalent(self, capsys):
         code, out, _ = run(capsys, "equiv", "--s", "|A", "--t", "|B")
         doc = json.loads(out)

@@ -11,7 +11,7 @@ from trisub.hyptrig import DomainError
 from trisub.shape import (AngleShape, EUCLIDEAN_ATOL, metric_distance,
                           project_euclidean, shape_from_angles,
                           shape_from_edges)
-from trisub.subdivision import apply
+from trisub.subdivision import apply, orbit
 
 
 def test_shape_from_edges_equilateral():
@@ -65,6 +65,21 @@ def test_record_invariants_sampled():
         assert max(abs(x - y) for x, y in
                    zip(back, rec.angles.as_tuple())) < 1e-10
         assert rec.area == hyptrig.area_from_edges(a, b, c)
+
+
+@pytest.mark.parametrize("build, records", [
+    (lambda: shape_from_edges(2, 2, 3), 1),
+    (lambda: orbit("M" * 20, shape_from_edges(2, 2, 3)), 21),
+], ids=["shape", "orbit"])
+def test_one_check_and_one_derivation_per_record(monkeypatch, build, records):
+    counts = {"_check_edges": 0, "_half_sinh_sq": 0}
+    for name in counts:
+        def counting(*args, real=getattr(hyptrig, name), name=name):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(hyptrig, name, counting)
+    build()
+    assert counts == {"_check_edges": records, "_half_sinh_sq": records}
 
 
 def test_metric_distance_basics():

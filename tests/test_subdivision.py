@@ -8,8 +8,8 @@ import pytest
 
 from trisub import hyptrig, plane_model
 from trisub.render import cell_children
-from trisub.shape import (EdgeLengths, metric_distance, shape_from_angles,
-                          shape_from_edges)
+from trisub.shape import (AngleShape, EdgeLengths, metric_distance,
+                          project_euclidean, shape_from_angles, shape_from_edges)
 from trisub.subdivision import (ConvergenceError, LETTERS, ORBIT_CSV_COLUMNS,
                                 apply, apply_oracle, child_edges, limit_shape,
                                 limit_shape_info, orbit)
@@ -20,6 +20,10 @@ def sample_edges(rng, lo=0.01, hi=5.0):
         a, b, c = (rng.uniform(lo, hi) for _ in range(3))
         if a < b + c and b < c + a and c < a + b:
             return EdgeLengths(a, b, c)
+
+
+def sin_angles(e):
+    return hyptrig._sin_angles(*hyptrig._half_sinh_sq(*e.as_tuple())[1])
 
 
 class TestApply:
@@ -170,6 +174,40 @@ class TestOrbit:
         assert row[5] == row[6] == row[7] == ""  # a, b, c columns
 
 
+class TestPlainLoop:
+    """orbit and limit_shape_info match a plain child_edges loop bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_orbit(self, seed):
+        rng = random.Random(seed)
+        e = sample_edges(rng)
+        word = "".join(rng.sample(LETTERS * 8, 32))
+        trace = orbit(word, shape_from_edges(*e.as_tuple()))
+        assert [st.letter for st in trace.steps] == [None, *word]
+        for st in trace.steps:
+            if st.letter is not None:
+                e = child_edges(st.letter, e)
+            assert st.edges == e
+            assert st.angles.as_tuple() == hyptrig.angles_from_edges(*e.as_tuple())
+            assert st.area == hyptrig.area_from_edges(*e.as_tuple())
+            assert st.sinh_half_edges == tuple(math.sinh(x / 2) for x in e.as_tuple())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_limit(self, seed):
+        rng = random.Random(seed)
+        e = sample_edges(rng)
+        letters = rng.sample(LETTERS * 50, 200)
+        res = limit_shape_info(iter(letters), shape_from_edges(*e.as_tuple()))
+        for n, letter in enumerate(letters, start=1):
+            e = child_edges(letter, e)
+            residual = sum(math.sinh(x / 2) ** 2 for x in e.as_tuple())
+            if residual < 1e-13:
+                break
+        assert (res.iterations, res.residual) == (n, residual)
+        angles = AngleShape(*hyptrig.angles_from_edges(*e.as_tuple()))
+        assert res.angles == project_euclidean(angles)
+
+
 class TestLimitShape:
     def test_euclidean_start_is_instant(self):
         eu = shape_from_angles(math.pi / 3, math.pi / 3, math.pi / 3)
@@ -262,11 +300,11 @@ def test_cauchy_drift_bound_sampled():
         if max(math.sinh(x / 2) for x in e.as_tuple()) >= 1:
             continue
         budget = sum(math.sinh(x / 2) ** 2 for x in e.as_tuple())
-        rho = [math.log(hyptrig._sin_angles(*e.as_tuple())[0])]
+        rho = [math.log(sin_angles(e)[0])]
         cur = e
         for _ in range(30):
             cur = child_edges(rng.choice(LETTERS), cur)
-            rho.append(math.log(hyptrig._sin_angles(*cur.as_tuple())[0]))
+            rho.append(math.log(sin_angles(cur)[0]))
         for n in range(0, 31, 3):
             for k in range(0, 31 - n, 5):
                 assert abs(rho[n + k] - rho[n]) <= 2.0 ** (-n) * budget * (1 + 1e-11)
@@ -281,8 +319,7 @@ def test_per_step_angle_ratio_sampled():
         for _ in range(20):
             letter = rng.choice(LETTERS)
             nxt = child_edges(letter, e)
-            s_old = hyptrig._sin_angles(*e.as_tuple())
-            s_new = hyptrig._sin_angles(*nxt.as_tuple())
+            s_old, s_new = sin_angles(e), sin_angles(nxt)
             ed = e.as_tuple()
             for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
                 ratio = s_new[i] / s_old[i]

@@ -6,9 +6,10 @@ from dataclasses import replace
 
 import pytest
 
-from trisub import verify
+from trisub import subdivision, verify
 from trisub.hyptrig import DomainError, _sin_angles
 from trisub.shape import shape_from_angles, shape_from_edges
+from trisub.subdivision import child_edges
 from trisub.symbolic import LETTERS
 from trisub.verify import Report, SampleSpec
 
@@ -232,10 +233,11 @@ def all_pairs_cauchy(spec, bound_scale=1.0):
 
     def orbit(report, rng, start):
         nonlocal worst
-        budget = sum(s * s for s in verify._sinh_halves(start)) * bound_scale
+        halves = [math.sinh(x / 2) for x in start.as_tuple()]
+        budget = sum(s * s for s in halves) * bound_scale
         word = [rng.choice(LETTERS) for _ in range(spec.max_steps)]
-        path, _ = verify._burn_in(start, iter(word), spec.max_steps)
-        rho = [[math.log(s) for s in _sin_angles(*e.as_tuple())] for e in path]
+        (_, _, hs), _ = verify._burn_in(start, iter(word), spec.max_steps)
+        rho = [[math.log(s) for s in _sin_angles(*h)] for h in hs]
         for n, here in enumerate(rho):
             bound = 2.0 ** (-n) * budget
             for k, there in enumerate(rho[n:]):
@@ -362,16 +364,16 @@ class TestErrorContext:
     @pytest.mark.parametrize("name", ["lemma21", "area", "ratiolimit", "cauchy",
                                       "angleratio", "eq1probe"])
     def test_orbit_error_names_suite_and_start(self, monkeypatch, name):
-        real = verify.child_edges
+        real = subdivision._child
         calls = []
 
-        def failing(letter, e):
+        def failing(letter, *e):
             calls.append(e)
             if len(calls) == 3:
                 raise DomainError("angle sum 3.25 exceeds pi")
-            return real(letter, e)
+            return real(letter, *e)
 
-        monkeypatch.setattr(verify, "child_edges", failing)
+        monkeypatch.setattr(subdivision, "_child", failing)
         with pytest.raises(DomainError) as info:
             verify.run_suite(name, samples=5)
         message = str(info.value)
@@ -382,20 +384,59 @@ class TestErrorContext:
     def test_start_is_the_failing_sample(self, monkeypatch):
         # eq1probe takes one medial step per sample, so the third call is
         # the third sample's
-        real = verify.child_edges
+        real = subdivision._child
         calls = []
 
-        def failing(letter, e):
+        def failing(letter, *e):
             calls.append(e)
             if len(calls) == 3:
                 raise DomainError("edge a=0.0 must be positive")
-            return real(letter, e)
+            return real(letter, *e)
 
-        monkeypatch.setattr(verify, "child_edges", failing)
+        monkeypatch.setattr(subdivision, "_child", failing)
         spec = SampleSpec(seed=6, samples=10)
         with pytest.raises(DomainError, match="edge a=0.0") as info:
             verify.run_eq1_probe(spec)
         rng = random.Random(spec.seed)
         starts = [verify._sample_edges(rng, spec, False) for _ in range(3)]
-        assert calls == starts
+        assert calls == [e.as_tuple() for e in starts]
         assert str(list(starts[2].as_tuple())) in str(info.value)
+
+    @pytest.mark.parametrize("edge_range", [(80, 90), (19, 40)])
+    @pytest.mark.parametrize("name, run", [("lemma21", verify.run_lemma21),
+                                           ("area", verify.run_area_bounds),
+                                           ("ratiolimit", verify.run_ratio_limit)])
+    def test_long_edge_plans(self, name, run, edge_range):
+        # the core breaks down on these starts (a child edge of 0.0, or one
+        # that fails the triangle inequality); each child is checked as it
+        # arrives, so the suites raise instead of passing or dividing by 0
+        with pytest.raises(DomainError) as info:
+            run(SampleSpec(seed=1, samples=20, edge_range=edge_range))
+        assert str(info.value).startswith(f"{name} orbit from [")
+
+
+class TestBurnIn:
+    """_burn_in matches a plain child_edges loop bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_plain_loop(self, seed):
+        rng = random.Random(seed)
+        spec = SampleSpec(seed=seed, samples=1, edge_range=(2.0, 8.0))
+        start = verify._sample_edges(rng, spec, False)
+        word = "".join(rng.sample(LETTERS * 12, 48))
+        letters = iter(word)
+        (path, halves, _), burn = verify._burn_in(start, letters, 12)
+
+        plain, plain_letters = [start], iter(word)
+        while max(math.sinh(x / 2) for x in plain[-1].as_tuple()) >= 1.0:
+            plain.append(child_edges(next(plain_letters), plain[-1]))
+        plain_burn = len(plain) - 1
+        for _ in range(12):
+            plain.append(child_edges(next(plain_letters), plain[-1]))
+
+        assert burn == plain_burn > 0
+        assert list(path) == [e.as_tuple() for e in plain]
+        assert list(halves) == [tuple(math.sinh(x / 2) for x in e.as_tuple())
+                                for e in plain]
+        # no letter is drawn beyond the last state
+        assert list(letters) == list(plain_letters)
