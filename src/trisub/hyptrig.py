@@ -1,11 +1,10 @@
 """Scalar hyperbolic trigonometry for triangles.
 
-Every formula is evaluated in a half-argument sinh/tanh form so that
-nothing cancels catastrophically when edges get small; iterated medial
-subdivision drives edges below 1e-12 within a few dozen steps, where the
-naive cosh-difference forms lose all precision.  _half_sinh_sq is the one
-derivation of an edge triple; the angles, their sines and the area are
-formulas in its result, so one derivation serves them all.
+A triangle's state is (p, q, r) = (sinh^2(a/2), sinh^2(b/2), sinh^2(c/2)),
+taken from edges by _half_sinh_sq.  Formulas in it add and multiply
+positive terms, so nothing cancels for tiny or long edges (the Heron form
+cancels only at flat triangles).  _derive adds the Heron root; the angles,
+their sines and the area are formulas in its result.
 """
 
 import math
@@ -52,21 +51,30 @@ def _clamp_unit(x: float, what: str) -> float:
     return x
 
 
-def _half_sinh_sq(a: float, b: float, c: float):
-    # ((sinh(a/2), ...), (p, q, r, root)): p = sinh^2(a/2) etc., root = sqrt(Heron)
+def _half_sinh_sq(a: float, b: float, c: float) -> tuple[float, float, float]:
+    # the state (p, q, r) of an edge triple: p = sinh^2(a/2) etc.
     try:
-        halves = sa, sb, sc = math.sinh(a / 2), math.sinh(b / 2), math.sinh(c / 2)
-        p, q, r = sa ** 2, sb ** 2, sc ** 2
-        H = _heron_sinh_sq(p, q, r)
-    except OverflowError:
-        # sinh^2(x/2) passes the largest binary64 value above x ~ 710
-        H = math.inf
-    # near-equilateral edges above ~237 overflow 4pqr to inf, and above
-    # ~500 the form reads inf - inf = nan
-    if not H < math.inf:
+        return math.sinh(a / 2) ** 2, math.sinh(b / 2) ** 2, math.sinh(c / 2) ** 2
+    except OverflowError:  # sinh^2(x/2) passes the largest binary64 above x ~ 710
         raise DomainError(f"edges ({a!r}, {b!r}, {c!r}) are too long: "
-                          f"sinh^2(edge/2) or its Heron form overflows")
-    return halves, (p, q, r, math.sqrt(max(0.0, H)))
+                          f"sinh^2(edge/2) overflows") from None
+
+
+def _derive(p: float, q: float, r: float):
+    # (p, q, r, root), root = sqrt of the state's Heron form; for three equal
+    # edges above ~237 4pqr overflows to inf, and above ~500 the form is nan
+    root = math.sqrt(max(_heron_sinh_sq(p, q, r), 0.0))
+    if not root < math.inf:
+        raise DomainError(f"edges with sinh^2(edge/2) = ({p!r}, {q!r}, {r!r}) are "
+                          f"too long: their Heron form overflows")
+    return p, q, r, root
+
+
+def _midline_sinh_sq(p: float, q: float, r: float, cq: float, cr: float) -> float:
+    # sinh^2(m_a/2), cq = cosh(b/2) etc.: cosh m_a = (2 + p + q + r)/(2 cq cr)
+    # and 2 + q + r - 2 cq cr = (cq - cr)^2, so only positive terms remain
+    d = (q - r) / (cq + cr)
+    return (p + d * d) / (4 * cq * cr)
 
 
 def _angles(p: float, q: float, r: float, root: float) -> tuple[float, float, float]:
@@ -84,7 +92,7 @@ def angles_from_edges(a: float, b: float, c: float) -> tuple[float, float, float
     relative accuracy whether it is tiny, near pi/2 or near pi.
     """
     _check_edges(a, b, c)
-    return _angles(*_half_sinh_sq(a, b, c)[1])
+    return _angles(*_derive(*_half_sinh_sq(a, b, c)))
 
 
 def edges_from_angles(A: float, B: float, C: float) -> tuple[float, float, float]:
@@ -179,34 +187,23 @@ class MedialData(NamedTuple):
         return self.l_a, self.l_b, self.l_c
 
 
-def _tanh_product(a: float, b: float, c: float) -> float:
-    return (math.tanh((a + b + c) / 4) * math.tanh((a + b - c) / 4)
-            * math.tanh((c + a - b) / 4) * math.tanh((b + c - a) / 4))
-
-
-def _midline(x: float, T: float) -> float:
-    # the midline facing edge x, from the tanh product T of the triangle
-    th = math.tanh(x / 4)
-    h = math.cosh(x / 4) ** 2 * (th * th - T) / (1 + T)  # sinh^2(m/2)
-    assert h >= 0, "cosh(m) < 1 is impossible for a valid triangle"
-    return 2 * math.asinh(math.sqrt(h))
-
-
 def medial_data(a: float, b: float, c: float) -> MedialData:
     """Midlines and Lambert foot distances of the triangle (a, b, c).
 
-    mu = (1 - T)/(1 + T) with
-    T = tanh((a+b+c)/4) tanh((a+b-c)/4) tanh((c+a-b)/4) tanh((b+c-a)/4);
-    cosh m_x = cosh(x/2) mu, computed as
-    sinh^2(m_x/2) = cosh^2(x/4) (tanh^2(x/4) - T)/(1 + T), and
-    sinh l_x = 2 cosh(x/2) sqrt(T) / ((1 + T) sinh m_x).
+    With p = sinh^2(a/2) etc. and K = 2 sqrt((1+p)(1+q)(1+r)):
+    mu = cos(S/2) = (2 + p + q + r)/K and cosh m_x = cosh(x/2) mu,
+    computed as sinh^2(m_a/2) = (p + d^2)/(4 cosh(b/2) cosh(c/2)) with
+    d = cosh(b/2) - cosh(c/2) = (q - r)/(cosh(b/2) + cosh(c/2)); and
+    sinh l_x = cosh(x/2) sin(S/2) / sinh m_x with sin(S/2) = sqrt(H)/K.
     """
     _check_edges(a, b, c)
-    T = _tanh_product(a, b, c)
-    ms = [_midline(x, T) for x in (a, b, c)]
-    ls = [math.asinh(2 * math.cosh(x / 2) * math.sqrt(T) / ((1 + T) * math.sinh(m)))
-          for x, m in zip((a, b, c), ms)]
-    return MedialData((1 - T) / (1 + T), *ms, *ls)
+    p, q, r, root = _derive(*_half_sinh_sq(a, b, c))
+    ch = cp, cq, cr = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
+    args = (p, q, r, cq, cr), (q, r, p, cr, cp), (r, p, q, cp, cq)
+    ms = [2 * math.asinh(math.sqrt(_midline_sinh_sq(*x))) for x in args]
+    K = 2 * cp * cq * cr
+    ls = [math.asinh(x * root / (K * math.sinh(m))) for x, m in zip(ch, ms)]
+    return MedialData((2 + p + q + r) / K, *ms, *ls)
 
 
 class TraceCoords(NamedTuple):
@@ -271,4 +268,4 @@ def area_from_edges(a: float, b: float, c: float) -> float:
     variables, which is the same identity with the cancellation removed.
     """
     _check_edges(a, b, c)
-    return _area(*_half_sinh_sq(a, b, c)[1])
+    return _area(*_derive(*_half_sinh_sq(a, b, c)))

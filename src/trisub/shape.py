@@ -80,7 +80,14 @@ class ShapeRecord:
 def shape_from_edges(a: float, b: float, c: float) -> ShapeRecord:
     """Build the hyperbolic shape realized by edge lengths (a, b, c)."""
     edges = EdgeLengths(a, b, c)
-    _, h = hyptrig._half_sinh_sq(a, b, c)
+    return _record(hyptrig._half_sinh_sq(a, b, c), edges)
+
+
+def _record(state, edges: EdgeLengths | None = None) -> ShapeRecord:
+    # the record of a state (p, q, r), derived once; unless given, its edges
+    # are 2 asinh(sqrt(p)) etc.
+    h = hyptrig._derive(*state)
+    edges = edges or EdgeLengths(*(2 * math.asinh(math.sqrt(x)) for x in state))
     return ShapeRecord(AngleShape(*hyptrig._angles(*h)), edges, hyptrig._area(*h))
 
 

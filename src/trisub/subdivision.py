@@ -12,15 +12,16 @@ four maps are the identity on Euclidean shapes:
 where M_x is the midpoint of edge x.  Child edges follow from the slot
 order: the corner cell at A has edges (m_a, b/2, c/2), and the medial
 cell has the three midlines (m_a, m_b, m_c).  Every orbit, in
-limit_shape_info, orbit and the verify suites, steps a bare edge triple
-through _walk, which validates nothing.
+limit_shape_info, orbit, apply and the verify suites, steps a bare state
+(p, q, r) = (sinh^2(a/2), sinh^2(b/2), sinh^2(c/2)) through _walk, which
+validates nothing; edges appear only in records.
 """
 
 import math
 from dataclasses import dataclass
 
 from . import hyptrig, plane_model
-from .shape import (AngleShape, EdgeLengths, ShapeRecord, project_euclidean,
+from .shape import (AngleShape, EdgeLengths, ShapeRecord, _record, project_euclidean,
                     shape_from_edges)
 from .symbolic import LETTERS, _check_letter  # LETTERS stays public here
 from ._fmt import csv_line
@@ -33,42 +34,42 @@ class ConvergenceError(RuntimeError):
     """The iteration cap was hit; for valid inputs this signals a bug."""
 
 
-def _child(letter: str, a: float, b: float, c: float) -> tuple[float, float, float]:
-    # the numerical core: child edges on bare floats, computing only the
-    # midlines the letter needs
+def _child(letter: str, p: float, q: float, r: float) -> tuple[float, float, float]:
+    # the numerical core: the child's state from sqrt and arithmetic only;
+    # a halved edge has sinh^2(b/4) = q / (2 + 2 cosh(b/2))
     _check_letter(letter)
-    T = hyptrig._tanh_product(a, b, c)
+    cp, cq, cr = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
+    mid = hyptrig._midline_sinh_sq
     if letter == "M":
-        return (hyptrig._midline(a, T), hyptrig._midline(b, T),
-                hyptrig._midline(c, T))
+        return mid(p, q, r, cq, cr), mid(q, r, p, cr, cp), mid(r, p, q, cp, cq)
     if letter == "A":
-        return hyptrig._midline(a, T), b / 2, c / 2
+        return mid(p, q, r, cq, cr), q / (2 + 2 * cq), r / (2 + 2 * cr)
     if letter == "B":
-        return a / 2, hyptrig._midline(b, T), c / 2
-    return a / 2, b / 2, hyptrig._midline(c, T)
+        return p / (2 + 2 * cp), mid(q, r, p, cr, cp), r / (2 + 2 * cr)
+    return p / (2 + 2 * cp), q / (2 + 2 * cq), mid(r, p, q, cp, cq)
 
 
-def _walk(letters, a: float, b: float, c: float):
+def _walk(letters, p: float, q: float, r: float):
     for letter in letters:
-        a, b, c = _child(letter, a, b, c)
-        yield a, b, c
+        p, q, r = _child(letter, p, q, r)
+        yield p, q, r
 
 
 def child_edges(letter: str, e: EdgeLengths) -> EdgeLengths:
     """Edge lengths of the chosen subdivision cell, in slot order."""
-    return EdgeLengths(*_child(letter, e.a, e.b, e.c))
+    return apply(letter, shape_from_edges(e.a, e.b, e.c)).edges
 
 
 def apply(letter: str, s: ShapeRecord) -> ShapeRecord:
     """Apply one subdivision map to a shape.
 
     Euclidean shapes are fixed by all four maps.  Hyperbolic child angles
-    are recomputed from the child's own edges.
+    and area are derived from the child's state.
     """
     _check_letter(letter)
     if s.is_euclidean:
         return s
-    return shape_from_edges(*_child(letter, s.edges.a, s.edges.b, s.edges.c))
+    return _record(_child(letter, *hyptrig._half_sinh_sq(*s.edges.as_tuple())))
 
 
 def apply_oracle(letter: str, e: EdgeLengths) -> EdgeLengths:
@@ -117,16 +118,18 @@ class OrbitTrace:
 def orbit(word, s0: ShapeRecord) -> OrbitTrace:
     """Trace the orbit of s0 under a finite word of letters."""
     word = list(word)
-    records = [s0] * (len(word) + 1)
+    records, halves = [s0] * (len(word) + 1), [None] * (len(word) + 1)
     if s0.is_euclidean:  # fixed by all four maps
         for letter in word:
             _check_letter(letter)
     else:
-        records[1:] = (shape_from_edges(*e) for e in _walk(word, *s0.edges.as_tuple()))
+        states = [hyptrig._half_sinh_sq(*s0.edges.as_tuple())]
+        states += _walk(word, *states[0])
+        records[1:] = map(_record, states[1:])
+        halves = [tuple(map(math.sqrt, st)) for st in states]
     return OrbitTrace(tuple(
-        OrbitStep(n, letter, s.angles, s.edges, s.area, math.log(math.sin(s.angles.A)),
-                  s.edges and tuple(math.sinh(x / 2) for x in s.edges.as_tuple()))
-        for n, (letter, s) in enumerate(zip([None, *word], records))))
+        OrbitStep(n, letter, s.angles, s.edges, s.area, math.log(math.sin(s.angles.A)), sh)
+        for n, (letter, s, sh) in enumerate(zip([None, *word], records, halves))))
 
 
 @dataclass(frozen=True)
@@ -140,24 +143,29 @@ def limit_shape_info(seq, s0: ShapeRecord, tol: float = 1e-13,
                      max_iter: int = 10_000) -> LimitResult:
     """Follow an infinite letter sequence until the shape is Euclidean to tol.
 
-    Iterates the maps on bare edge triples and stops after the first step
-    whose residual, the sum of sinh^2(edge/2) over the three edges, is
-    below tol; then projects the angles onto angle sum pi.  By the paper's
-    Cauchy lemma the residual bounds how far ln sin of any angle can still
-    drift along the exact orbit, before projection; it does not cover
-    floating-point rounding.  seq is any iterable of letters; an
+    Iterates the maps on bare states and stops after the first step whose
+    residual, p + q + r = the sum of sinh^2(edge/2) over the three edges,
+    is below tol; then projects the angles onto angle sum pi.  By the
+    paper's Cauchy lemma the residual bounds how far ln sin of any angle
+    can still drift along the exact orbit, before projection; it does not
+    cover floating-point rounding.  seq is any iterable of letters; an
     eventually periodic sequence object works directly.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if s0.is_euclidean:
         return LimitResult(s0.angles, 0, 0.0)
-    for n, (a, b, c) in enumerate(_walk(seq, *s0.edges.as_tuple()), start=1):
+    return _limit(_walk(seq, *hyptrig._half_sinh_sq(*s0.edges.as_tuple())), tol, max_iter)
+
+
+def _limit(states, tol: float, max_iter: int = 10_000) -> LimitResult:
+    # the first of the states, counted from 1, whose residual is below tol
+    for n, (p, q, r) in enumerate(states, start=1):
         if n > max_iter:
             raise ConvergenceError(f"no convergence within {max_iter} steps")
-        residual = sum(math.sinh(x / 2) ** 2 for x in (a, b, c))
+        residual = p + q + r
         if residual < tol:
-            angles = AngleShape(*hyptrig.angles_from_edges(a, b, c))
+            angles = AngleShape(*hyptrig._angles(*hyptrig._derive(p, q, r)))
             return LimitResult(project_euclidean(angles), n, residual)
     raise ValueError("letter sequence ended before convergence")
 

@@ -16,13 +16,13 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, starmap
 from operator import sub
 
 from . import hyptrig, symbolic
 from .shape import AngleShape, EdgeLengths, ShapeRecord, metric_distance, \
     shape_from_angles, shape_from_edges
-from .subdivision import _walk, apply, limit_shape
+from .subdivision import _limit, _walk, apply, limit_shape
 from .symbolic import LETTERS
 
 RESOLUTION = 1e-11
@@ -119,20 +119,22 @@ def _sin_half_area(h) -> float:
 
 def _burn_in(e: EdgeLengths, letters, steps: int):
     """The orbit of e under the letter iterator, e first: burn-in until
-    sinh(edge/2) < 1 on all edges, then steps more.  Returns the bare edge
-    triples, their halves and h from hyptrig._half_sinh_sq, and the burn-in
-    length; each child is validated as it arrives."""
+    p, q, r = sinh^2(edge/2) are all below 1, then steps more.  Returns the
+    derived states (p, q, r, root), each checked for a positive root as it
+    arrives, and the burn-in length."""
     path, burn = [], None
-    for edges in chain([e.as_tuple()], _walk(letters, *e.as_tuple())):
-        if path:
-            hyptrig._check_edges(*edges)
-        path.append((edges, *hyptrig._half_sinh_sq(*edges)))
-        if burn is None and max(path[-1][1]) < 1.0:
+    start = hyptrig._half_sinh_sq(e.a, e.b, e.c)
+    for h in starmap(hyptrig._derive, chain([start], _walk(letters, *start))):
+        if not h[3] > 0:
+            raise hyptrig.DomainError(f"state {list(h[:3])} at step {len(path)} is flat: "
+                                      f"its Heron form is not positive")
+        path.append(h)
+        if burn is None and max(h[:3]) < 1.0:
             burn = len(path) - 1
         if burn is None and len(path) > 500:
             raise RuntimeError("burn-in did not terminate")
         if burn is not None and len(path) > burn + steps:
-            return tuple(zip(*path)), burn
+            return tuple(path), burn
 
 
 def run_lemma21(spec: SampleSpec, halving_factor: float = 0.5,
@@ -149,8 +151,8 @@ def run_lemma21(spec: SampleSpec, halving_factor: float = 0.5,
     def orbit(report, rng, start):
         nonlocal worst_halving, worst_lower
         # burn-in segment: random letters until sinh(edge/2) < 1 on all edges
-        (_, halves, _), burn = _burn_in(start, map(rng.choice, repeat(LETTERS)),
-                                        spec.max_steps)
+        hs, burn = _burn_in(start, map(rng.choice, repeat(LETTERS)), spec.max_steps)
+        halves = [(math.sqrt(p), math.sqrt(q), math.sqrt(r)) for p, q, r, _ in hs]
         # step i is the i-th child; n counts the steps after burn-in
         for i, (old, new) in enumerate(zip(halves, halves[1:]), start=1):
             for slot in range(3):
@@ -182,7 +184,7 @@ def run_area_bounds(spec: SampleSpec, upper_scale: float = 1.0,
 
     def orbit(report, rng, start):
         nonlocal worst_hi, worst_lo
-        (_, _, hs), burn = _burn_in(start, repeat("M"), spec.max_steps)
+        hs, burn = _burn_in(start, repeat("M"), spec.max_steps)
         s0 = _sin_half_area(hs[burn])
         for n, h in enumerate(hs[burn + 1:], start=1):
             ratio = _sin_half_area(h) / s0
@@ -211,7 +213,7 @@ def run_ratio_limit(spec: SampleSpec, interval: tuple[float, float] | None = Non
 
     def orbit(report, rng, start):
         nonlocal r_lo, r_hi, worst_settle
-        (_, _, hs), burn = _burn_in(start, repeat("M"), n_full)
+        hs, burn = _burn_in(start, repeat("M"), n_full)
         s0 = _sin_half_area(hs[burn])
         r40, r80 = (4.0 ** n * _sin_half_area(hs[burn + n]) / s0
                     for n in (n_half, n_full))
@@ -282,8 +284,8 @@ def run_eq1_probe(spec: SampleSpec) -> Report:
     deltas, points = [], []
 
     def orbit(report, rng, e):
-        _, h = hyptrig._half_sinh_sq(*e.as_tuple())
-        probed = hyptrig.angles_from_edges(*next(_walk("M", *e.as_tuple())))
+        h = hyptrig._derive(*hyptrig._half_sinh_sq(e.a, e.b, e.c))
+        probed = hyptrig._angles(*hyptrig._derive(*next(_walk("M", *h[:3]))))
         delta = max(abs(x - y) for x, y in zip(hyptrig._angles(*h), probed))
         area = hyptrig._area(*h)
         deltas.append(delta)
@@ -318,8 +320,8 @@ def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
     def orbit(report, rng, start):
         nonlocal worst, min_limit_angle
         word = [rng.choice(LETTERS) for _ in range(spec.max_steps)]
-        (_, halves, hs), _ = _burn_in(start, iter(word), spec.max_steps)  # no burn-in
-        budget = sum(s * s for s in halves[0]) * bound_scale
+        hs, _ = _burn_in(start, iter(word), spec.max_steps)  # no burn-in
+        budget = sum(hs[0][:3]) * bound_scale
         rho = [[math.log(s) for s in hyptrig._sin_angles(*h)] for h in hs]
         reach, hi, lo = [], rho[-1], rho[-1]
         for here in reversed(rho):
@@ -333,7 +335,8 @@ def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
                 for k, there in enumerate(rho[n:]):
                     for x, y in zip(there, here):
                         report.check(start, [n, k], abs(x - y), bound)
-        lim = limit_shape(chain(word, repeat("M")), shape_from_edges(*start.as_tuple()))
+        states = chain((h[:3] for h in hs[1:]), _walk(repeat("M"), *hs[-1][:3]))
+        lim = _limit(states, tol=1e-13).angles  # along word, then M forever
         min_limit_angle = min(min_limit_angle, min(lim.as_tuple()))
         if not min(lim.as_tuple()) > 0:
             report.add_failure(input=list(start.as_tuple()), step=-1,
@@ -356,12 +359,11 @@ def run_angle_ratio(spec: SampleSpec, lower_scale: float = 1.0,
     def orbit(report, rng, start):
         nonlocal worst_lo, worst_hi
         # small starts need no burn-in
-        (path, _, hs), _ = _burn_in(start, map(rng.choice, repeat(LETTERS)),
-                                    spec.max_steps)
+        hs, _ = _burn_in(start, map(rng.choice, repeat(LETTERS)), spec.max_steps)
         sines = [hyptrig._sin_angles(*h) for h in hs]
         for n in range(1, spec.max_steps + 1):
-            a, b, c = path[n - 1]
-            cosh_halves = math.cosh(a / 2), math.cosh(b / 2), math.cosh(c / 2)
+            p, q, r, _ = hs[n - 1]
+            cosh_halves = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
             for (i, j, k) in cycled:
                 ratio = sines[n][i] / sines[n - 1][i]
                 lo = lower_scale / cosh_halves[i]

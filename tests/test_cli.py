@@ -144,6 +144,13 @@ class TestOrbitCommand:
         assert lines[1].split(",")[1] == "-"
         assert [ln.split(",")[1] for ln in lines[2:]] == ["A", "B", "C", "M"]
 
+    def test_long_equilateral(self, capsys):
+        # at 80, tanh(edge/4) rounds to 1, so no step may rest on tanh products
+        code, out, _ = run(capsys, "orbit", "--edges", "80,80,80", "--word", "MMM")
+        assert code == 0
+        rows = [ln.split(",") for ln in out.strip().split("\n")[2:]]
+        assert len(rows) == 3 and all(float(x) > 0 for row in rows for x in row[2:8])
+
 
 class TestLimitCommand:
     def test_447_regression(self, capsys):
@@ -162,6 +169,15 @@ class TestLimitCommand:
         doc = json.loads(out)
         assert 0 < doc["residual"] < 1e-13
         assert min(doc["angles"]) > 0
+
+    def test_long_equilateral(self, capsys):
+        code, out, _ = run(capsys, "limit", "--edges", "80,80,80", "--seq", "|M")
+        assert code == 0
+        angles = json.loads(out)["angles"]
+        # the stopping state's own defect (~1.9e-14) is inside the Euclidean
+        # band, so the angles keep a third of it, unprojected
+        assert angles[0] == angles[1] == angles[2]
+        assert angles[0] == pytest.approx(math.pi / 3, rel=0, abs=1e-14)
 
     def test_bad_sequence(self, capsys):
         assert run(capsys, "limit", "--edges", "1,1,1", "--seq", "A|")[0] == 1

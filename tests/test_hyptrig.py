@@ -303,3 +303,12 @@ class TestMedialData:
             a, b, c = sample_edges(rng)
             md = medial_data(a, b, c)
             assert abs(md.mu - math.cos(area_from_edges(a, b, c) / 2)) < 1e-12
+
+    def test_mu_is_cos_half_area_to_rounding(self):
+        # mu and the area share the state (p, q, r); for long edges S/2
+        # nears pi/2, where cos itself loses the relative accuracy
+        rng = random.Random(38)
+        for _ in range(300):
+            a, b, c = sample_edges(rng)
+            cos_half = math.cos(area_from_edges(a, b, c) / 2)
+            assert medial_data(a, b, c).mu == pytest.approx(cos_half, rel=1e-15, abs=0)

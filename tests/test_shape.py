@@ -67,19 +67,22 @@ def test_record_invariants_sampled():
         assert rec.area == hyptrig.area_from_edges(a, b, c)
 
 
-@pytest.mark.parametrize("build, records", [
-    (lambda: shape_from_edges(2, 2, 3), 1),
-    (lambda: orbit("M" * 20, shape_from_edges(2, 2, 3)), 21),
+@pytest.mark.parametrize("build, counts", [
+    (lambda: shape_from_edges(2, 2, 3), (1, 1, 1)),
+    # the orbit checks and derives each child once, and takes the start's
+    # state once more to walk from it
+    (lambda: orbit("M" * 20, shape_from_edges(2, 2, 3)), (21, 2, 21)),
 ], ids=["shape", "orbit"])
-def test_one_check_and_one_derivation_per_record(monkeypatch, build, records):
-    counts = {"_check_edges": 0, "_half_sinh_sq": 0}
-    for name in counts:
+def test_one_check_and_one_derivation_per_record(monkeypatch, build, counts):
+    names = ("_check_edges", "_half_sinh_sq", "_derive")
+    seen = dict.fromkeys(names, 0)
+    for name in names:
         def counting(*args, real=getattr(hyptrig, name), name=name):
-            counts[name] += 1
+            seen[name] += 1
             return real(*args)
         monkeypatch.setattr(hyptrig, name, counting)
     build()
-    assert counts == {"_check_edges": records, "_half_sinh_sq": records}
+    assert seen == dict(zip(names, counts))
 
 
 def test_metric_distance_basics():

@@ -5,14 +5,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from trisub import hyptrig, plane_model
 from trisub.render import cell_children
 from trisub.shape import (AngleShape, EdgeLengths, metric_distance,
                           project_euclidean, shape_from_angles, shape_from_edges)
 from trisub.subdivision import (ConvergenceError, LETTERS, ORBIT_CSV_COLUMNS,
-                                apply, apply_oracle, child_edges, limit_shape,
-                                limit_shape_info, orbit)
+                                _child, apply, apply_oracle, child_edges,
+                                limit_shape, limit_shape_info, orbit)
 
 
 def sample_edges(rng, lo=0.01, hi=5.0):
@@ -23,7 +24,11 @@ def sample_edges(rng, lo=0.01, hi=5.0):
 
 
 def sin_angles(e):
-    return hyptrig._sin_angles(*hyptrig._half_sinh_sq(*e.as_tuple())[1])
+    return hyptrig._sin_angles(*hyptrig._derive(*hyptrig._half_sinh_sq(*e.as_tuple())))
+
+
+def rel_err(x, y):
+    return max(abs(u - v) / abs(v) for u, v in zip(x, y))
 
 
 class TestApply:
@@ -36,9 +41,14 @@ class TestApply:
         e = EdgeLengths(0.8, 1.1, 1.4)
         md = hyptrig.medial_data(*e.as_tuple())
         assert child_edges("M", e).as_tuple() == (md.m_a, md.m_b, md.m_c)
-        assert child_edges("A", e).as_tuple() == (md.m_a, e.b / 2, e.c / 2)
-        assert child_edges("B", e).as_tuple() == (e.a / 2, md.m_b, e.c / 2)
-        assert child_edges("C", e).as_tuple() == (e.a / 2, e.b / 2, md.m_c)
+        # a halved edge goes through sinh^2(edge/4) and back, so it may be
+        # a few ulp off (0.55 comes back as 0.5500000000000002)
+        halves = [x / 2 for x in e.as_tuple()]
+        for slot, letter in enumerate("ABC"):
+            child = list(child_edges(letter, e).as_tuple())
+            assert child.pop(slot) == md.midlines[slot]
+            assert child == pytest.approx(halves[:slot] + halves[slot + 1:],
+                                          rel=1e-15, abs=0)
 
     def test_corner_letter_preserves_its_slot_angle(self):
         rec = shape_from_edges(0.9, 1.2, 1.6)
@@ -133,8 +143,11 @@ class TestOrbit:
         assert abs(r[40] - r[20]) < 1e-10
 
     def test_record_areas_come_from_edges(self):
+        # child records take their area from the walk's state; the defect
+        # pi - (A+B+C) would be 3e-4 off by step 20
         for st in orbit("M" * 20, shape_from_edges(2, 2, 3)).steps:
-            assert st.area == hyptrig.area_from_edges(*st.edges.as_tuple())
+            expect = hyptrig.area_from_edges(*st.edges.as_tuple())
+            assert st.area == pytest.approx(expect, rel=1e-14, abs=0)
 
     def test_word_cycle_halving(self):
         rec = shape_from_edges(2, 2, 3)
@@ -175,7 +188,8 @@ class TestOrbit:
 
 
 class TestPlainLoop:
-    """orbit and limit_shape_info match a plain child_edges loop bit for bit."""
+    """orbit and limit_shape_info match a plain _child loop on the state
+    (p, q, r) bit for bit, and a plain child_edges loop to 1e-13."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_orbit(self, seed):
@@ -184,13 +198,18 @@ class TestPlainLoop:
         word = "".join(rng.sample(LETTERS * 8, 32))
         trace = orbit(word, shape_from_edges(*e.as_tuple()))
         assert [st.letter for st in trace.steps] == [None, *word]
+        state = hyptrig._half_sinh_sq(*e.as_tuple())
         for st in trace.steps:
             if st.letter is not None:
                 e = child_edges(st.letter, e)
-            assert st.edges == e
-            assert st.angles.as_tuple() == hyptrig.angles_from_edges(*e.as_tuple())
-            assert st.area == hyptrig.area_from_edges(*e.as_tuple())
-            assert st.sinh_half_edges == tuple(math.sinh(x / 2) for x in e.as_tuple())
+                state = _child(st.letter, *state)
+                assert st.edges.as_tuple() == tuple(2 * math.asinh(math.sqrt(x))
+                                                    for x in state)
+                h = hyptrig._derive(*state)
+                assert st.angles.as_tuple() == hyptrig._angles(*h)
+                assert st.area == hyptrig._area(*h)
+            assert st.sinh_half_edges == tuple(math.sqrt(x) for x in state)
+            assert rel_err(st.edges.as_tuple(), e.as_tuple()) < 1e-13
 
     @pytest.mark.parametrize("seed", range(6))
     def test_limit(self, seed):
@@ -198,14 +217,29 @@ class TestPlainLoop:
         e = sample_edges(rng)
         letters = rng.sample(LETTERS * 50, 200)
         res = limit_shape_info(iter(letters), shape_from_edges(*e.as_tuple()))
+        state = hyptrig._half_sinh_sq(*e.as_tuple())
         for n, letter in enumerate(letters, start=1):
             e = child_edges(letter, e)
-            residual = sum(math.sinh(x / 2) ** 2 for x in e.as_tuple())
-            if residual < 1e-13:
+            state = _child(letter, *state)
+            if sum(state) < 1e-13:
                 break
-        assert (res.iterations, res.residual) == (n, residual)
-        angles = AngleShape(*hyptrig.angles_from_edges(*e.as_tuple()))
+        assert (res.iterations, res.residual) == (n, sum(state))
+        angles = AngleShape(*hyptrig._angles(*hyptrig._derive(*state)))
         assert res.angles == project_euclidean(angles)
+        by_edges = project_euclidean(AngleShape(*hyptrig.angles_from_edges(*e.as_tuple())))
+        assert rel_err(res.angles.as_tuple(), by_edges.as_tuple()) < 1e-13
+
+
+@settings(max_examples=300, deadline=None)
+@given(strategies.tuples(*[strategies.floats(1e-100, 1e100)] * 3),
+       strategies.sampled_from(LETTERS))
+def test_relabelling_permutes_child_slots(state, letter):
+    # relabel (a, b, c) -> (c, a, b) and the letters A -> B -> C -> A: the
+    # child's slots permute the same way, bit for bit
+    p, q, r = state
+    relabel = {"A": "B", "B": "C", "C": "A", "M": "M"}
+    x, y, z = _child(letter, p, q, r)
+    assert _child(relabel[letter], r, p, q) == (z, x, y)
 
 
 class TestLimitShape:
@@ -270,6 +304,15 @@ class TestLimitShape:
             rec = shape_from_edges(*sample_edges(rng, 0.01, 15.0).as_tuple())
             lim = limit_shape(itertools.repeat("M"), rec)
             assert min(lim.as_tuple()) > 0
+
+    def test_angle_built_long_edges(self):
+        # tiny angles give edges of ~278 to ~692, past the Heron form's
+        # range; the walk needs none of it, and a corner keeps its angle
+        for t in (1e-60, 1e-150):
+            rec = shape_from_angles(t, t, t)
+            lim = limit_shape(itertools.repeat("M"), rec)
+            assert max(abs(x - math.pi / 3) for x in lim.as_tuple()) < 1e-14
+            assert apply("A", rec).angles.A == pytest.approx(t, rel=1e-13)
 
     def test_long_sliver_converges_in_few_steps(self):
         rec = shape_from_edges(13.140595535938424, 14.72431452329242,
