@@ -4,15 +4,18 @@ Cells are triples of hyperboloid vertices, named by integer lattice
 keys: geodesics are straight chords in the Klein disk and sampled
 polylines in the Poincare disk.  A vertex shared by several cells is
 computed, projected and formatted once, and an edge shared by two cells
-is sampled once.  Output is fully deterministic (fixed element order and
-number formatting) so renders can be compared byte for byte.
+is sampled once, its points projected and formatted in one loop.  The
+depth-first walk stops one level above the leaves; each cell there
+yields the paths of its four children as one piece, and the document
+is never held whole.  Output is fully deterministic (fixed element
+order and number formatting) so renders can be compared byte for byte.
 """
 
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import plane_model
-from .plane_model import HPoint, cell_children
+from .plane_model import cell_children
 from .shape import EdgeLengths
 from .symbolic import LETTERS, _check_letter
 
@@ -56,19 +59,16 @@ class RenderSpec:
             raise ValueError("need at least 2 samples per edge")
 
 
-def _point_text(p: HPoint, model: str) -> str:
-    x, y = plane_model.to_disk(p, model)
-    # SVG y grows downward, so y is mirrored; -0.0 + 0.0 and 0.0 - 0.0 are
-    # +0.0, so that no zero is written as "-0.000000000000"
-    return "%.12f %.12f" % (x + 0.0, 0.0 - y)
-
-
-_PATH = ('  <path d="M %s L %s L %s Z" fill="%s" stroke="%s" '
-         'stroke-width="0.004"%s />\n')
+_POINT = "%.12f %.12f"  # a point in the disk
+# a path is _HEAD, its three edge texts joined by _SEP, and a tail
+_HEAD = '  <path d="M '
+_SEP = " L "
+_TAIL = ' Z" fill="%s" stroke="%s" stroke-width="0.004"%s />\n'
+_LEAF_TAILS = {ch: _TAIL % ("none", colour, "") for ch, colour in DEFAULT_PALETTE.items()}
 
 
 def svg_lines(spec: RenderSpec, edges: EdgeLengths) -> Iterator[str]:
-    """The SVG document as lines, each ending in a newline.
+    """The SVG document as pieces, each ending in a newline.
 
     The triangle is placed before this returns, so edges that cannot be
     placed raise here rather than partway through the output.
@@ -77,63 +77,70 @@ def svg_lines(spec: RenderSpec, edges: EdgeLengths) -> Iterator[str]:
 
 
 def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[str]:
+    klein = spec.model == "klein"
     n = spec.samples_per_edge
+    ts = [i / n for i in range(n + 1)]
     # Vertices are lattice points (i, j, k), i + j + k = side, keyed by
     # i * (side + 1) + j, so the key of a midpoint is the mean of the keys
     # of its ends and each vertex is computed once.
     side = 2 ** (spec.depth if spec.word is None else len(spec.word))
     root = (side * (side + 1), side, 0)
-    points = dict(zip(root, tri))
+    points = {}
     texts = {}    # Klein: vertex key -> its formatted point
     pending = {}  # Poincare: (u, v) -> the samples from u to v, not yet used
+
+    def add(k, p):
+        points[k] = p
+        if klein:
+            # SVG y grows downward, so y is mirrored; -0.0 + 0.0 and 0.0 - 0.0
+            # are +0.0, so that no zero is written as "-0.000000000000"
+            texts[k] = _POINT % (p.x1 / p.x0 + 0.0, 0.0 - p.x2 / p.x0)
 
     def mid(ku, kv):
         k = (ku + kv) >> 1
         if k not in points:
-            points[k] = plane_model.midpoint(points[ku], points[kv])
+            add(k, plane_model.midpoint(points[ku], points[kv]))
         return k
 
-    # an edge's text is its polyline from u towards v without its end point
-    def klein_edge(ku, kv):
-        text = texts.get(ku)
-        if text is None:
-            text = texts[ku] = _point_text(points[ku], "klein")
-        return text
-
     def poincare_edge(ku, kv):
-        # All cells have the orientation of the root, so the two cells on an
-        # edge run it in opposite directions: the second takes the samples
-        # of the first backwards.  An edge of a single cell (on the outline,
-        # or any edge in word mode) stays until the render ends.
+        # the samples from u towards v, without the one at v.  All cells have
+        # the orientation of the root, so the two cells on an edge run it in
+        # opposite directions: the second takes the samples of the first
+        # backwards.  An edge of a single cell (on the outline, or any edge
+        # in word mode) stays until the render ends.
         text = pending.pop((ku, kv), None)
         if text is None:
-            pts = [_point_text(p, "poincare")
-                   for p in plane_model.geodesic_samples(points[ku], points[kv], n)]
-            text = " L ".join(pts[:n])
-            pending[kv, ku] = " L ".join(pts[n:0:-1])
+            pts = [_POINT % (x1 / (1 + x0) + 0.0, 0.0 - x2 / (1 + x0))
+                   for x0, x1, x2 in plane_model.geodesic_samples(points[ku], points[kv], ts)]
+            text = _SEP.join(pts[:n])
+            pending[kv, ku] = _SEP.join(pts[n:0:-1])
         return text
 
-    edge = klein_edge if spec.model == "klein" else poincare_edge
-
-    def path(cell, stroke, fill="none", extra=""):
+    def path(cell, tail):
         a, b, c = cell
-        return _PATH % (edge(a, b), edge(b, c), edge(c, a), fill, stroke, extra)
+        if klein:  # edges are chords, each drawn from its first vertex
+            return "".join((_HEAD, texts[a], _SEP, texts[b], _SEP, texts[c], tail))
+        e = poincare_edge
+        return "".join((_HEAD, e(a, b), _SEP, e(b, c), _SEP, e(c, a), tail))
 
+    for k, p in zip(root, tri):
+        add(k, p)
     yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.size}" '
            f'height="{spec.size}" viewBox="-1.05 -1.05 2.1 2.1">\n')
     yield ('  <circle cx="0" cy="0" r="1" fill="none" stroke="#cccccc" '
            'stroke-width="0.004" />\n')
-    yield path(root, "#000000")
+    yield path(root, _TAIL % ("none", "#000000", ""))
     if spec.word is None:
-        # depth-first, cells in A, B, C, M order
-        stack = [(root, spec.depth, None)]
+        # depth-first, cells in A, B, C, M order; a cell one level above the
+        # leaves yields the paths of its four children as one piece
+        stack = [(root, spec.depth)] if spec.depth else []
         while stack:
-            cell, depth, letter = stack.pop()
-            if depth:
-                kids = cell_children(cell, mid)
-                stack.extend((kids[ch], depth - 1, ch) for ch in reversed(LETTERS))
-            elif letter is not None:
-                yield path(cell, DEFAULT_PALETTE[letter])
+            cell, depth = stack.pop()
+            kids = cell_children(cell, mid)
+            if depth > 1:
+                stack.extend((kids[ch], depth - 1) for ch in reversed(LETTERS))
+            else:
+                yield "".join([path(kids[ch], _LEAF_TAILS[ch]) for ch in LETTERS])
     else:
         cell = root
         for i, letter in enumerate(spec.word):
@@ -141,7 +148,7 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
             last = i == len(spec.word) - 1
             fill = DEFAULT_PALETTE[letter] if last else "none"
             extra = ' fill-opacity="0.25"' if last else ""
-            yield path(cell, DEFAULT_PALETTE[letter], fill, extra)
+            yield path(cell, _TAIL % (fill, DEFAULT_PALETTE[letter], extra))
     yield "</svg>\n"
 
 

@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass
 
 from . import hyptrig, plane_model
-from .shape import (AngleShape, EdgeLengths, ShapeRecord, _record, project_euclidean,
-                    shape_from_edges)
+from .shape import AngleShape, EdgeLengths, ShapeRecord, _record, shape_from_edges
 from .symbolic import LETTERS, _check_letter  # LETTERS stays public here
 from ._fmt import csv_line
 
@@ -145,9 +144,9 @@ def limit_shape_info(seq, s0: ShapeRecord, tol: float = 1e-13,
 
     Iterates the maps on bare states and stops after the first step whose
     residual, p + q + r = the sum of sinh^2(edge/2) over the three edges,
-    is below tol; then projects the angles onto angle sum pi.  By the
+    is below tol; then scales its angles by pi/(A+B+C).  By the
     paper's Cauchy lemma the residual bounds how far ln sin of any angle
-    can still drift along the exact orbit, before projection; it does not
+    can still drift along the exact orbit, before scaling; it does not
     cover floating-point rounding.  seq is any iterable of letters; an
     eventually periodic sequence object works directly.
     """
@@ -165,8 +164,11 @@ def _limit(states, tol: float, max_iter: int = 10_000) -> LimitResult:
             raise ConvergenceError(f"no convergence within {max_iter} steps")
         residual = p + q + r
         if residual < tol:
-            angles = AngleShape(*hyptrig._angles(*hyptrig._derive(p, q, r)))
-            return LimitResult(project_euclidean(angles), n, residual)
+            # scaled here: project_euclidean leaves a sum within EUCLIDEAN_ATOL
+            # of pi as it is, and with it the stopping state's defect
+            A, B, C = hyptrig._angles(*hyptrig._derive(p, q, r))
+            k = math.pi / (A + B + C)
+            return LimitResult(AngleShape(A * k, B * k, C * k), n, residual)
     raise ValueError("letter sequence ended before convergence")
 
 
