@@ -3,8 +3,10 @@
 A triangle's state is (p, q, r) = (sinh^2(a/2), sinh^2(b/2), sinh^2(c/2)),
 taken from edges by _half_sinh_sq.  Formulas in it add and multiply
 positive terms, so nothing cancels for tiny or long edges (the Heron form
-cancels only at flat triangles).  _derive adds the Heron root; the angles,
-their sines and the area are formulas in its result.
+cancels only at flat triangles).  STEPS holds one step kernel per
+subdivision map, a straight-line function from a state to its child's.
+_derive adds the Heron root; the angles, their sines and the area are
+formulas in its result.
 """
 
 import math
@@ -70,11 +72,33 @@ def _derive(p: float, q: float, r: float):
     return p, q, r, root
 
 
-def _midline_sinh_sq(p: float, q: float, r: float, cq: float, cr: float) -> float:
-    # sinh^2(m_a/2), cq = cosh(b/2) etc.: cosh m_a = (2 + p + q + r)/(2 cq cr)
-    # and 2 + q + r - 2 cq cr = (cq - cr)^2, so only positive terms remain
+# Step kernels: a child's state from its parent's, with cp = cosh(a/2) etc.  A
+# halved edge has sinh^2(b/4) = q / (2 + 2 cq); midlines are as in medial_data.
+def _step_a(p: float, q: float, r: float) -> tuple[float, float, float]:
+    cq, cr = math.sqrt(1 + q), math.sqrt(1 + r)
     d = (q - r) / (cq + cr)
-    return (p + d * d) / (4 * cq * cr)
+    return (p + d * d) / (4 * cq * cr), q / (2 + 2 * cq), r / (2 + 2 * cr)
+
+
+def _step_b(p: float, q: float, r: float) -> tuple[float, float, float]:
+    cp, cr = math.sqrt(1 + p), math.sqrt(1 + r)
+    d = (r - p) / (cr + cp)
+    return p / (2 + 2 * cp), (q + d * d) / (4 * cr * cp), r / (2 + 2 * cr)
+
+
+def _step_c(p: float, q: float, r: float) -> tuple[float, float, float]:
+    cp, cq = math.sqrt(1 + p), math.sqrt(1 + q)
+    d = (p - q) / (cp + cq)
+    return p / (2 + 2 * cp), q / (2 + 2 * cq), (r + d * d) / (4 * cp * cq)
+
+
+def _step_m(p: float, q: float, r: float) -> tuple[float, float, float]:
+    cp, cq, cr = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
+    d, e, f = (q - r) / (cq + cr), (r - p) / (cr + cp), (p - q) / (cp + cq)
+    return (p + d * d) / (4 * cq * cr), (q + e * e) / (4 * cr * cp), (r + f * f) / (4 * cp * cq)
+
+
+STEPS = {"A": _step_a, "B": _step_b, "C": _step_c, "M": _step_m}
 
 
 def _angles(p: float, q: float, r: float, root: float) -> tuple[float, float, float]:
@@ -199,8 +223,7 @@ def medial_data(a: float, b: float, c: float) -> MedialData:
     _check_edges(a, b, c)
     p, q, r, root = _derive(*_half_sinh_sq(a, b, c))
     ch = cp, cq, cr = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
-    args = (p, q, r, cq, cr), (q, r, p, cr, cp), (r, p, q, cp, cq)
-    ms = [2 * math.asinh(math.sqrt(_midline_sinh_sq(*x))) for x in args]
+    ms = [2 * math.asinh(math.sqrt(x)) for x in _step_m(p, q, r)]
     K = 2 * cp * cq * cr
     ls = [math.asinh(x * root / (K * math.sinh(m))) for x, m in zip(ch, ms)]
     return MedialData((2 + p + q + r) / K, *ms, *ls)

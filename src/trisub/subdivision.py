@@ -11,10 +11,10 @@ four maps are the identity on Euclidean shapes:
 
 where M_x is the midpoint of edge x.  Child edges follow from the slot
 order: the corner cell at A has edges (m_a, b/2, c/2), and the medial
-cell has the three midlines (m_a, m_b, m_c).  Every orbit, in
-limit_shape_info, orbit, apply and the verify suites, steps a bare state
-(p, q, r) = (sinh^2(a/2), sinh^2(b/2), sinh^2(c/2)) through _walk, which
-validates nothing; edges appear only in records.
+cell has the three midlines (m_a, m_b, m_c).  Every step, in orbit,
+limit_shape_info, apply and the verify suites, is the kernel of its letter
+in hyptrig.STEPS on a bare state (p, q, r) = (sinh^2(a/2), sinh^2(b/2),
+sinh^2(c/2)), which validates nothing; edges appear only in records.
 """
 
 import math
@@ -34,23 +34,12 @@ class ConvergenceError(RuntimeError):
 
 
 def _child(letter: str, p: float, q: float, r: float) -> tuple[float, float, float]:
-    # the numerical core: the child's state from sqrt and arithmetic only;
-    # a halved edge has sinh^2(b/4) = q / (2 + 2 cosh(b/2))
-    _check_letter(letter)
-    cp, cq, cr = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
-    mid = hyptrig._midline_sinh_sq
-    if letter == "M":
-        return mid(p, q, r, cq, cr), mid(q, r, p, cr, cp), mid(r, p, q, cp, cq)
-    if letter == "A":
-        return mid(p, q, r, cq, cr), q / (2 + 2 * cq), r / (2 + 2 * cr)
-    if letter == "B":
-        return p / (2 + 2 * cp), mid(q, r, p, cr, cp), r / (2 + 2 * cr)
-    return p / (2 + 2 * cp), q / (2 + 2 * cq), mid(r, p, q, cp, cq)
+    return hyptrig.STEPS[letter](p, q, r)  # a checked letter's step kernel
 
 
 def _walk(letters, p: float, q: float, r: float):
     for letter in letters:
-        p, q, r = _child(letter, p, q, r)
+        p, q, r = (hyptrig.STEPS.get(letter) or _check_letter(letter))(p, q, r)
         yield p, q, r
 
 

@@ -1,7 +1,8 @@
 """Executable checks of every quantitative bound the subdivision maps obey.
 
-Each suite draws seeded samples, runs orbits, and tests the claimed
-inequalities step by step, reporting counterexamples instead of raising.
+Each suite draws seeded samples and runs orbits.  A per-step bound is
+tested over a whole orbit at once (Report.flagged), and the steps that
+break it are recorded (Report.check) as counterexamples, never raised.
 Strict inequalities are certified at binary64 resolution.  Two effects
 set the floor: deep orbits drive edges so small that the true margin
 (of order edge^2) underflows rounding and the comparison ties at zero
@@ -16,14 +17,14 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import chain, islice, repeat, starmap
-from operator import sub
+from itertools import accumulate, chain, compress, count, islice, repeat, starmap
+from operator import gt, lt, mul, sub, truediv
 
 from . import hyptrig, symbolic
 from .shape import AngleShape, EdgeLengths, ShapeRecord, metric_distance, \
     shape_from_angles, shape_from_edges
 from .subdivision import _limit, _walk, apply, limit_shape
-from .symbolic import LETTERS
+from .symbolic import LETTERS, _check_letter
 
 RESOLUTION = 1e-11
 # constant of the post-burn-in lower bound (the paper's sigma = 1 case)
@@ -63,10 +64,18 @@ class Report:
         if len(self.failures) < MAX_STORED_FAILURES:
             self.failures.append(payload)
 
+    @staticmethod
+    def flagged(observed, bounds, upper=True) -> list[int]:
+        """Indices where observed is beyond bounds by over RESOLUTION relative."""
+        if upper:
+            broken = map(gt, observed, map(mul, bounds, repeat(1 + RESOLUTION)))
+        else:
+            broken = map(lt, observed, map(mul, bounds, repeat(1 - RESOLUTION)))
+        return list(compress(count(), broken))
+
     def check(self, start, step, observed, bound, upper=True) -> bool:
-        """Record observed beyond bound (upper or lower) by over RESOLUTION relative."""
-        violated = (observed > bound * (1 + RESOLUTION) if upper
-                    else observed < bound * (1 - RESOLUTION))
+        """Record observed beyond bound as flagged tests it; the one recorder."""
+        violated = bool(self.flagged([observed], [bound], upper))
         if violated:
             self.add_failure(input=list(start.as_tuple()), step=step,
                              observed=observed, bound=bound)
@@ -122,19 +131,23 @@ def _burn_in(e: EdgeLengths, letters, steps: int):
     p, q, r = sinh^2(edge/2) are all below 1, then steps more.  Returns the
     derived states (p, q, r, root), each checked for a positive root as it
     arrives, and the burn-in length."""
-    path, burn = [], None
-    start = hyptrig._half_sinh_sq(e.a, e.b, e.c)
-    for h in starmap(hyptrig._derive, chain([start], _walk(letters, *start))):
-        if not h[3] > 0:
-            raise hyptrig.DomainError(f"state {list(h[:3])} at step {len(path)} is flat: "
+    path, burn, kernels = [], None, hyptrig.STEPS
+    p, q, r = hyptrig._half_sinh_sq(e.a, e.b, e.c)
+    while True:
+        root = math.sqrt(max(hyptrig._heron_sinh_sq(p, q, r), 0.0))  # as in _derive
+        if not 0 < root < math.inf:
+            hyptrig._derive(p, q, r)  # raises "too long" on an overflowed form
+            raise hyptrig.DomainError(f"state {[p, q, r]} at step {len(path)} is flat: "
                                       f"its Heron form is not positive")
-        path.append(h)
-        if burn is None and max(h[:3]) < 1.0:
+        path.append((p, q, r, root))
+        if burn is None and max(p, q, r) < 1.0:
             burn = len(path) - 1
         if burn is None and len(path) > 500:
             raise RuntimeError("burn-in did not terminate")
         if burn is not None and len(path) > burn + steps:
             return tuple(path), burn
+        letter = next(letters)
+        p, q, r = (kernels.get(letter) or _check_letter(letter))(p, q, r)
 
 
 def run_lemma21(spec: SampleSpec, halving_factor: float = 0.5,
@@ -152,20 +165,24 @@ def run_lemma21(spec: SampleSpec, halving_factor: float = 0.5,
         nonlocal worst_halving, worst_lower
         # burn-in segment: random letters until sinh(edge/2) < 1 on all edges
         hs, burn = _burn_in(start, map(rng.choice, repeat(LETTERS)), spec.max_steps)
-        halves = [(math.sqrt(p), math.sqrt(q), math.sqrt(r)) for p, q, r, _ in hs]
-        # step i is the i-th child; n counts the steps after burn-in
-        for i, (old, new) in enumerate(zip(halves, halves[1:]), start=1):
-            for slot in range(3):
-                worst_halving = min(worst_halving, halving_factor - new[slot] / old[slot])
-                if report.check(start, i, new[slot], halving_factor * old[slot]):
-                    report.stats["halving_violations"] += 1
+        # series of slots, new[3(i-1) + slot] at step i, after[3(n-1) + slot] at i = burn + n
+        halves = [math.sqrt(x) for h in hs for x in h[:3]]
+        old, new, after = halves[:-3], halves[3:], halves[3 * burn + 3:]
+        halving = [halving_factor * x for x in old]
+        lower = [lower_const * 2.0 ** (-n) * x for n in range(1, len(hs) - burn)
+                 for x in halves[3 * burn:3 * burn + 3]]
+        worst_halving = min(worst_halving,
+                            halving_factor - max(map(truediv, new, old), default=-math.inf))
+        worst_lower = min(worst_lower, min(map(truediv, after, lower), default=math.inf))
+        flagged = {k // 3 + 1 for k in report.flagged(new, halving)}
+        flagged.update(k // 3 + 1 + burn for k in report.flagged(after, lower, upper=False))
+        for i in sorted(flagged):
+            for k in range(3 * i - 3, 3 * i):
+                report.stats["halving_violations"] += report.check(start, i, new[k], halving[k])
             n = i - burn
-            if n > 0:
-                for slot in range(3):
-                    bound = lower_const * 2.0 ** (-n) * halves[burn][slot]
-                    worst_lower = min(worst_lower, new[slot] / bound)
-                    if report.check(start, n, new[slot], bound, upper=False):
-                        report.stats["lower_violations"] += 1
+            for k in range(max(0, 3 * n - 3), 3 * n):
+                report.stats["lower_violations"] += report.check(start, n, after[k], lower[k],
+                                                                 upper=False)
 
     report = _run_seeded("lemma21", spec, orbit,
                          stats={"halving_violations": 0, "lower_violations": 0})
@@ -186,14 +203,15 @@ def run_area_bounds(spec: SampleSpec, upper_scale: float = 1.0,
         nonlocal worst_hi, worst_lo
         hs, burn = _burn_in(start, repeat("M"), spec.max_steps)
         s0 = _sin_half_area(hs[burn])
-        for n, h in enumerate(hs[burn + 1:], start=1):
-            ratio = _sin_half_area(h) / s0
-            quarter = 4.0 ** (-n)
-            hi, lo = upper_scale * quarter, lo_scale * quarter
-            worst_hi = min(worst_hi, (hi - ratio) / hi)
-            worst_lo = min(worst_lo, (ratio - lo) / lo)
-            report.check(start, n, ratio, hi)
-            report.check(start, n, ratio, lo, upper=False)
+        # item n - 1 of each series is step n after burn-in
+        ratios = [_sin_half_area(h) / s0 for h in hs[burn + 1:]]
+        quarters = [4.0 ** (-n) for n in range(1, len(ratios) + 1)]
+        his, los = [upper_scale * x for x in quarters], [lo_scale * x for x in quarters]
+        worst_hi = min(worst_hi, min(map(truediv, map(sub, his, ratios), his), default=math.inf))
+        worst_lo = min(worst_lo, min(map(truediv, map(sub, ratios, los), los), default=math.inf))
+        for k in sorted({*report.flagged(ratios, his), *report.flagged(ratios, los, upper=False)}):
+            report.check(start, k + 1, ratios[k], his[k])
+            report.check(start, k + 1, ratios[k], los[k], upper=False)
 
     report = _run_seeded("area", spec, orbit)
     return report.finish(worst_upper_margin=worst_hi, worst_lower_margin=worst_lo)
@@ -323,18 +341,17 @@ def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
         hs, _ = _burn_in(start, iter(word), spec.max_steps)  # no burn-in
         budget = sum(hs[0][:3]) * bound_scale
         rho = [[math.log(s) for s in hyptrig._sin_angles(*h)] for h in hs]
-        reach, hi, lo = [], rho[-1], rho[-1]
-        for here in reversed(rho):
-            hi, lo = list(map(max, hi, here)), list(map(min, lo, here))
-            reach.append(max(*map(sub, hi, here), *map(sub, here, lo)))
-        for n, (here, drift) in enumerate(zip(rho, reversed(reach))):
-            bound = 2.0 ** (-n) * budget
-            worst = max(worst, drift - bound)
-            if drift > bound:  # some pair may break the guarded bound
-                # slot drifts from step n to each step n + k, k = 0, 1, ...
-                for k, there in enumerate(rho[n:]):
-                    for x, y in zip(there, here):
-                        report.check(start, [n, k], abs(x - y), bound)
+        cols = list(zip(*rho))  # per slot, its largest rise and fall from each step on
+        ups = [map(sub, reversed(list(accumulate(reversed(c), max))), c) for c in cols]
+        downs = [map(sub, c, reversed(list(accumulate(reversed(c), min)))) for c in cols]
+        reach = list(map(max, *ups, *downs))
+        bounds = [2.0 ** (-n) * budget for n in range(len(rho))]
+        worst = max(worst, *map(sub, reach, bounds))
+        for n in report.flagged(reach, bounds):  # some pair breaks the bound
+            # slot drifts from step n to each step n + k, k = 0, 1, ...
+            for k, there in enumerate(rho[n:]):
+                for x, y in zip(there, rho[n]):
+                    report.check(start, [n, k], abs(x - y), bounds[n])
         states = chain((h[:3] for h in hs[1:]), _walk(repeat("M"), *hs[-1][:3]))
         lim = _limit(states, tol=1e-13).angles  # along word, then M forever
         min_limit_angle = min(min_limit_angle, min(lim.as_tuple()))
@@ -360,18 +377,19 @@ def run_angle_ratio(spec: SampleSpec, lower_scale: float = 1.0,
         nonlocal worst_lo, worst_hi
         # small starts need no burn-in
         hs, _ = _burn_in(start, map(rng.choice, repeat(LETTERS)), spec.max_steps)
-        sines = [hyptrig._sin_angles(*h) for h in hs]
-        for n in range(1, spec.max_steps + 1):
-            p, q, r, _ = hs[n - 1]
-            cosh_halves = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
-            for (i, j, k) in cycled:
-                ratio = sines[n][i] / sines[n - 1][i]
-                lo = lower_scale / cosh_halves[i]
-                hi = upper_scale * cosh_halves[j] * cosh_halves[k]
-                worst_lo = min(worst_lo, ratio - lo)
-                worst_hi = min(worst_hi, hi - ratio)
-                report.check(start, n, ratio, lo, upper=False)
-                report.check(start, n, ratio, hi)
+        # slot series, three items per step: item 3(n-1)+i is slot i of step n
+        sines = list(chain.from_iterable(starmap(hyptrig._sin_angles, hs)))
+        ratios = list(map(truediv, sines[3:], sines[:-3]))
+        cosh_halves = [[math.sqrt(1 + x) for x in h[:3]] for h in hs[:-1]]
+        los = [lower_scale / x for ch in cosh_halves for x in ch]
+        his = [upper_scale * ch[j] * ch[k] for ch in cosh_halves for _, j, k in cycled]
+        worst_lo = min(worst_lo, min(map(sub, ratios, los), default=math.inf))
+        worst_hi = min(worst_hi, min(map(sub, his, ratios), default=math.inf))
+        flagged = {*report.flagged(ratios, los, upper=False), *report.flagged(ratios, his)}
+        for n in sorted({k // 3 + 1 for k in flagged}):
+            for k in range(3 * n - 3, 3 * n):
+                report.check(start, n, ratios[k], los[k], upper=False)
+                report.check(start, n, ratios[k], his[k])
 
     report = _run_seeded("angleratio", spec, orbit, small=True)
     return report.finish(worst_lower_margin=worst_lo, worst_upper_margin=worst_hi)

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from trisub import hyptrig
 from trisub.hyptrig import (DomainError, InconsistentInputError, TraceCoords,
@@ -312,3 +312,70 @@ class TestMedialData:
             a, b, c = sample_edges(rng)
             cos_half = math.cos(area_from_edges(a, b, c) / 2)
             assert medial_data(a, b, c).mu == pytest.approx(cos_half, rel=1e-15, abs=0)
+
+
+def reference_midline_sinh_sq(p, q, r, cq, cr):
+    # sinh^2(m_a/2) as one function of the state and two half-edge cosh values
+    d = (q - r) / (cq + cr)
+    return (p + d * d) / (4 * cq * cr)
+
+
+def reference_child(letter, p, q, r):
+    # one step as a dispatch on the letter over reference_midline_sinh_sq
+    cp, cq, cr = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
+    mid = reference_midline_sinh_sq
+    if letter == "M":
+        return mid(p, q, r, cq, cr), mid(q, r, p, cr, cp), mid(r, p, q, cp, cq)
+    if letter == "A":
+        return mid(p, q, r, cq, cr), q / (2 + 2 * cq), r / (2 + 2 * cr)
+    if letter == "B":
+        return p / (2 + 2 * cp), mid(q, r, p, cr, cp), r / (2 + 2 * cr)
+    return p / (2 + 2 * cp), q / (2 + 2 * cq), mid(r, p, q, cp, cq)
+
+
+@st.composite
+def sliver_edges(draw):
+    """Edges (a, b, c) with a short of b + c by a relative slack down to 1e-15."""
+    b, c = draw(st.floats(1e-6, 30.0)), draw(st.floats(1e-6, 30.0))
+    slack = draw(st.floats(1e-15, 0.5))
+    return draw(st.permutations([(b + c) * (1 - slack), b, c]))
+
+
+states = st.one_of(
+    st.tuples(*[st.floats(1e-300, 1e200)] * 3),  # any positive state
+    st.tuples(*[st.floats(1e-300, 1e-12)] * 3),  # tiny states
+    sliver_edges().map(lambda e: hyptrig._half_sinh_sq(*e)),
+)
+
+
+def bits(xs):
+    return [x.hex() for x in xs]
+
+
+class TestStepKernels:
+    """The straight-line kernels of STEPS against a letter dispatch over one
+    midline function, bit for bit."""
+
+    def test_one_kernel_per_letter(self):
+        assert tuple(hyptrig.STEPS) == ("A", "B", "C", "M")
+
+    @settings(max_examples=500, deadline=None)
+    @given(states)
+    def test_kernels_match_reference(self, state):
+        for letter in "ABCM":
+            assert bits(hyptrig.STEPS[letter](*state)) == bits(reference_child(letter, *state))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(sliver_edges(), st.tuples(*[st.floats(1e-8, 200.0)] * 3)))
+    def test_medial_data_midlines(self, edges):
+        a, b, c = edges
+        assume(a < b + c and b < c + a and c < a + b)
+        try:
+            md = medial_data(a, b, c)
+        except DomainError:  # the Heron form overflows
+            assume(False)
+        p, q, r, _ = hyptrig._derive(*hyptrig._half_sinh_sq(a, b, c))
+        cp, cq, cr = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
+        args = (p, q, r, cq, cr), (q, r, p, cr, cp), (r, p, q, cp, cq)
+        assert md.midlines == tuple(2 * math.asinh(math.sqrt(reference_midline_sinh_sq(*x)))
+                                    for x in args)

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from trisub.render import RenderSpec
-from trisub.shape import EdgeLengths
-from trisub.subdivision import apply_oracle, child_edges
+from trisub.shape import EdgeLengths, shape_from_edges
+from trisub.subdivision import apply, apply_oracle, child_edges, limit_shape_info, orbit
 from trisub.symbolic import (Bary, SymbolSequence, address_approx,
                              address_exact, classify, equivalent, letter_map,
                              match_prop31, REFERENCE_DIAMETER)
@@ -78,7 +78,12 @@ class TestParsing:
     lambda: child_edges("X", EdgeLengths(1.0, 1.0, 1.0)),
     lambda: apply_oracle("X", EdgeLengths(1.0, 1.0, 1.0)),
     lambda: RenderSpec(word="MX"),
-], ids=["parse", "letter_map", "child_edges", "apply_oracle", "RenderSpec"])
+    # the walk and apply look kernels up by letter
+    lambda: orbit("AX", shape_from_edges(2.0, 2.0, 3.0)),
+    lambda: limit_shape_info(iter("AMX"), shape_from_edges(2.0, 2.0, 3.0)),
+    lambda: apply("X", shape_from_edges(2.0, 2.0, 3.0)),
+], ids=["parse", "letter_map", "child_edges", "apply_oracle", "RenderSpec",
+        "orbit", "limit_shape_info", "apply"])
 def test_one_message_for_an_unknown_letter(call):
     with pytest.raises(ValueError) as exc:
         call()

@@ -275,6 +275,108 @@ class TestCauchyAllPairs:
             assert got.stats["violations"] > verify.MAX_STORED_FAILURES
 
 
+def plain_lemma21(spec, halving_factor=0.5, lower_const=verify.LOWER_CONST):
+    """run_lemma21 as a plain loop of Report.check over every step and slot."""
+    worst_halving = worst_lower = math.inf
+
+    def orbit(report, rng, start):
+        nonlocal worst_halving, worst_lower
+        hs, burn = verify._burn_in(start, map(rng.choice, repeat(LETTERS)), spec.max_steps)
+        halves = [(math.sqrt(p), math.sqrt(q), math.sqrt(r)) for p, q, r, _ in hs]
+        for i, (old, new) in enumerate(zip(halves, halves[1:]), start=1):
+            for slot in range(3):
+                worst_halving = min(worst_halving, halving_factor - new[slot] / old[slot])
+                if report.check(start, i, new[slot], halving_factor * old[slot]):
+                    report.stats["halving_violations"] += 1
+            n = i - burn
+            if n > 0:
+                for slot in range(3):
+                    bound = lower_const * 2.0 ** (-n) * halves[burn][slot]
+                    worst_lower = min(worst_lower, new[slot] / bound)
+                    if report.check(start, n, new[slot], bound, upper=False):
+                        report.stats["lower_violations"] += 1
+
+    report = verify._run_seeded("lemma21", spec, orbit,
+                                stats={"halving_violations": 0, "lower_violations": 0})
+    return report.finish(worst_halving_margin=worst_halving, worst_lower_ratio=worst_lower)
+
+
+def plain_area(spec, upper_scale=1.0, lower_scale=1.0):
+    """run_area_bounds as a plain loop of Report.check over every step."""
+    worst_hi = worst_lo = math.inf
+    lo_scale = lower_scale * math.exp(-0.5)
+
+    def orbit(report, rng, start):
+        nonlocal worst_hi, worst_lo
+        hs, burn = verify._burn_in(start, repeat("M"), spec.max_steps)
+        s0 = verify._sin_half_area(hs[burn])
+        for n, h in enumerate(hs[burn + 1:], start=1):
+            ratio = verify._sin_half_area(h) / s0
+            quarter = 4.0 ** (-n)
+            hi, lo = upper_scale * quarter, lo_scale * quarter
+            worst_hi = min(worst_hi, (hi - ratio) / hi)
+            worst_lo = min(worst_lo, (ratio - lo) / lo)
+            report.check(start, n, ratio, hi)
+            report.check(start, n, ratio, lo, upper=False)
+
+    report = verify._run_seeded("area", spec, orbit)
+    return report.finish(worst_upper_margin=worst_hi, worst_lower_margin=worst_lo)
+
+
+def plain_angle_ratio(spec, lower_scale=1.0, upper_scale=1.0):
+    """run_angle_ratio as a plain loop of Report.check over every step and slot."""
+    worst_lo = worst_hi = math.inf
+
+    def orbit(report, rng, start):
+        nonlocal worst_lo, worst_hi
+        hs, _ = verify._burn_in(start, map(rng.choice, repeat(LETTERS)), spec.max_steps)
+        sines = [_sin_angles(*h) for h in hs]
+        for n in range(1, spec.max_steps + 1):
+            p, q, r, _ = hs[n - 1]
+            cosh_halves = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
+            for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+                ratio = sines[n][i] / sines[n - 1][i]
+                lo = lower_scale / cosh_halves[i]
+                hi = upper_scale * cosh_halves[j] * cosh_halves[k]
+                worst_lo = min(worst_lo, ratio - lo)
+                worst_hi = min(worst_hi, hi - ratio)
+                report.check(start, n, ratio, lo, upper=False)
+                report.check(start, n, ratio, hi)
+
+    report = verify._run_seeded("angleratio", spec, orbit, small=True)
+    return report.finish(worst_lower_margin=worst_lo, worst_upper_margin=worst_hi)
+
+
+class TestSeriesPass:
+    """The whole-series bound checks against plain per-item loops: the same
+    failures in the same order, the same counts and the same stats."""
+
+    SUITES = {"lemma21": (verify.run_lemma21, plain_lemma21,
+                          {"halving_factor": 0.49, "lower_const": 1.0}),
+              "area": (verify.run_area_bounds, plain_area,
+                       {"upper_scale": 0.9, "lower_scale": 1.5}),
+              "angleratio": (verify.run_angle_ratio, plain_angle_ratio,
+                             {"lower_scale": 1.2, "upper_scale": 0.9})}
+
+    @pytest.mark.parametrize("plan", ["passing", "tightened", "seed-24"])
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_same_report(self, name, plan):
+        run, plain, tightened = self.SUITES[name]
+        spec = small(name)
+        kwargs = tightened if plan == "tightened" else {}
+        if plan == "seed-24":
+            spec = replace(verify.DEFAULT_SPECS[name], seed=24)
+        got, ref = run(spec, **kwargs), plain(spec, **kwargs)
+        assert got.to_json_dict() == ref.to_json_dict()
+        assert list(got.stats) == list(ref.stats)
+        if plan == "passing":
+            assert ref.passed
+        elif plan == "tightened":
+            assert ref.stats["violations"] > verify.MAX_STORED_FAILURES
+        elif name == "angleratio":
+            assert not ref.passed  # a known sliver failure
+
+
 @pytest.mark.parametrize("max_steps", [40, 5])
 def test_cauchy_limits_match_fresh_walks(monkeypatch, max_steps):
     # the suite takes each limit from the states it holds (every sample
@@ -387,22 +489,31 @@ class TestStatsKeyOrder:
         assert list(r.stats) == self.ORDERS[name]
 
 
+def fail_third_step(monkeypatch, message):
+    """Make the third step through any kernel of hyptrig.STEPS raise a
+    DomainError with message; returns the list of stepped states."""
+    calls = []
+
+    def failing(real):
+        def step(*e):
+            calls.append(e)
+            if len(calls) == 3:
+                raise DomainError(message)
+            return real(*e)
+        return step
+
+    for letter, real in list(hyptrig.STEPS.items()):
+        monkeypatch.setitem(hyptrig.STEPS, letter, failing(real))
+    return calls
+
+
 class TestErrorContext:
     """A DomainError inside an orbit names the suite and the start."""
 
     @pytest.mark.parametrize("name", ["lemma21", "area", "ratiolimit", "cauchy",
                                       "angleratio", "eq1probe"])
     def test_orbit_error_names_suite_and_start(self, monkeypatch, name):
-        real = subdivision._child
-        calls = []
-
-        def failing(letter, *e):
-            calls.append(e)
-            if len(calls) == 3:
-                raise DomainError("angle sum 3.25 exceeds pi")
-            return real(letter, *e)
-
-        monkeypatch.setattr(subdivision, "_child", failing)
+        fail_third_step(monkeypatch, "angle sum 3.25 exceeds pi")
         with pytest.raises(DomainError) as info:
             verify.run_suite(name, samples=5)
         message = str(info.value)
@@ -413,16 +524,7 @@ class TestErrorContext:
     def test_start_is_the_failing_sample(self, monkeypatch):
         # eq1probe takes one medial step per sample, so the third call is
         # the third sample's
-        real = subdivision._child
-        calls = []
-
-        def failing(letter, *e):
-            calls.append(e)
-            if len(calls) == 3:
-                raise DomainError("edge a=0.0 must be positive")
-            return real(letter, *e)
-
-        monkeypatch.setattr(subdivision, "_child", failing)
+        calls = fail_third_step(monkeypatch, "edge a=0.0 must be positive")
         spec = SampleSpec(seed=6, samples=10)
         with pytest.raises(DomainError, match="edge a=0.0") as info:
             verify.run_eq1_probe(spec)
@@ -431,6 +533,18 @@ class TestErrorContext:
         # the walk steps states (p, q, r), not edges
         assert calls == [hyptrig._half_sinh_sq(*e.as_tuple()) for e in starts]
         assert str(list(starts[2].as_tuple())) in str(info.value)
+
+    @pytest.mark.parametrize("name, run", [("lemma21", verify.run_lemma21),
+                                           ("area", verify.run_area_bounds)])
+    def test_overflow_is_too_long_not_flat(self, name, run):
+        # the start's Heron form overflows to nan, which is no positive root
+        # either: the overflow is named first
+        spec = SampleSpec(seed=1, samples=3, edge_range=(300, 400))
+        with pytest.raises(DomainError) as info:
+            run(spec)
+        message = str(info.value)
+        assert message.startswith(f"{name} orbit from [")
+        assert "too long" in message and "flat" not in message
 
     @pytest.mark.parametrize("edge_range", [(80, 90), (19, 40)])
     @pytest.mark.parametrize("name, run", [("lemma21", verify.run_lemma21),
