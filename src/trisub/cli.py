@@ -69,7 +69,8 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("equiv", help="do two sequences address the same point")
     sp.add_argument("--s", required=True, metavar="SEQ")
     sp.add_argument("--t", required=True, metavar="SEQ")
-    sp.add_argument("--horizon", type=int, default=64)
+    sp.add_argument("--horizon", type=int, default=64,
+                    help="cap on the shared block tau and on m (default 64)")
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", required=True,

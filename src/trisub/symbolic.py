@@ -6,6 +6,9 @@ shrinks to a single point whose barycentric coordinates are exact
 rationals.  Exact rational equality of those points is the ground truth
 for two sequences being addresses of the same point; the six-tail-form
 pattern matcher is validated against it, never the other way around.
+The matcher reads the forms directly: each ends in a switch letter and a
+different constant tail, so a canonical sequence has its switch at the end
+of its prefix and at most one reading per start and letter permutation.
 
 The cycle's maps compose to x -> (S*x + T)/2^|cycle| with S = +-1 and T
 an integer vector, so addresses are computed as integer numerators over
@@ -115,12 +118,6 @@ class SymbolSequence:
         while True:
             yield from self.cycle
 
-    def constant_from(self, k: int, letter: str) -> bool:
-        """True if every position >= k holds `letter` (exact check)."""
-        if any(ch != letter for ch in self.cycle):
-            return False
-        return all(ch == letter for ch in self.prefix[k:])
-
 
 def _as_seq(s) -> SymbolSequence:
     if isinstance(s, SymbolSequence):
@@ -220,38 +217,26 @@ class Prop31Match:
         }
 
 
-def _parse_tail_forms(seq: SymbolSequence, n: int, sigma: dict, m_cap: int):
-    """All (form, m, zeta) readings of seq from position n under sigma.
+def _tail_form(seq: SymbolSequence, n: int, sigma):
+    """The (form, zeta) reading of seq from position n under sigma, or None.
 
     Forms 1-3 open with sigma(A) and spell zeta with x -> sigma(B),
     y -> sigma(C); forms 4-6 open with M and use the swapped spelling.
-    Every form ends with a switch letter and a constant tail:
-    forms 1/4 switch M into sigma(A)^inf, forms 2/5 switch sigma(B) into
-    sigma(C)^inf, forms 3/6 switch sigma(C) into sigma(B)^inf.
+    A switch letter then turns into a constant tail: M into sigma(A)
+    (forms 1/4), sigma(B) into sigma(C) (2/5), sigma(C) into sigma(B) (3/6).
+    Each switch differs from its tail, and a canonical prefix p does not
+    end in its cycle letter L, so the switch is p[-1], m = len(p) - 2 - n,
+    p[n] picks the group and (p[-1], L) the form: one reading at most.
     """
-    sA, sB, sC = sigma["A"], sigma["B"], sigma["C"]
-    first = seq[n]
-    groups = []
-    if first == sA:
-        groups.append(((1, 2, 3), {sB: "x", sC: "y"}))
-    if first == "M":
-        groups.append(((4, 5, 6), {sC: "x", sB: "y"}))
-    out = []
-    for forms, spell in groups:
-        zeta = ""
-        for m in range(0, m_cap + 1):
-            switch = seq[n + 1 + m]
-            tail_at = n + 2 + m
-            if switch == "M" and seq.constant_from(tail_at, sA):
-                out.append((forms[0], m, zeta))
-            if switch == sB and seq.constant_from(tail_at, sC):
-                out.append((forms[1], m, zeta))
-            if switch == sC and seq.constant_from(tail_at, sB):
-                out.append((forms[2], m, zeta))
-            if switch not in spell:
-                break
-            zeta += spell[switch]
-    return out
+    p, (sA, sB, sC) = seq.prefix, sigma
+    ends = (("M", sA), (sB, sC), (sC, sB))
+    spell = {sB: "x", sC: "y"} if p[n] == sA else {sC: "x", sB: "y"}
+    block = p[n + 1:-1]
+    if p[n] not in (sA, "M") or (p[-1], seq.cycle) not in ends \
+            or not set(block) <= spell.keys():
+        return None
+    form = ends.index((p[-1], seq.cycle)) + (1 if p[n] == sA else 4)
+    return form, "".join(spell[ch] for ch in block)
 
 
 def match_prop31(s, t, horizon: int = 64):
@@ -260,33 +245,23 @@ def match_prop31(s, t, horizon: int = 64):
     Returns a Prop31Match or None.  Only soundness is promised: a witness
     implies exact address equality, but equal addresses may have no
     witness (edge-midpoint and midline-interior pairs fall outside the
-    six forms).
+    six forms).  horizon caps both the shared block tau and m.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     s, t = _as_seq(s), _as_seq(t)
-    if s == t:
+    p, q = s.prefix, t.prefix
+    # every form ends in a constant tail, and m fixes the prefix length
+    if s == t or len(s.cycle) != 1 or len(t.cycle) != 1 or len(p) != len(q):
         return None
-    # all six forms end in a constant tail, so both cycles must be one letter
-    if len(s.cycle) != 1 or len(t.cycle) != 1:
-        return None
-    # common prefix of the infinite words is finite and short for canonical forms
-    max_common = min(horizon, max(len(s.prefix), len(t.prefix)))
-    common = 0
-    while common <= max_common and s[common] == t[common]:
-        common += 1
-    m_cap = min(horizon, max(len(s.prefix), len(t.prefix)) + 2)
-    for n in range(0, min(common, horizon) + 1):
-        for pa, pb, pc in permutations("ABC"):
-            sigma = {"A": pa, "B": pb, "C": pc}
-            ps = _parse_tail_forms(s, n, sigma, m_cap)
-            if not ps:
-                continue
-            pt = _parse_tail_forms(t, n, sigma, m_cap)
-            for form_s, m_s, zeta_s in ps:
-                for form_t, m_t, zeta_t in pt:
-                    if form_s != form_t and m_s == m_t and zeta_s == zeta_t:
-                        tau = "".join(s[i] for i in range(n))
-                        return Prop31Match(tau, (pa, pb, pc),
-                                           zeta_s, m_s, form_s, form_t)
+    last = len(p) - 2
+    for n in range(max(0, last - horizon), min(last, horizon) + 1):
+        if p[:n] != q[:n]:
+            break
+        for sigma in permutations("ABC"):
+            read_s = _tail_form(s, n, sigma)
+            read_t = read_s and _tail_form(t, n, sigma)
+            if read_t and read_s[0] != read_t[0] and read_s[1] == read_t[1]:
+                return Prop31Match(p[:n], sigma, read_s[1], last - n,
+                                   read_s[0], read_t[0])
     return None

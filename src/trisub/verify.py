@@ -44,10 +44,14 @@ class SampleSpec:
     max_steps: int = 40
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.edge_range)):
+            raise ValueError("edge range must be finite")
         if self.edge_range[0] <= 0:
             raise ValueError("edge range must be positive")
         if self.samples < 1:
             raise ValueError("need at least one sample")
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
 
 
 @dataclass

@@ -199,7 +199,8 @@ class TestAddressCommand:
 
 
 class TestAddressGoldens:
-    """stdout of address and equiv, captured from the Fraction implementation."""
+    """stdout of address and equiv, captured from the Fraction implementation
+    and, for the later equiv cases, from the full witness search."""
 
     @pytest.mark.parametrize("argv, expected", [
         (("address", "--seq", "AM|A", "--exact"),
@@ -219,6 +220,22 @@ class TestAddressGoldens:
         (("equiv", "--s", "AM|A", "--t", "MM|A"),
          '{"equivalent": true, "prop31_form": {"prefix": "", "sigma": '
          '{"A": "A", "B": "B", "C": "C"}, "zeta": "", "m": 0, "forms": [1, 4]}}'),
+        (("equiv", "--s", "AB|C", "--t", "AC|B"),
+         '{"equivalent": true, "prop31_form": {"prefix": "", "sigma": '
+         '{"A": "A", "B": "B", "C": "C"}, "zeta": "", "m": 0, "forms": [2, 3]}}'),
+        (("equiv", "--s", "BA|C", "--t", "BC|A"),
+         '{"equivalent": true, "prop31_form": {"prefix": "", "sigma": '
+         '{"A": "B", "B": "A", "C": "C"}, "zeta": "", "m": 0, "forms": [2, 3]}}'),
+        (("equiv", "--s", "AABB|C", "--t", "AMCB|C"),
+         '{"equivalent": true, "prop31_form": {"prefix": "A", "sigma": '
+         '{"A": "A", "B": "B", "C": "C"}, "zeta": "x", "m": 1, "forms": [2, 5]}}'),
+        (("equiv", "--s", "CMABCM|A", "--t", "CMABCB|C", "--horizon", "2"),
+         '{"equivalent": true, "prop31_form": {"prefix": "CM", "sigma": '
+         '{"A": "A", "B": "B", "C": "C"}, "zeta": "xy", "m": 2, "forms": [1, 2]}}'),
+        (("equiv", "--s", "CMABCM|A", "--t", "CMABCB|C", "--horizon", "1"),
+         '{"equivalent": true, "prop31_form": null}'),
+        (("equiv", "--s", "A|BC", "--t", "M|CB"),
+         '{"equivalent": true, "prop31_form": null}'),
     ])
     def test_stdout(self, capsys, argv, expected):
         code, out, _ = run(capsys, *argv)

@@ -11,9 +11,10 @@ import pytest
 from trisub.render import RenderSpec
 from trisub.shape import EdgeLengths, shape_from_edges
 from trisub.subdivision import apply, apply_oracle, child_edges, limit_shape_info, orbit
-from trisub.symbolic import (Bary, SymbolSequence, address_approx,
-                             address_exact, classify, equivalent, letter_map,
-                             match_prop31, REFERENCE_DIAMETER)
+from trisub.symbolic import (Bary, Prop31Match, SymbolSequence,
+                             address_approx, address_exact, classify,
+                             equivalent, letter_map, match_prop31,
+                             REFERENCE_DIAMETER)
 
 CENTROID = Bary(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 
@@ -245,6 +246,158 @@ class TestMatcher:
         assert m is not None
         assert m.sigma[0] == "B"
         assert equivalent(s, t)
+
+
+def _constant_from(seq, k, letter):
+    """True if every position >= k of seq holds `letter` (exact check)."""
+    if any(ch != letter for ch in seq.cycle):
+        return False
+    return all(ch == letter for ch in seq.prefix[k:])
+
+
+def _reference_tail_forms(seq, n, sigma, m_cap):
+    """All (form, m, zeta) readings of seq from position n under sigma,
+    found by trying every m up to m_cap."""
+    sA, sB, sC = sigma["A"], sigma["B"], sigma["C"]
+    first = seq[n]
+    groups = []
+    if first == sA:
+        groups.append(((1, 2, 3), {sB: "x", sC: "y"}))
+    if first == "M":
+        groups.append(((4, 5, 6), {sC: "x", sB: "y"}))
+    out = []
+    for forms, spell in groups:
+        zeta = ""
+        for m in range(0, m_cap + 1):
+            switch = seq[n + 1 + m]
+            tail_at = n + 2 + m
+            if switch == "M" and _constant_from(seq, tail_at, sA):
+                out.append((forms[0], m, zeta))
+            if switch == sB and _constant_from(seq, tail_at, sC):
+                out.append((forms[1], m, zeta))
+            if switch == sC and _constant_from(seq, tail_at, sB):
+                out.append((forms[2], m, zeta))
+            if switch not in spell:
+                break
+            zeta += spell[switch]
+    return out
+
+
+def reference_match_prop31(s, t, horizon=64):
+    """The six-form witness search that scans every n, sigma and m; the
+    matcher must return exactly what this returns."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    s, t = (x.canonical() if isinstance(x, SymbolSequence)
+            else SymbolSequence.parse(x) for x in (s, t))
+    if s == t:
+        return None
+    if len(s.cycle) != 1 or len(t.cycle) != 1:
+        return None
+    max_common = min(horizon, max(len(s.prefix), len(t.prefix)))
+    common = 0
+    while common <= max_common and s[common] == t[common]:
+        common += 1
+    m_cap = min(horizon, max(len(s.prefix), len(t.prefix)) + 2)
+    for n in range(0, min(common, horizon) + 1):
+        for pa, pb, pc in itertools.permutations("ABC"):
+            sigma = {"A": pa, "B": pb, "C": pc}
+            ps = _reference_tail_forms(s, n, sigma, m_cap)
+            if not ps:
+                continue
+            pt = _reference_tail_forms(t, n, sigma, m_cap)
+            for form_s, m_s, zeta_s in ps:
+                for form_t, m_t, zeta_t in pt:
+                    if form_s != form_t and m_s == m_t and zeta_s == zeta_t:
+                        tau = "".join(s[i] for i in range(n))
+                        return Prop31Match(tau, (pa, pb, pc),
+                                           zeta_s, m_s, form_s, form_t)
+    return None
+
+
+def form_word(form, tau, sigma, zeta):
+    """The sequence of tail form 1-6 after tau, spelling zeta under sigma."""
+    sA, sB, sC = sigma
+    spell = {"x": sB, "y": sC} if form <= 3 else {"x": sC, "y": sB}
+    switch, tail = (("M", sA), (sB, sC), (sC, sB))[(form - 1) % 3]
+    opening = sA if form <= 3 else "M"
+    return SymbolSequence(tau + opening + "".join(spell[c] for c in zeta)
+                          + switch, tail)
+
+
+def seeded_form_pairs(n, lengths, seed):
+    """Pairs with equal prefix lengths drawn from `lengths`: form words that
+    share tau, sigma and zeta; the same with an independent sigma or zeta
+    for t; and shared-everything pairs with one letter of t changed."""
+    rng = random.Random(seed)
+
+    def word(k, alphabet="ABCM"):
+        return "".join(rng.choice(alphabet) for _ in range(k))
+    pairs = []
+    for _ in range(n):
+        size = rng.choice(lengths)
+        k = rng.randint(0, size - 2)
+        tau, zeta = word(k), word(size - 2 - k, "xy")
+        sigma = tuple(rng.sample("ABC", 3))
+        s = form_word(rng.randint(1, 6), tau, sigma, zeta)
+        kind = rng.randrange(4)
+        if kind == 1:
+            sigma = tuple(rng.sample("ABC", 3))
+        elif kind == 2:
+            zeta = word(len(zeta), "xy")
+        t = form_word(rng.randint(1, 6), tau, sigma, zeta)
+        if kind == 3:
+            i = rng.randrange(size)
+            t = SymbolSequence(t.prefix[:i] + rng.choice("ABCM")
+                               + t.prefix[i + 1:], t.cycle)
+        pairs.append((s.canonical(), t.canonical()))
+    return pairs
+
+
+class TestAgainstReferenceSearch:
+    """match_prop31 returns exactly what the full search returns."""
+
+    @pytest.mark.parametrize("horizon", [0, 1, 2, 64])
+    def test_all_short_pairs(self, universe, horizon):
+        seqs = universe[0]
+        found = 0
+        for s in seqs:
+            for t in seqs:
+                got = match_prop31(s, t, horizon)
+                assert got == reference_match_prop31(s, t, horizon), (s, t)
+                found += got is not None
+        assert found > 0
+
+    @pytest.mark.parametrize("count, lengths, horizons", [
+        (400, range(5, 13), (0, 1, 2, 3, 5, 8, 64)),
+        (150, range(60, 81), (10, 62, 63, 64, 65, 70, 100)),
+    ])
+    def test_seeded_long_prefixes(self, count, lengths, horizons):
+        found = 0
+        for s, t in seeded_form_pairs(count, lengths, seed=lengths[0]):
+            for horizon in horizons:
+                for a, b in ((s, t), (t, s)):
+                    got = match_prop31(a, b, horizon)
+                    assert got == reference_match_prop31(a, b, horizon), \
+                        (a, b, horizon)
+                    found += got is not None
+        assert found > 0
+
+    @pytest.mark.parametrize("s, t, witnessed", [
+        ("AMAA|A", "MM|A", True),
+        ("AMA|AA", "MMAAA|A", True),
+        ("ABCC|C", "ACB|BB", True),
+        ("CMABCMAA|A", "CMABCB|CC", True),
+        ("AMAA|A", "AM|A", False),
+        ("A|BCBC", "MCB|CB", False),
+        (SymbolSequence("BAC", "CC"), SymbolSequence("BCAA", "A"), True),
+        (SymbolSequence("AMCBCC", "C"), SymbolSequence("AABB", "CC"), True),
+    ])
+    def test_noncanonical_spellings(self, s, t, witnessed):
+        for horizon in (0, 1, 2, 64):
+            assert match_prop31(s, t, horizon) == \
+                reference_match_prop31(s, t, horizon)
+        assert (match_prop31(s, t) is not None) == witnessed
 
 
 @pytest.fixture(scope="module")

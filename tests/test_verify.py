@@ -28,6 +28,14 @@ class TestSpecValidation:
             SampleSpec(seed=1, samples=0)
         with pytest.raises(ValueError):
             SampleSpec(seed=1, samples=10, edge_range=(0.0, 5.0))
+        # a non-finite bound would leave _sample_edges drawing forever, and
+        # negative max_steps would check nothing and pass
+        for edge_range in ((math.nan, 1.0), (1.0, math.inf), (0.1, math.nan),
+                           (math.inf, 5.0)):
+            with pytest.raises(ValueError, match="finite"):
+                SampleSpec(seed=1, samples=2, edge_range=edge_range)
+        with pytest.raises(ValueError, match="max_steps"):
+            SampleSpec(seed=1, samples=2, max_steps=-3)
 
     @pytest.mark.parametrize("run", [verify.run_cauchy_bound, verify.run_angle_ratio])
     def test_small_start_needs_room_below_the_cap(self, run):
