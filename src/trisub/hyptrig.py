@@ -64,7 +64,16 @@ def _half_sinh_sq(a: float, b: float, c: float) -> tuple[float, float, float]:
 
 def _derive(p: float, q: float, r: float):
     # (p, q, r, root), root = sqrt of the state's Heron form; for three equal
-    # edges above ~237 4pqr overflows to inf, and above ~500 the form is nan
+    # edges above ~237 4pqr overflows to inf, and above ~500 the form is nan.
+    # Its products underflow from p ~ 1e-154, so a nonzero state below 2^-400
+    # is scaled exactly by s = 2^k: H(p, q, r) = s^2 H(p/s, q/s, r/s; cubic * s)
+    big = max(p, q, r)
+    if big < 2.0 ** -400 and big:
+        if big < 2.0 ** -1022:  # subnormal, from edges below ~3e-154
+            raise DomainError(f"edges with sinh^2(edge/2) = ({p!r}, {q!r}, {r!r}) are "
+                              f"too short: the largest is subnormal")
+        s = 2.0 ** math.frexp(big)[1]
+        return p, q, r, s * math.sqrt(max(_heron_sinh_sq(p / s, q / s, r / s, s), 0.0))
     root = math.sqrt(max(_heron_sinh_sq(p, q, r), 0.0))
     if not root < math.inf:
         raise DomainError(f"edges with sinh^2(edge/2) = ({p!r}, {q!r}, {r!r}) are "
@@ -241,10 +250,10 @@ class TraceCoords(NamedTuple):
         return cls(2 * math.cosh(a), 2 * math.cosh(b), 2 * math.cosh(c))
 
 
-def _heron_sinh_sq(p: float, q: float, r: float) -> float:
-    # Heron-like symmetric form in p = sinh^2(a/2) etc.; the only remaining
-    # cancellation is the intrinsic one at flat (degenerate) triangles.
-    return 2 * (p * q + q * r + r * p) - p * p - q * q - r * r + 4 * p * q * r
+def _heron_sinh_sq(p: float, q: float, r: float, s: float = 1.0) -> float:
+    # Heron-like symmetric form in p = sinh^2(a/2) etc. of a state divided by
+    # s; the only cancellation left is the intrinsic one at flat triangles.
+    return 2 * (p * q + q * r + r * p) - p * p - q * q - r * r + 4 * s * p * q * r
 
 
 def trace_parent_area(tc: TraceCoords) -> float:

@@ -33,10 +33,6 @@ class ConvergenceError(RuntimeError):
     """The iteration cap was hit; for valid inputs this signals a bug."""
 
 
-def _child(letter: str, p: float, q: float, r: float) -> tuple[float, float, float]:
-    return hyptrig.STEPS[letter](p, q, r)  # a checked letter's step kernel
-
-
 def _walk(letters, p: float, q: float, r: float):
     for letter in letters:
         p, q, r = (hyptrig.STEPS.get(letter) or _check_letter(letter))(p, q, r)
@@ -57,7 +53,7 @@ def apply(letter: str, s: ShapeRecord) -> ShapeRecord:
     _check_letter(letter)
     if s.is_euclidean:
         return s
-    return _record(_child(letter, *hyptrig._half_sinh_sq(*s.edges.as_tuple())))
+    return _record(hyptrig.STEPS[letter](*hyptrig._half_sinh_sq(*s.edges.as_tuple())))
 
 
 def apply_oracle(letter: str, e: EdgeLengths) -> EdgeLengths:

@@ -6,13 +6,16 @@ shrinks to a single point whose barycentric coordinates are exact
 rationals.  Exact rational equality of those points is the ground truth
 for two sequences being addresses of the same point; the six-tail-form
 pattern matcher is validated against it, never the other way around.
-The matcher reads the forms directly: each ends in a switch letter and a
-different constant tail, so a canonical sequence has its switch at the end
-of its prefix and at most one reading per start and letter permutation.
+Every SymbolSequence is canonical from construction, so nothing here
+normalises it again.  The matcher reads each tail form directly: a form
+ends in a switch letter and a different constant tail, so the switch is
+the last prefix letter, with at most one reading per start and letter
+permutation.
 
 The cycle's maps compose to x -> (S*x + T)/2^|cycle| with S = +-1 and T
 an integer vector, so addresses are computed as integer numerators over
-the dyadic denominator 2^|prefix| * (2^|cycle| - S), with no gcd per step.
+the dyadic denominator 2^|prefix| * (2^|cycle| - S), with no gcd per step,
+and an exact address is reduced once, when it is built.
 """
 
 import math
@@ -77,8 +80,9 @@ def _primitive_cycle(cycle: str) -> str:
 class SymbolSequence:
     """Eventually periodic infinite word: finite prefix, repeating cycle.
 
-    Canonical form has a primitive cycle and no trailing prefix letter
-    equal to the cycle's last letter (such letters rotate into the cycle).
+    Every sequence is stored in canonical form, whatever its spelling: the
+    cycle is primitive, and prefix letters equal to the cycle's last letter
+    rotate into the cycle, so two spellings of one word compare equal.
     """
 
     prefix: str
@@ -89,24 +93,18 @@ class SymbolSequence:
             raise ValueError("cycle must be nonempty")
         for ch in self.prefix + self.cycle:
             _check_letter(ch)
+        prefix, cycle = self.prefix, _primitive_cycle(self.cycle)
+        while prefix and prefix[-1] == cycle[-1]:
+            prefix, cycle = prefix[:-1], cycle[-1] + cycle[:-1]
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "cycle", cycle)
 
     @classmethod
     def parse(cls, text: str) -> "SymbolSequence":
-        """Parse "PREFIX|CYCLE" and canonicalize."""
+        """Parse "PREFIX|CYCLE"."""
         if text.count("|") != 1:
             raise ValueError(f"sequence text {text!r} must contain exactly one '|'")
-        prefix, cycle = text.split("|")
-        return cls(prefix, cycle).canonical()
-
-    def canonical(self) -> "SymbolSequence":
-        cycle = _primitive_cycle(self.cycle)
-        prefix = self.prefix
-        while prefix and prefix[-1] == cycle[-1]:
-            prefix = prefix[:-1]
-            cycle = cycle[-1] + cycle[:-1]
-        if prefix == self.prefix and cycle == self.cycle:
-            return self
-        return SymbolSequence(prefix, cycle)
+        return cls(*text.split("|"))
 
     def __getitem__(self, n: int) -> str:
         if n < len(self.prefix):
@@ -120,9 +118,7 @@ class SymbolSequence:
 
 
 def _as_seq(s) -> SymbolSequence:
-    if isinstance(s, SymbolSequence):
-        return s.canonical()
-    return SymbolSequence.parse(s)
+    return s if isinstance(s, SymbolSequence) else SymbolSequence.parse(s)
 
 
 def classify(s) -> str:
@@ -182,10 +178,12 @@ def address_exact(s) -> Bary:
     The cycle's composed affine map x -> (S*x + T)/2^|cycle| contracts, so
     it has a unique fixed point T/(2^|cycle| - S); the prefix maps then
     carry it to the address, over the denominator
-    2^|prefix| * (2^|cycle| - S) before reduction.
+    2^|prefix| * (2^|cycle| - S), where each coordinate is reduced once.
     """
     n, den = _numerators(_as_seq(s))
-    return Bary(*(Fraction(x, den) for x in n))
+    if sum(n) != den:  # Bary's check, in integers
+        raise ValueError("barycentric coordinates must sum to 1")
+    return tuple.__new__(Bary, [Fraction(x, den) for x in n])
 
 
 def equivalent(s, t) -> bool:

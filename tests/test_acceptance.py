@@ -141,7 +141,7 @@ def test_criterion_9_symbolic_soundness_and_approx():
               for w in itertools.product(alphabet, repeat=n)]
     for p in prefixes:
         for c in cycles:
-            s = SymbolSequence(p, c).canonical()
+            s = SymbolSequence(p, c)
             seqs[(s.prefix, s.cycle)] = s
     seqs = sorted(seqs.values(), key=lambda s: (s.prefix, s.cycle))
     addresses = {s: address_exact(s) for s in seqs}

@@ -44,10 +44,19 @@ class TestShapeCommand:
         assert min(json.loads(out)["angles"]) > 0
 
     def test_tiny_edges_keep_their_area(self, capsys):
-        code, out, _ = run(capsys, "shape", "--edges", "1e-40,1e-40,1e-40")
-        assert code == 0
-        area = json.loads(out)["area"]
-        assert area == pytest.approx(math.sqrt(3) / 4 * 1e-80, rel=1e-12, abs=0)
+        # from edges of ~1e-77 the Heron form's products underflow unless it
+        # is scaled
+        for edge in (1e-40, 1e-80, 1e-90, 1e-150):
+            code, out, _ = run(capsys, "shape", "--edges", f"{edge},{edge},{edge}")
+            assert code == 0
+            area = json.loads(out)["area"]
+            assert area == pytest.approx(math.sqrt(3) / 4 * edge * edge, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("edge", [1e-155, 1e-160])
+    def test_subnormal_state_is_too_short(self, capsys, edge):
+        code, out, err = run(capsys, "shape", "--edges", f"{edge},{edge},{edge}")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "too short" in err
 
     def test_domain_error_exit_code(self, capsys):
         code, out, err = run(capsys, "shape", "--edges", "1,2,5")

@@ -12,7 +12,7 @@ from trisub.render import cell_children
 from trisub.shape import (AngleShape, EdgeLengths, metric_distance,
                           project_euclidean, shape_from_angles, shape_from_edges)
 from trisub.subdivision import (ConvergenceError, LETTERS, ORBIT_CSV_COLUMNS,
-                                _child, apply, apply_oracle, child_edges,
+                                apply, apply_oracle, child_edges,
                                 limit_shape, limit_shape_info, orbit)
 
 
@@ -188,7 +188,7 @@ class TestOrbit:
 
 
 class TestPlainLoop:
-    """orbit and limit_shape_info match a plain _child loop on the state
+    """orbit and limit_shape_info match a plain step-kernel loop on the state
     (p, q, r) bit for bit, and a plain child_edges loop to 1e-13."""
 
     @pytest.mark.parametrize("seed", range(6))
@@ -202,7 +202,7 @@ class TestPlainLoop:
         for st in trace.steps:
             if st.letter is not None:
                 e = child_edges(st.letter, e)
-                state = _child(st.letter, *state)
+                state = hyptrig.STEPS[st.letter](*state)
                 assert st.edges.as_tuple() == tuple(2 * math.asinh(math.sqrt(x))
                                                     for x in state)
                 h = hyptrig._derive(*state)
@@ -220,7 +220,7 @@ class TestPlainLoop:
         state = hyptrig._half_sinh_sq(*e.as_tuple())
         for n, letter in enumerate(letters, start=1):
             e = child_edges(letter, e)
-            state = _child(letter, *state)
+            state = hyptrig.STEPS[letter](*state)
             if sum(state) < 1e-13:
                 break
         assert (res.iterations, res.residual) == (n, sum(state))
@@ -238,8 +238,8 @@ def test_relabelling_permutes_child_slots(state, letter):
     # child's slots permute the same way, bit for bit
     p, q, r = state
     relabel = {"A": "B", "B": "C", "C": "A", "M": "M"}
-    x, y, z = _child(letter, p, q, r)
-    assert _child(relabel[letter], r, p, q) == (z, x, y)
+    x, y, z = hyptrig.STEPS[letter](p, q, r)
+    assert hyptrig.STEPS[relabel[letter]](r, p, q) == (z, x, y)
 
 
 class TestLimitShape:

@@ -1,5 +1,6 @@
 """Tests for sequence parsing, addresses, equivalence, and the form matcher."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from trisub import symbolic
 from trisub.render import RenderSpec
 from trisub.shape import EdgeLengths, shape_from_edges
 from trisub.subdivision import apply, apply_oracle, child_edges, limit_shape_info, orbit
@@ -31,7 +33,7 @@ def enumerate_sequences(max_prefix, max_cycle):
         cycles += ["".join(w) for w in itertools.product(alphabet, repeat=n)]
     for p in prefixes:
         for c in cycles:
-            s = SymbolSequence(p, c).canonical()
+            s = SymbolSequence(p, c)
             seen[(s.prefix, s.cycle)] = s
     return sorted(seen.values(), key=lambda s: (s.prefix, s.cycle))
 
@@ -69,8 +71,49 @@ class TestParsing:
     def test_canonical_same_infinite_word(self):
         for text in ("A|A", "AA|A", "|AA", "AB|ABAB", "M|MM"):
             s = SymbolSequence.parse(text)
-            raw = SymbolSequence(*text.split("|"))
+            prefix, cycle = text.split("|")
+            raw = prefix + cycle * 12  # the text's own word
             assert [s[i] for i in range(12)] == [raw[i] for i in range(12)]
+
+
+class TestCanonicalConstruction:
+    """A SymbolSequence is canonical however it is built, so the address
+    functions never normalise it again."""
+
+    def test_constructor_rotates_prefix_into_cycle(self):
+        s = SymbolSequence("AB", "B")
+        assert (s.prefix, s.cycle) == ("A", "B")
+
+    @pytest.mark.parametrize("a, b", [
+        (SymbolSequence("AMM", "MM"), SymbolSequence("A", "M")),
+        (SymbolSequence("", "ABAB"), SymbolSequence.parse("|AB")),
+        (SymbolSequence("CAB", "AB"), SymbolSequence("C", "AB")),
+    ])
+    def test_spellings_compare_and_hash_equal(self, a, b):
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_replace_is_canonical(self):
+        s = dataclasses.replace(SymbolSequence.parse("CB|A"), cycle="BB")
+        assert (s.prefix, s.cycle) == ("C", "B")
+
+    def test_address_functions_do_not_recanonicalise(self, monkeypatch):
+        s, t = SymbolSequence.parse("AMB|C"), SymbolSequence.parse("AMC|B")
+        calls = []
+
+        def counting(cycle):
+            calls.append(cycle)
+            return cycle
+        monkeypatch.setattr(symbolic, "_primitive_cycle", counting)
+        address_exact(s)
+        assert equivalent(s, t)
+        assert match_prop31(s, t) is not None
+        assert calls == []
+
+    def test_exact_address_is_checked_in_integers(self, monkeypatch):
+        monkeypatch.setattr(symbolic, "_numerators", lambda s: ([1, 1, 1], 4))
+        with pytest.raises(ValueError, match="sum to 1"):
+            address_exact("|A")
 
 
 @pytest.mark.parametrize("call", [
@@ -120,6 +163,8 @@ class TestLetterMaps:
     def test_bary_validation(self):
         with pytest.raises(ValueError):
             Bary(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+        with pytest.raises(ValueError, match="sum to 1"):
+            Bary(1, 1, 1)
 
 
 class TestAddressApprox:
@@ -288,7 +333,7 @@ def reference_match_prop31(s, t, horizon=64):
     matcher must return exactly what this returns."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    s, t = (x.canonical() if isinstance(x, SymbolSequence)
+    s, t = (x if isinstance(x, SymbolSequence)
             else SymbolSequence.parse(x) for x in (s, t))
     if s == t:
         return None
@@ -350,7 +395,7 @@ def seeded_form_pairs(n, lengths, seed):
             i = rng.randrange(size)
             t = SymbolSequence(t.prefix[:i] + rng.choice("ABCM")
                                + t.prefix[i + 1:], t.cycle)
-        pairs.append((s.canonical(), t.canonical()))
+        pairs.append((s, t))
     return pairs
 
 
@@ -510,8 +555,7 @@ def seeded_words(n=500, seed=7):
 
     def word(lo, hi):
         return "".join(rng.choice("ABCM") for _ in range(rng.randint(lo, hi)))
-    return [SymbolSequence(word(0, 20), word(1, 40)).canonical()
-            for _ in range(n)]
+    return [SymbolSequence(word(0, 20), word(1, 40)) for _ in range(n)]
 
 
 class TestAgainstFractionOracle:

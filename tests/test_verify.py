@@ -573,7 +573,7 @@ class TestErrorContext:
 
 
 class TestBurnIn:
-    """_burn_in matches a plain _child loop on the state (p, q, r) bit for
+    """_burn_in matches a plain step-kernel loop on the state (p, q, r) bit for
     bit, and a plain child_edges loop to 1e-13."""
 
     @pytest.mark.parametrize("seed", range(6))
@@ -589,12 +589,12 @@ class TestBurnIn:
         edges = [start]
         while max(plain[-1]) >= 1.0:
             letter = next(plain_letters)
-            plain.append(subdivision._child(letter, *plain[-1]))
+            plain.append(hyptrig.STEPS[letter](*plain[-1]))
             edges.append(child_edges(letter, edges[-1]))
         plain_burn = len(plain) - 1
         for _ in range(12):
             letter = next(plain_letters)
-            plain.append(subdivision._child(letter, *plain[-1]))
+            plain.append(hyptrig.STEPS[letter](*plain[-1]))
             edges.append(child_edges(letter, edges[-1]))
 
         assert burn == plain_burn > 0
