@@ -7,10 +7,16 @@ computed, projected and formatted once, and an edge shared by two cells
 is sampled once, its points projected and formatted in one loop.  The
 depth-first walk stops one level above the leaves; each cell there
 yields the paths of its four children as one piece, and the document
-is never held whole.  Output is fully deterministic (fixed element
-order and number formatting) so renders can be compared byte for byte.
+is never held whole.  In Klein depth mode the walk has its own loop: the
+vertices of the cells above the leaf-parents are kept as coordinates and
+text, while the edge midpoints of the leaf-parents, the last-level
+vertices, are kept only as text, from the first cell on their edge until
+the second takes them (those on the outline until the render ends).
+Output is fully deterministic (fixed element order and number
+formatting) so renders can be compared byte for byte.
 """
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -130,7 +136,9 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
     yield ('  <circle cx="0" cy="0" r="1" fill="none" stroke="#cccccc" '
            'stroke-width="0.004" />\n')
     yield path(root, _TAIL % ("none", "#000000", ""))
-    if spec.word is None:
+    if spec.word is None and klein:
+        yield from _klein_leaves(points, texts, root, spec.depth)
+    elif spec.word is None:
         # depth-first, cells in A, B, C, M order; a cell one level above the
         # leaves yields the paths of its four children as one piece
         stack = [(root, spec.depth)] if spec.depth else []
@@ -150,6 +158,73 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
             extra = ' fill-opacity="0.25"' if last else ""
             yield path(cell, _TAIL % (fill, DEFAULT_PALETTE[letter], extra))
     yield "</svg>\n"
+
+
+def _klein_leaves(points, texts, root, depth):
+    # The walk of _svg_lines for Klein depth mode, with each leaf-parent cell
+    # in straight-line code.  points and texts hold the root's vertices; the
+    # vertices of the cells above the leaf-parents join them as (x0, x1, x2)
+    # tuples with their texts.  A leaf-parent's edge midpoint is the end of no
+    # other midpoint, so it is kept only as text, in pending, until the second
+    # cell on its edge pops it.  Every midpoint takes the operations of
+    # plane_model.midpoint in the same order, so it is the same to the bit.
+    sqrt = math.sqrt
+    join, head, sep = "".join, _HEAD, _SEP
+    tail_a, tail_b, tail_c, tail_m = (_LEAF_TAILS[ch] for ch in LETTERS)
+    pending = {}
+    pop = pending.pop
+
+    def vertex(ku, kv):
+        k = (ku + kv) >> 1
+        if k not in points:
+            u0, u1, u2 = points[ku]
+            v0, v1, v2 = points[kv]
+            x0, x1, x2 = u0 + v0, u1 + v1, u2 + v2
+            s = sqrt(x0 * x0 - x1 * x1 - x2 * x2)
+            x0, x1, x2 = x0 / s, x1 / s, x2 / s
+            points[k] = x0, x1, x2
+            texts[k] = _POINT % (x1 / x0 + 0.0, 0.0 - x2 / x0)
+        return k
+
+    stack = [(*root, depth)] if depth else []
+    push = stack.append
+    while stack:
+        a, b, c, depth = stack.pop()
+        if depth > 1:  # children pushed so that they pop in A, B, C, M order
+            m_a, m_b, m_c = vertex(b, c), vertex(c, a), vertex(a, b)
+            depth -= 1
+            push((m_a, m_b, m_c, depth))
+            push((m_b, m_a, c, depth))
+            push((m_c, b, m_a, depth))
+            push((a, m_c, m_b, depth))
+            continue
+        u0, u1, u2 = points[a]
+        v0, v1, v2 = points[b]
+        w0, w1, w2 = points[c]
+        m_a, m_b, m_c = (b + c) >> 1, (c + a) >> 1, (a + b) >> 1
+        t_a = pop(m_a, None)
+        if t_a is None:
+            x0, x1, x2 = v0 + w0, v1 + w1, v2 + w2
+            s = sqrt(x0 * x0 - x1 * x1 - x2 * x2)
+            x0 = x0 / s
+            t_a = pending[m_a] = _POINT % (x1 / s / x0 + 0.0, 0.0 - x2 / s / x0)
+        t_b = pop(m_b, None)
+        if t_b is None:
+            x0, x1, x2 = w0 + u0, w1 + u1, w2 + u2
+            s = sqrt(x0 * x0 - x1 * x1 - x2 * x2)
+            x0 = x0 / s
+            t_b = pending[m_b] = _POINT % (x1 / s / x0 + 0.0, 0.0 - x2 / s / x0)
+        t_c = pop(m_c, None)
+        if t_c is None:
+            x0, x1, x2 = u0 + v0, u1 + v1, u2 + v2
+            s = sqrt(x0 * x0 - x1 * x1 - x2 * x2)
+            x0 = x0 / s
+            t_c = pending[m_c] = _POINT % (x1 / s / x0 + 0.0, 0.0 - x2 / s / x0)
+        # the paths of children A (a, m_c, m_b), B (m_c, b, m_a),
+        # C (m_b, m_a, c) and M (m_a, m_b, m_c), as one piece
+        a, b, c = texts[a], texts[b], texts[c]
+        yield join((head, a, sep, t_c, sep, t_b, tail_a, head, t_c, sep, b, sep, t_a, tail_b,
+                    head, t_b, sep, t_a, sep, c, tail_c, head, t_a, sep, t_b, sep, t_c, tail_m))
 
 
 def render_svg(spec: RenderSpec, edges: EdgeLengths) -> str:

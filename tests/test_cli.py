@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -55,6 +56,15 @@ class TestShapeCommand:
     @pytest.mark.parametrize("edge", [1e-155, 1e-160])
     def test_subnormal_state_is_too_short(self, capsys, edge):
         code, out, err = run(capsys, "shape", "--edges", f"{edge},{edge},{edge}")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "too short" in err
+
+    @pytest.mark.parametrize("edge", ["1e-170", "1e-300"])
+    @pytest.mark.parametrize("command", [("shape",), ("limit", "--seq", "|M"),
+                                         ("orbit", "--word", "M")])
+    def test_zero_state_is_too_short(self, capsys, command, edge):
+        # sinh^2(edge/2) underflows to 0, where the angles would come out 0
+        code, out, err = run(capsys, *command, "--edges", f"{edge},{edge},{edge}")
         assert code == 1 and out == ""
         assert err.startswith("error:") and "too short" in err
 
@@ -516,12 +526,31 @@ class TestRenderSharing:
         (RenderSpec(model="poincare", depth=2), EdgeLengths(1e-300, 1e-300, 1e-300)),
         (RenderSpec(model="klein", depth=2), EdgeLengths(1e-16, 1.5e-16, 2e-16)),
         (RenderSpec(model="poincare", depth=2), EdgeLengths(1e-16, 1.5e-16, 2e-16)),
+        (RenderSpec(model="klein", depth=7), EDGES),
+        # long edges, where the coordinate sums of a midpoint are largest
+        (RenderSpec(model="klein", depth=4), EdgeLengths(14.9, 14.9, 14.9)),
+        (RenderSpec(model="klein", word="MACBM"), EdgeLengths(14.9, 14.9, 14.9)),
     ], ids=["klein-depth4", "poincare-depth3", "poincare-word", "klein-word",
             "klein-depth0", "poincare-depth0", "klein-depth1", "poincare-depth1",
             "klein-depth6", "poincare-depth5", "klein-1e-300", "poincare-1e-300",
-            "klein-1e-16", "poincare-1e-16"])
+            "klein-1e-16", "poincare-1e-16", "klein-depth7", "klein-long-edges",
+            "klein-word-long-edges"])
     def test_matches_cell_by_cell_reference(self, spec, edges):
         assert render_svg(spec, edges) == reference_svg(spec, edges)
+
+    def test_klein_stream_keeps_last_level_as_text_only(self):
+        # the 6,240 vertices new at the last level of a depth-7 render are
+        # held only as text, until the second cell on their edge takes them;
+        # holding every vertex as a point and its text peaked at ~2.7 MB
+        spec = RenderSpec(model="klein", depth=7)
+        tracemalloc.start()
+        try:
+            for _ in svg_lines(spec, self.EDGES):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3e6
 
     @pytest.mark.parametrize("spec", [RenderSpec(model="klein", depth=6),
                                       RenderSpec(model="poincare", depth=4)],
