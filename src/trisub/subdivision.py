@@ -33,12 +33,6 @@ class ConvergenceError(RuntimeError):
     """The iteration cap was hit; for valid inputs this signals a bug."""
 
 
-def _walk(letters, p: float, q: float, r: float):
-    for letter in letters:
-        p, q, r = (hyptrig.STEPS.get(letter) or _check_letter(letter))(p, q, r)
-        yield p, q, r
-
-
 def child_edges(letter: str, e: EdgeLengths) -> EdgeLengths:
     """Edge lengths of the chosen subdivision cell, in slot order."""
     return apply(letter, shape_from_edges(e.a, e.b, e.c)).edges
@@ -108,7 +102,8 @@ def orbit(word, s0: ShapeRecord) -> OrbitTrace:
             _check_letter(letter)
     else:
         states = [hyptrig._half_sinh_sq(*s0.edges.as_tuple())]
-        states += _walk(word, *states[0])
+        for letter in word:
+            states.append((hyptrig.STEPS.get(letter) or _check_letter(letter))(*states[-1]))
         records[1:] = map(_record, states[1:])
         halves = [tuple(map(math.sqrt, st)) for st in states]
     return OrbitTrace(tuple(
@@ -137,14 +132,20 @@ def limit_shape_info(seq, s0: ShapeRecord, tol: float = 1e-13,
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     if s0.is_euclidean:
         return LimitResult(s0.angles, 0, 0.0)
-    return _limit(_walk(seq, *hyptrig._half_sinh_sq(*s0.edges.as_tuple())), tol, max_iter)
+    return _limit(seq, *hyptrig._half_sinh_sq(*s0.edges.as_tuple()), tol, max_iter)
 
 
-def _limit(states, tol: float, max_iter: int = 10_000) -> LimitResult:
-    # the first of the states, counted from 1, whose residual is below tol
-    for n, (p, q, r) in enumerate(states, start=1):
+def _limit(letters, p: float, q: float, r: float, tol: float,
+           max_iter: int = 10_000) -> LimitResult:
+    # step (p, q, r) along the letters; stop at the first state, counted
+    # from 1, whose residual is below tol
+    steps = hyptrig.STEPS
+    for n, letter in enumerate(letters, start=1):
+        p, q, r = (steps.get(letter) or _check_letter(letter))(p, q, r)
         if n > max_iter:
             raise ConvergenceError(f"no convergence within {max_iter} steps")
         residual = p + q + r

@@ -10,7 +10,7 @@ Every SymbolSequence is canonical from construction, so nothing here
 normalises it again.  The matcher reads each tail form directly: a form
 ends in a switch letter and a different constant tail, so the switch is
 the last prefix letter, with at most one reading per start and letter
-permutation.
+permutation, and the (switch, tail) pair admits at most two permutations.
 
 The cycle's maps compose to x -> (S*x + T)/2^|cycle| with S = +-1 and T
 an integer vector, so addresses are computed as integer numerators over
@@ -21,9 +21,10 @@ and an exact address is reduced once, when it is built.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, cycle, permutations
 
 LETTERS = ("A", "B", "C", "M")
+_LETTER_SET = frozenset(LETTERS)
 
 # Barycentric affine maps of the four cells.
 # Corner cells: x -> (x + e_L)/2; medial cell: x -> (1 - x)/2.
@@ -68,12 +69,9 @@ def letter_map(letter: str):
     return f
 
 
-def _primitive_cycle(cycle: str) -> str:
-    n = len(cycle)
-    for d in range(1, n + 1):
-        if n % d == 0 and cycle == cycle[:d] * (n // d):
-            return cycle[:d]
-    return cycle
+def _primitive_cycle(c: str) -> str:
+    # c's shortest period is where c first recurs inside c + c; it divides len(c)
+    return c[:(c + c).find(c, 1)]
 
 
 @dataclass(frozen=True)
@@ -91,8 +89,9 @@ class SymbolSequence:
     def __post_init__(self):
         if not self.cycle:
             raise ValueError("cycle must be nonempty")
-        for ch in self.prefix + self.cycle:
-            _check_letter(ch)
+        if not _LETTER_SET.issuperset(self.prefix + self.cycle):
+            for ch in self.prefix + self.cycle:
+                _check_letter(ch)  # names the first bad letter
         prefix, cycle = self.prefix, _primitive_cycle(self.cycle)
         while prefix and prefix[-1] == cycle[-1]:
             prefix, cycle = prefix[:-1], cycle[-1] + cycle[:-1]
@@ -107,14 +106,14 @@ class SymbolSequence:
         return cls(*text.split("|"))
 
     def __getitem__(self, n: int) -> str:
+        if n < 0:
+            raise IndexError(f"index {n}: an infinite word has no last letter")
         if n < len(self.prefix):
             return self.prefix[n]
         return self.cycle[(n - len(self.prefix)) % len(self.cycle)]
 
     def __iter__(self):
-        yield from self.prefix
-        while True:
-            yield from self.cycle
+        return chain(self.prefix, cycle(self.cycle))
 
 
 def _as_seq(s) -> SymbolSequence:
@@ -137,14 +136,18 @@ def _push(letters, n, den):
     Returns integer numerators over den * 2^len(letters): a corner letter L
     adds den to n_L, M replaces n by den - n, and every letter doubles den.
     """
-    n = list(n)
+    a, b, c = n
     for letter in reversed(letters):
         if letter == "M":
-            n = [den - x for x in n]
+            a, b, c = den - a, den - b, den - c
+        elif letter == "A":
+            a += den
+        elif letter == "B":
+            b += den
         else:
-            n["ABC".index(letter)] += den
+            c += den
         den *= 2
-    return n, den
+    return (a, b, c), den
 
 
 def _numerators(s: SymbolSequence):
@@ -237,6 +240,14 @@ def _tail_form(seq: SymbolSequence, n: int, sigma):
     return form, "".join(spell[ch] for ch in block)
 
 
+# The sigmas under which a prefix ending in `switch` before the constant
+# tail `tail` can read as a form: M -> sigma(A), sigma(B) -> sigma(C) or
+# sigma(C) -> sigma(B).  At most two, in permutations("ABC") order.
+_SIGMAS = {(switch, tail): tuple(sg for sg in permutations("ABC") if (switch, tail)
+                                 in (("M", sg[0]), (sg[1], sg[2]), (sg[2], sg[1])))
+           for switch in LETTERS for tail in LETTERS}
+
+
 def match_prop31(s, t, horizon: int = 64):
     """Search for a six-form witness that s and t address the same point.
 
@@ -250,13 +261,14 @@ def match_prop31(s, t, horizon: int = 64):
     s, t = _as_seq(s), _as_seq(t)
     p, q = s.prefix, t.prefix
     # every form ends in a constant tail, and m fixes the prefix length
-    if s == t or len(s.cycle) != 1 or len(t.cycle) != 1 or len(p) != len(q):
+    if s == t or len(s.cycle) != 1 or len(t.cycle) != 1 or len(p) != len(q) \
+            or len(p) < 2:
         return None
-    last = len(p) - 2
+    sigmas, last = _SIGMAS[p[-1], s.cycle], len(p) - 2
     for n in range(max(0, last - horizon), min(last, horizon) + 1):
         if p[:n] != q[:n]:
             break
-        for sigma in permutations("ABC"):
+        for sigma in sigmas:
             read_s = _tail_form(s, n, sigma)
             read_t = read_s and _tail_form(t, n, sigma)
             if read_t and read_s[0] != read_t[0] and read_s[1] == read_t[1]:

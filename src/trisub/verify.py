@@ -23,7 +23,7 @@ from operator import gt, lt, mul, sub, truediv
 from . import hyptrig, symbolic
 from .shape import AngleShape, EdgeLengths, ShapeRecord, metric_distance, \
     shape_from_angles, shape_from_edges
-from .subdivision import _limit, _walk, apply, limit_shape
+from .subdivision import _limit, apply, limit_shape
 from .symbolic import LETTERS, _check_letter
 
 RESOLUTION = 1e-11
@@ -307,7 +307,7 @@ def run_eq1_probe(spec: SampleSpec) -> Report:
 
     def orbit(report, rng, e):
         h = hyptrig._derive(*hyptrig._half_sinh_sq(e.a, e.b, e.c))
-        probed = hyptrig._angles(*hyptrig._derive(*next(_walk("M", *h[:3]))))
+        probed = hyptrig._angles(*hyptrig._derive(*hyptrig.STEPS["M"](*h[:3])))
         delta = max(abs(x - y) for x, y in zip(hyptrig._angles(*h), probed))
         area = hyptrig._area(*h)
         deltas.append(delta)
@@ -356,8 +356,8 @@ def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
             for k, there in enumerate(rho[n:]):
                 for x, y in zip(there, rho[n]):
                     report.check(start, [n, k], abs(x - y), bounds[n])
-        states = chain((h[:3] for h in hs[1:]), _walk(repeat("M"), *hs[-1][:3]))
-        lim = _limit(states, tol=1e-13).angles  # along word, then M forever
+        # from the start along word, then M forever
+        lim = _limit(chain(word, repeat("M")), *hs[0][:3], tol=1e-13).angles
         min_limit_angle = min(min_limit_angle, min(lim.as_tuple()))
         if not min(lim.as_tuple()) > 0:
             report.add_failure(input=list(start.as_tuple()), step=-1,

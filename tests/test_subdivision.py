@@ -12,8 +12,11 @@ from trisub.render import cell_children
 from trisub.shape import (AngleShape, EdgeLengths, metric_distance,
                           project_euclidean, shape_from_angles, shape_from_edges)
 from trisub.subdivision import (ConvergenceError, LETTERS, ORBIT_CSV_COLUMNS,
-                                apply, apply_oracle, child_edges,
+                                LimitResult, apply, apply_oracle, child_edges,
                                 limit_shape, limit_shape_info, orbit)
+from trisub.symbolic import _check_letter
+
+from test_symbolic import enumerate_sequences
 
 
 def sample_edges(rng, lo=0.01, hi=5.0):
@@ -228,6 +231,84 @@ class TestPlainLoop:
         assert res.angles.as_tuple() == tuple(x * (math.pi / sum(angles)) for x in angles)
         by_edges = project_euclidean(AngleShape(*hyptrig.angles_from_edges(*e.as_tuple())))
         assert rel_err(res.angles.as_tuple(), by_edges.as_tuple()) < 1e-13
+
+
+def reference_limit(seq, s0, tol=1e-13, max_iter=10_000):
+    """limit_shape_info as a generator walk over the states feeding a
+    separate stopping loop: the same steps, in a form easy to check."""
+    def walk(letters, p, q, r):
+        for letter in letters:
+            p, q, r = (hyptrig.STEPS.get(letter) or _check_letter(letter))(p, q, r)
+            yield p, q, r
+
+    states = walk(seq, *hyptrig._half_sinh_sq(*s0.edges.as_tuple()))
+    for n, (p, q, r) in enumerate(states, start=1):
+        if n > max_iter:
+            raise ConvergenceError(f"no convergence within {max_iter} steps")
+        residual = p + q + r
+        if residual < tol:
+            A, B, C = hyptrig._angles(*hyptrig._derive(p, q, r))
+            k = math.pi / (A + B + C)
+            return LimitResult(AngleShape(A * k, B * k, C * k), n, residual)
+    raise ValueError("letter sequence ended before convergence")
+
+
+def outcome(limit, *args, **kwargs):
+    """The result of a limit call, or the type and text of what it raised."""
+    try:
+        return limit(*args, **kwargs)
+    except (ValueError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
+class TestLimitLoop:
+    """limit_shape_info steps and stops in one loop; it must match the
+    reference walk bit for bit, errors included."""
+
+    @pytest.fixture(scope="class")
+    def starts(self):
+        rng = random.Random(67)
+        by_edges = [shape_from_edges(*sample_edges(rng).as_tuple()) for _ in range(3)]
+        by_angles = []
+        while len(by_angles) < 3:
+            w = [rng.random() for _ in range(3)]
+            total = math.pi - rng.uniform(0.05, 3.0)
+            angles = [total * x / sum(w) for x in w]
+            if min(angles) > 0.01:
+                by_angles.append(shape_from_angles(*angles))
+        return by_edges + by_angles
+
+    def test_sequences_and_iterators(self, starts):
+        seqs = enumerate_sequences(max_prefix=2, max_cycle=2)
+        for seq, s0 in itertools.product(seqs, starts):
+            ref = reference_limit(iter(seq), s0)
+            for letters in (seq, iter(seq)):
+                res = limit_shape_info(letters, s0)
+                assert (res.angles.as_tuple(), res.iterations, res.residual) == \
+                    (ref.angles.as_tuple(), ref.iterations, ref.residual), seq
+
+    @pytest.mark.parametrize("letters, kwargs", [
+        ("M" * 50, {"max_iter": 3}),
+        ("M" * 50, {"max_iter": 1}),
+        ("M", {}),
+        ("", {}),
+        ("AMX", {}),
+        ("MMM", {"max_iter": 3}),
+        ("MMMX", {"max_iter": 3}),
+    ])
+    def test_errors(self, starts, letters, kwargs):
+        for s0 in starts:
+            got = outcome(limit_shape_info, iter(letters), s0, **kwargs)
+            assert got == outcome(reference_limit, iter(letters), s0, **kwargs)
+            assert isinstance(got, tuple)  # every case raises
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_bad_iteration_cap(self, max_iter):
+        # checked before the Euclidean shortcut, as tol is
+        eu = shape_from_angles(math.pi / 3, math.pi / 3, math.pi / 3)
+        for s0 in (shape_from_edges(1, 1, 1), eu):
+            with pytest.raises(ValueError, match="max_iter"):
+                limit_shape_info(iter("M"), s0, max_iter=max_iter)
 
 
 @settings(max_examples=300, deadline=None)

@@ -68,6 +68,18 @@ class TestParsing:
         it = iter(s)
         assert "".join(next(it) for _ in range(6)) == "ABCMCM"
 
+    @pytest.mark.parametrize("text", ["AB|M", "|AC"])
+    def test_no_index_from_the_end(self, text):
+        # an infinite word has no last letter
+        s = SymbolSequence.parse(text)
+        for n in (-1, -2, -5):
+            with pytest.raises(IndexError, match="no last letter"):
+                s[n]
+
+    def test_iteration_matches_indexing(self):
+        for s in enumerate_sequences(max_prefix=3, max_cycle=3):
+            assert list(itertools.islice(s, 40)) == [s[i] for i in range(40)], s
+
     def test_canonical_same_infinite_word(self):
         for text in ("A|A", "AA|A", "|AA", "AB|ABAB", "M|MM"):
             s = SymbolSequence.parse(text)
@@ -92,6 +104,15 @@ class TestCanonicalConstruction:
     def test_spellings_compare_and_hash_equal(self, a, b):
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
+
+    def test_primitive_cycle_matches_divisor_search(self):
+        def by_divisors(cycle):
+            n = len(cycle)
+            return next(cycle[:d] for d in range(1, n + 1)
+                        if n % d == 0 and cycle == cycle[:d] * (n // d))
+        for n in range(1, 9):
+            for word in map("".join, itertools.product("ABCM", repeat=n)):
+                assert symbolic._primitive_cycle(word) == by_divisors(word), word
 
     def test_replace_is_canonical(self):
         s = dataclasses.replace(SymbolSequence.parse("CB|A"), cycle="BB")
@@ -368,6 +389,23 @@ def form_word(form, tau, sigma, zeta):
     opening = sA if form <= 3 else "M"
     return SymbolSequence(tau + opening + "".join(spell[c] for c in zeta)
                           + switch, tail)
+
+
+def test_sigma_table_matches_the_six_forms():
+    # every (switch, tail) pair that a form spells under sigma, found by
+    # spelling all six forms under all six sigmas, in permutations order
+    expected = {}
+    for sigma in itertools.permutations("ABC"):
+        for form in range(1, 7):
+            seq = form_word(form, "", sigma, "")
+            found = expected.setdefault((seq.prefix[-1], seq.cycle), [])
+            if sigma not in found:
+                found.append(sigma)
+    pairs = list(itertools.product("ABCM", repeat=2))
+    assert sorted(symbolic._SIGMAS) == pairs
+    for pair in pairs:
+        assert symbolic._SIGMAS[pair] == tuple(expected.get(pair, ())), pair
+    assert max(map(len, symbolic._SIGMAS.values())) == 2
 
 
 def seeded_form_pairs(n, lengths, seed):

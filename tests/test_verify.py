@@ -387,13 +387,13 @@ class TestSeriesPass:
 
 @pytest.mark.parametrize("max_steps", [40, 5])
 def test_cauchy_limits_match_fresh_walks(monkeypatch, max_steps):
-    # the suite takes each limit from the states it holds (every sample
-    # stops by step 40) or walks on from the last one with M; either way
-    # it is the limit of a fresh walk along word + M^inf, bit for bit
+    # the suite walks each start along word + M^inf (every sample stops by
+    # step 40, so with 5 steps the M tail decides); either way it is the
+    # limit of a fresh walk along word + M^inf, bit for bit
     limits = []
 
-    def spy(states, tol, max_iter=10_000):
-        limits.append(subdivision._limit(states, tol, max_iter))
+    def spy(letters, p, q, r, tol, max_iter=10_000):
+        limits.append(subdivision._limit(letters, p, q, r, tol, max_iter))
         return limits[-1]
 
     monkeypatch.setattr(verify, "_limit", spy)
