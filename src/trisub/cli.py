@@ -8,6 +8,7 @@ success, 1 on a domain error, 2 when an asserting verify suite fails,
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -43,7 +44,12 @@ def _triple(text: str) -> tuple[float, float, float]:
         raise argparse.ArgumentTypeError(f"bad number in {text!r}")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every subcommand, built on the first call of a process.
+
+    Parsing leaves the parser unchanged, so each main call shares it.
+    """
     p = _Parser(prog="trisub", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

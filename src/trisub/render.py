@@ -4,7 +4,14 @@ Cells are triples of hyperboloid vertices, named by integer lattice
 keys: geodesics are straight chords in the Klein disk and sampled
 polylines in the Poincare disk.  A vertex shared by several cells is
 computed, projected and formatted once, and an edge shared by two cells
-is sampled once, its points projected and formatted in one loop.  The
+is sampled once.  One loop per Poincare edge does the arithmetic of
+plane_model.geodesic_samples in the same order and projects each
+sample: the weights sinh(t d) / sinh(d) of one end, read backwards, are
+those of the other when every 1 - t is again a parameter (a power-of-two
+sample count), so each sample takes one sinh; the end samples are the
+vertices' own cached texts; and the inner samples are formatted by one
+%-template per edge, split and reversed for the cell that runs the edge
+the other way.  The
 depth-first walk stops one level above the leaves; each cell there
 yields the paths of its four children as one piece, and the document
 is never held whole.  In Klein depth mode the walk has its own loop: the
@@ -86,21 +93,33 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
     klein = spec.model == "klein"
     n = spec.samples_per_edge
     ts = [i / n for i in range(n + 1)]
+    inner = ts[1:n]
+    # With n a power of two, 1 - i/n is exactly (n - i)/n, so the weights of
+    # u along an edge are those of v read backwards
+    mirrored = all(1 - t == s for t, s in zip(inner, reversed(inner)))
+    template = _SEP.join([_POINT] * (n - 1))  # the n - 1 inner samples
     # Vertices are lattice points (i, j, k), i + j + k = side, keyed by
     # i * (side + 1) + j, so the key of a midpoint is the mean of the keys
     # of its ends and each vertex is computed once.
     side = 2 ** (spec.depth if spec.word is None else len(spec.word))
     root = (side * (side + 1), side, 0)
     points = {}
-    texts = {}    # Klein: vertex key -> its formatted point
+    texts = {}    # vertex key -> its formatted point
     pending = {}  # Poincare: (u, v) -> the samples from u to v, not yet used
 
     def add(k, p):
         points[k] = p
+        x0, x1, x2 = p
         if klein:
             # SVG y grows downward, so y is mirrored; -0.0 + 0.0 and 0.0 - 0.0
             # are +0.0, so that no zero is written as "-0.000000000000"
-            texts[k] = _POINT % (p.x1 / p.x0 + 0.0, 0.0 - p.x2 / p.x0)
+            texts[k] = _POINT % (x1 / x0 + 0.0, 0.0 - x2 / x0)
+        else:
+            # the sample at either end of an edge: weights 1.0 and 0.0 give
+            # the vertex itself, put back on the sheet and projected
+            s = math.sqrt(x0 * x0 - x1 * x1 - x2 * x2)
+            y = 1 + x0 / s
+            texts[k] = _POINT % (x1 / s / y + 0.0, 0.0 - x2 / s / y)
 
     def mid(ku, kv):
         k = (ku + kv) >> 1
@@ -115,12 +134,34 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
         # backwards.  An edge of a single cell (on the outline, or any edge
         # in word mode) stays until the render ends.
         text = pending.pop((ku, kv), None)
-        if text is None:
+        if text is not None:
+            return text
+        u, v = points[ku], points[kv]
+        d = plane_model.dist(u, v)
+        if d < 1e-15:  # interpolated linearly, so the end at v is not v
             pts = [_POINT % (x1 / (1 + x0) + 0.0, 0.0 - x2 / (1 + x0))
-                   for x0, x1, x2 in plane_model.geodesic_samples(points[ku], points[kv], ts)]
-            text = _SEP.join(pts[:n])
+                   for x0, x1, x2 in plane_model.geodesic_samples(u, v, ts)]
             pending[kv, ku] = _SEP.join(pts[n:0:-1])
-        return text
+            return _SEP.join(pts[:n])
+        # the operations of plane_model.geodesic_samples in the same order,
+        # each sample projected as in the branch above, in one loop
+        sinh, sqrt = math.sinh, math.sqrt
+        sinh_d = sinh(d)
+        wv = [sinh(t * d) / sinh_d for t in inner]
+        wu = wv[::-1] if mirrored else [sinh((1 - t) * d) / sinh_d for t in inner]
+        u0, u1, u2 = u
+        v0, v1, v2 = v
+        xy = []
+        push = xy.append
+        for a, b in zip(wu, wv):
+            x0, x1, x2 = a * u0 + b * v0, a * u1 + b * v1, a * u2 + b * v2
+            s = sqrt(x0 * x0 - x1 * x1 - x2 * x2)
+            y = 1 + x0 / s
+            push(x1 / s / y + 0.0)
+            push(0.0 - x2 / s / y)
+        text = template % tuple(xy)
+        pending[kv, ku] = _SEP.join([texts[kv], *reversed(text.split(_SEP))])
+        return _SEP.join((texts[ku], text))
 
     def path(cell, tail):
         a, b, c = cell

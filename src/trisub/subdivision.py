@@ -130,8 +130,8 @@ def limit_shape_info(seq, s0: ShapeRecord, tol: float = 1e-13,
     cover floating-point rounding.  seq is any iterable of letters; an
     eventually periodic sequence object works directly.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:  # an infinite tol would stop at any residual
+        raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if s0.is_euclidean:

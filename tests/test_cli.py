@@ -1,6 +1,7 @@
 """Tests for the command-line interface and SVG rendering."""
 
 import gc
+import hashlib
 import json
 import math
 import os
@@ -85,6 +86,23 @@ class TestShapeCommand:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
         assert run(capsys, "limit", "--help")[0] == 0
+
+    def test_parser_is_shared_across_calls(self, capsys):
+        # two commands, a usage error and --help in one process, each
+        # against the same call on a freshly built parser
+        argvs = [("shape", "--edges", "1.1,1.2,1.3"),
+                 ("limit", "--edges", "4,4,7", "--seq", "|M"),
+                 ("shape", "--edges", "1,1,1", "--bogus"),
+                 ("--help",)]
+        cli.build_parser.cache_clear()
+        shared = [run(capsys, *argv) for argv in argvs]
+        assert cli.build_parser() is cli.build_parser()
+        fresh = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 64, 0]
 
 
 class TestLongEdges:
@@ -200,6 +218,13 @@ class TestLimitCommand:
 
     def test_bad_sequence(self, capsys):
         assert run(capsys, "limit", "--edges", "1,1,1", "--seq", "A|")[0] == 1
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-13"])
+    def test_bad_tolerance(self, capsys, tol):
+        # --tol inf stopped after one step and printed residual 6.25... as a limit
+        code, out, err = run(capsys, "limit", "--edges", "4,4,7", "--seq", "|M", f"--tol={tol}")
+        assert code == 1 and out == ""
+        assert "tol must be positive and finite" in err
 
 
 class TestAddressCommand:
@@ -530,11 +555,12 @@ class TestRenderSharing:
         # long edges, where the coordinate sums of a midpoint are largest
         (RenderSpec(model="klein", depth=4), EdgeLengths(14.9, 14.9, 14.9)),
         (RenderSpec(model="klein", word="MACBM"), EdgeLengths(14.9, 14.9, 14.9)),
+        (RenderSpec(model="poincare", depth=3), EdgeLengths(14.9, 14.9, 14.9)),
     ], ids=["klein-depth4", "poincare-depth3", "poincare-word", "klein-word",
             "klein-depth0", "poincare-depth0", "klein-depth1", "poincare-depth1",
             "klein-depth6", "poincare-depth5", "klein-1e-300", "poincare-1e-300",
             "klein-1e-16", "poincare-1e-16", "klein-depth7", "klein-long-edges",
-            "klein-word-long-edges"])
+            "klein-word-long-edges", "poincare-long-edges"])
     def test_matches_cell_by_cell_reference(self, spec, edges):
         assert render_svg(spec, edges) == reference_svg(spec, edges)
 
@@ -571,6 +597,41 @@ class TestRenderSharing:
         ulps = [abs(int(g.replace(".", "")) - int(w.replace(".", "")))
                 for g, w in zip(got_nums, want_nums)]
         assert max(ulps) <= 1
+
+    # sha256 of the document, pinned for the sample counts whose weights of u
+    # are read backwards from those of v (32, 2) and those where they are
+    # computed on their own (12, 7)
+    @pytest.mark.parametrize("n, kw, edges, digest", [
+        (32, {"depth": 3}, (2, 2, 3),
+         "5af3508aee46679760e1a15c2670b415a811b232bdf1c223819defdac63a11ca"),
+        (32, {"depth": 3}, (1.3, 0.7, 1.1),
+         "c9cc4f9cbb4f11b26dfe7ff1e4f82f400548771ba450bf7ee47d82d6e196ec40"),
+        (32, {"word": "MMABCA"}, (1.3, 0.7, 1.1),
+         "9fbf69bbed4a6b76450fbfc46e484a78c9dd9b74fdffe93a0a2c7a92ca82bade"),
+        (12, {"depth": 3}, (2, 2, 3),
+         "2143b40aba0cb18ff7623aaf481d74a2e3d4576fd023e52bde559374dce4e14d"),
+        (12, {"depth": 3}, (1.3, 0.7, 1.1),
+         "76816d20902f5d238987c8b85c6fe5ba04437b2bf9e23566694c8db31ed63695"),
+        (12, {"word": "MMABCA"}, (1.3, 0.7, 1.1),
+         "791854b9264fab4ffaa6ca8ddeb2300643904f412f37096b002954b10ce99b05"),
+        (7, {"depth": 3}, (2, 2, 3),
+         "acc445e25b19f3d898d5462c1dee3dcaba556c4aaacf69c31f2c9e5e8f16686a"),
+        (7, {"depth": 3}, (1.3, 0.7, 1.1),
+         "0cc88a072a15f83f5063d990c9313df023d11b53f531fa527814b3b35b05b85a"),
+        (7, {"word": "MMABCA"}, (1.3, 0.7, 1.1),
+         "6fb8677557c8de2fab9bb2f8ab1806d1e28242d77aef3f9bd23cbfcb230ddee7"),
+        (2, {"depth": 3}, (2, 2, 3),
+         "7a6e23114beef1c2de94118275bfdd6ba64a9c31e9630ca31e725b2b3263a510"),
+        (2, {"depth": 3}, (1.3, 0.7, 1.1),
+         "4838313d2ec3f29ca36ce2cac3770eb38a460c16f8c0b2207f72c318fa32d39d"),
+        (2, {"word": "MMABCA"}, (1.3, 0.7, 1.1),
+         "a99d4d4bd6171d255a269db721d2f308371246651b6a01ffedc757f132ee83a7"),
+    ], ids=[f"{n}-{name}" for n in (32, 12, 7, 2)
+            for name in ("depth3-2,2,3", "depth3-1.3,0.7,1.1", "MMABCA")])
+    def test_poincare_bytes_are_pinned(self, n, kw, edges, digest):
+        spec = RenderSpec(model="poincare", samples_per_edge=n, **kw)
+        svg = render_svg(spec, EdgeLengths(*edges))
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("depth", [1, 2, 4])
     def test_one_distance_per_edge_one_midpoint_per_vertex(self, monkeypatch, depth):

@@ -416,6 +416,12 @@ class TestLimitShape:
         with pytest.raises(ValueError):
             limit_shape_info(iter("M"), shape_from_edges(1, 1, 1), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_tolerance_must_be_finite(self, tol):
+        # an infinite tol stopped after one step, as if any residual were a limit
+        with pytest.raises(ValueError, match="positive and finite"):
+            limit_shape_info(iter("M"), shape_from_edges(4, 4, 7), tol=tol)
+
 
 def test_cauchy_drift_bound_sampled():
     rng = random.Random(61)
