@@ -23,7 +23,7 @@ from operator import gt, lt, mul, sub, truediv
 from . import hyptrig, symbolic
 from .shape import AngleShape, EdgeLengths, ShapeRecord, metric_distance, \
     shape_from_angles, shape_from_edges
-from .subdivision import _limit, apply, limit_shape
+from .subdivision import LimitResult, _euclidean, _limit, apply, limit_shape
 from .symbolic import LETTERS, _check_letter
 
 RESOLUTION = 1e-11
@@ -130,28 +130,64 @@ def _sin_half_area(h) -> float:
     return math.sin(hyptrig._area(*h) / 2)
 
 
+def _letters(rng: random.Random):
+    """The letters map(rng.choice, repeat(LETTERS)) draws, drawn at C level.
+
+    On Python 3.10-3.13, choice over four items takes getrandbits(3) and
+    draws again while the result is 4 or more; this does the same draws in
+    the same order, so it yields the same letters and leaves rng in the same
+    state.  It is lazy: each letter is drawn when it is taken.
+    """
+    return map(LETTERS.__getitem__, filter((4).__gt__, map(rng.getrandbits, repeat(3))))
+
+
+def _refuse_flat(p: float, q: float, r: float, n: int):
+    # the state of step n has a Heron form that is not positive
+    hyptrig._derive(p, q, r)  # raises "too long" on an overflowed form
+    raise hyptrig.DomainError(f"state {[p, q, r]} at step {n} is flat: "
+                              f"its Heron form is not positive")
+
+
 def _burn_in(e: EdgeLengths, letters, steps: int):
     """The orbit of e under the letter iterator, e first: burn-in until
     p, q, r = sinh^2(edge/2) are all below 1, then steps more.  Returns the
     derived states (p, q, r, root), each checked for a positive root as it
-    arrives, and the burn-in length."""
-    path, burn, kernels = [], None, hyptrig.STEPS
+    arrives, and the burn-in length; no letter is taken beyond the last
+    state."""
+    path, kernels = [], hyptrig.STEPS
+    heron, sqrt, inf = hyptrig._heron_sinh_sq, math.sqrt, math.inf
     p, q, r = hyptrig._half_sinh_sq(e.a, e.b, e.c)
     while True:
-        root = math.sqrt(max(hyptrig._heron_sinh_sq(p, q, r), 0.0))  # as in _derive
-        if not 0 < root < math.inf:
-            hyptrig._derive(p, q, r)  # raises "too long" on an overflowed form
-            raise hyptrig.DomainError(f"state {[p, q, r]} at step {len(path)} is flat: "
-                                      f"its Heron form is not positive")
+        root = sqrt(max(heron(p, q, r), 0.0))  # as in _derive
+        if not 0 < root < inf:
+            _refuse_flat(p, q, r, len(path))
         path.append((p, q, r, root))
-        if burn is None and max(p, q, r) < 1.0:
-            burn = len(path) - 1
-        if burn is None and len(path) > 500:
+        if max(p, q, r) < 1.0:
+            break
+        if len(path) > 500:
             raise RuntimeError("burn-in did not terminate")
-        if burn is not None and len(path) > burn + steps:
-            return tuple(path), burn
         letter = next(letters)
         p, q, r = (kernels.get(letter) or _check_letter(letter))(p, q, r)
+    burn = len(path) - 1
+    for letter in islice(letters, steps):
+        p, q, r = (kernels.get(letter) or _check_letter(letter))(p, q, r)
+        root = sqrt(max(heron(p, q, r), 0.0))
+        if not 0 < root < inf:
+            _refuse_flat(p, q, r, len(path))
+        path.append((p, q, r, root))
+    return tuple(path), burn
+
+
+def _orbit_limit(hs, tol: float) -> LimitResult:
+    """The limit along the walk whose states are hs, then M forever, as
+    _limit finds it from hs[0]: the first held state n >= 1 with residual
+    below tol stops it, and only when none does is the walk continued from
+    the last one."""
+    for n, (p, q, r, _) in enumerate(hs[1:], start=1):
+        if p + q + r < tol:
+            return LimitResult(_euclidean(p, q, r), n, p + q + r)
+    tail = _limit(repeat("M"), *hs[-1][:3], tol)
+    return replace(tail, iterations=len(hs) - 1 + tail.iterations)
 
 
 def run_lemma21(spec: SampleSpec, halving_factor: float = 0.5,
@@ -168,7 +204,7 @@ def run_lemma21(spec: SampleSpec, halving_factor: float = 0.5,
     def orbit(report, rng, start):
         nonlocal worst_halving, worst_lower
         # burn-in segment: random letters until sinh(edge/2) < 1 on all edges
-        hs, burn = _burn_in(start, map(rng.choice, repeat(LETTERS)), spec.max_steps)
+        hs, burn = _burn_in(start, _letters(rng), spec.max_steps)
         # series of slots, new[3(i-1) + slot] at step i, after[3(n-1) + slot] at i = burn + n
         halves = [math.sqrt(x) for h in hs for x in h[:3]]
         old, new, after = halves[:-3], halves[3:], halves[3 * burn + 3:]
@@ -341,8 +377,7 @@ def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
 
     def orbit(report, rng, start):
         nonlocal worst, min_limit_angle
-        word = [rng.choice(LETTERS) for _ in range(spec.max_steps)]
-        hs, _ = _burn_in(start, iter(word), spec.max_steps)  # no burn-in
+        hs, _ = _burn_in(start, _letters(rng), spec.max_steps)  # no burn-in
         budget = sum(hs[0][:3]) * bound_scale
         rho = [[math.log(s) for s in hyptrig._sin_angles(*h)] for h in hs]
         cols = list(zip(*rho))  # per slot, its largest rise and fall from each step on
@@ -356,8 +391,8 @@ def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
             for k, there in enumerate(rho[n:]):
                 for x, y in zip(there, rho[n]):
                     report.check(start, [n, k], abs(x - y), bounds[n])
-        # from the start along word, then M forever
-        lim = _limit(chain(word, repeat("M")), *hs[0][:3], tol=1e-13).angles
+        # the limit along this walk, then M forever
+        lim = _orbit_limit(hs, 1e-13).angles
         min_limit_angle = min(min_limit_angle, min(lim.as_tuple()))
         if not min(lim.as_tuple()) > 0:
             report.add_failure(input=list(start.as_tuple()), step=-1,
@@ -380,7 +415,7 @@ def run_angle_ratio(spec: SampleSpec, lower_scale: float = 1.0,
     def orbit(report, rng, start):
         nonlocal worst_lo, worst_hi
         # small starts need no burn-in
-        hs, _ = _burn_in(start, map(rng.choice, repeat(LETTERS)), spec.max_steps)
+        hs, _ = _burn_in(start, _letters(rng), spec.max_steps)
         # slot series, three items per step: item 3(n-1)+i is slot i of step n
         sines = list(chain.from_iterable(starmap(hyptrig._sin_angles, hs)))
         ratios = list(map(truediv, sines[3:], sines[:-3]))

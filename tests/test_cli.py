@@ -83,6 +83,26 @@ class TestShapeCommand:
         code, _, err = run(capsys, "shape", "--edges", "1,1,1", "--bogus")
         assert code == 64 and err.startswith("usage:")
 
+    @pytest.mark.parametrize("command, option, value", [
+        (("limit", "--edges", "4,4,7", "--seq", "|M"), "--tol", "-1e-13"),
+        (("limit", "--edges", "4,4,7", "--seq", "|M"), "--tol", "-.5"),
+        (("shape",), "--edges", "-1,2,2"),
+    ])
+    def test_negative_value_after_a_space(self, capsys, command, option, value):
+        # after a space as after "=", an argument of "-" and a digit is a
+        # value; argparse alone takes only "-1" and "-1.5" for values
+        spaced = run(capsys, *command, option, value)
+        assert spaced == run(capsys, *command, f"{option}={value}")
+        assert spaced[0] == 1 and spaced[2].startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("limit", "--edges", "4,4,7", "--seq", "|M", "--tol"),
+        ("limit", "--tol", "--edges", "4,4,7", "--seq", "|M"),
+    ])
+    def test_option_without_value(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 64 and "--tol: expected one argument" in err
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
         assert run(capsys, "limit", "--help")[0] == 0
@@ -322,6 +342,18 @@ class TestVerifyCommand:
                            "--seed", "9", "--samples", "15")
         assert code == 0
         assert json.loads(out)["samples"] == 15
+
+    # sha256 of the stdout; the seeded suites' letter draws and limit walks
+    # must leave every report byte for byte as it was
+    @pytest.mark.parametrize("seed, digest", [
+        (None, "1619035c46d32202a883057a8a2b501de5e7a06392ca642ff5758340126bbc42"),
+        ("3", "60cbf83afb85349114edf726627d50301de97941c70deb7791928e9403de4c9f"),
+    ], ids=["default-seeds", "seed-3"])
+    def test_all_suites_bytes_are_pinned(self, capsys, seed, digest):
+        code, out, _ = run(capsys, "verify", "--suite", "all",
+                           *(("--seed", seed) if seed else ()))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_unknown_suite_usage(self, capsys):
         assert run(capsys, "verify", "--suite", "bogus")[0] == 64

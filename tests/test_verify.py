@@ -3,7 +3,7 @@
 import math
 import random
 from dataclasses import replace
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import pytest
 
@@ -387,16 +387,17 @@ class TestSeriesPass:
 
 @pytest.mark.parametrize("max_steps", [40, 5])
 def test_cauchy_limits_match_fresh_walks(monkeypatch, max_steps):
-    # the suite walks each start along word + M^inf (every sample stops by
-    # step 40, so with 5 steps the M tail decides); either way it is the
-    # limit of a fresh walk along word + M^inf, bit for bit
-    limits = []
+    # the suite takes each limit along word + M^inf from the states of its
+    # walk (every sample stops by step 40, so with 5 steps the M tail
+    # decides); either way it is the limit of a fresh walk along
+    # word + M^inf, bit for bit
+    limits, orbit_limit = [], verify._orbit_limit
 
-    def spy(letters, p, q, r, tol, max_iter=10_000):
-        limits.append(subdivision._limit(letters, p, q, r, tol, max_iter))
+    def spy(hs, tol):
+        limits.append(orbit_limit(hs, tol))
         return limits[-1]
 
-    monkeypatch.setattr(verify, "_limit", spy)
+    monkeypatch.setattr(verify, "_orbit_limit", spy)
     spec = small("cauchy", max_steps=max_steps)
     verify.run_cauchy_bound(spec)
     assert len(limits) == spec.samples
@@ -572,9 +573,34 @@ class TestErrorContext:
         assert str(info.value).startswith(f"{name} orbit from [")
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 24, 2 ** 70 + 5])
+def test_letters_are_choice_draws(seed):
+    # every seeded report rests on these letters: a Python whose choice
+    # draws otherwise must fail here rather than shift the reports
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert list(islice(verify._letters(rng), 20_000)) == \
+        [ref.choice(LETTERS) for _ in range(20_000)]
+    assert rng.getstate() == ref.getstate()
+
+
 class TestBurnIn:
     """_burn_in matches a plain step-kernel loop on the state (p, q, r) bit for
     bit, and a plain child_edges loop to 1e-13."""
+
+    @pytest.mark.parametrize("small", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_draws_burn_plus_steps_letters(self, seed, small):
+        # the letters are drawn as the walk takes them, none ahead of it
+        rng = random.Random(seed)
+        spec = SampleSpec(seed=seed, samples=1, edge_range=(0.5, 8.0))
+        start = verify._sample_edges(rng, spec, small)
+        ref = random.Random()
+        ref.setstate(rng.getstate())
+        hs, burn = verify._burn_in(start, verify._letters(rng), 12)
+        assert len(hs) == burn + 13 and (burn == 0) == small
+        for _ in range(burn + 12):
+            ref.choice(LETTERS)
+        assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_plain_loop(self, seed):
