@@ -129,7 +129,7 @@ def _cmd_limit(args) -> int:
     rec = shape_from_edges(*args.edges)
     seq = SymbolSequence.parse(args.seq)
     res = limit_shape_info(seq, rec, tol=args.tol)
-    out = {"angles": list(res.angles.as_tuple()),
+    out = {"angles": list(res.angles),
            "iterations": res.iterations,
            "residual": res.residual}
     sys.stdout.write(dumps(out) + "\n")

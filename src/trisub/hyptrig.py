@@ -10,7 +10,7 @@ formulas in its result.
 """
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 # Values may overshoot a domain bound by at most this much (relative) and
 # get clamped; anything worse is treated as a caller bug.
@@ -193,7 +193,7 @@ def law_of_sines_ratio(a: float, A: float) -> float:
     return math.sin(A) / math.sinh(a)
 
 
-class MedialData(NamedTuple):
+class MedialData(namedtuple("MedialData", "mu m_a m_b m_c l_a l_b l_c")):
     """Midline data of a hyperbolic triangle.
 
     mu scales cosh of the half-edges down to cosh of the midlines
@@ -203,13 +203,7 @@ class MedialData(NamedTuple):
     quadrilateral relation sinh(x/2) = sinh(m_x) cosh(l_x).
     """
 
-    mu: float
-    m_a: float
-    m_b: float
-    m_c: float
-    l_a: float
-    l_b: float
-    l_c: float
+    __slots__ = ()
 
     @property
     def midlines(self) -> tuple[float, float, float]:
@@ -238,12 +232,10 @@ def medial_data(a: float, b: float, c: float) -> MedialData:
     return MedialData((2 + p + q + r) / K, *ms, *ls)
 
 
-class TraceCoords(NamedTuple):
+class TraceCoords(namedtuple("TraceCoords", "x y z")):
     """Doubled cosh coordinates (x, y, z) = (2cosh a, 2cosh b, 2cosh c)."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ()
 
     @classmethod
     def from_edges(cls, a: float, b: float, c: float) -> "TraceCoords":

@@ -8,8 +8,8 @@ after arithmetic so that drift does not build up over deep subdivision.
 """
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from typing import NamedTuple
 
 from .shape import EdgeLengths
 from . import hyptrig
@@ -19,18 +19,9 @@ class InvalidPointError(ValueError):
     """Point pair is not on the hyperboloid (Minkowski product below 1)."""
 
 
-class HPoint(NamedTuple):
-    x0: float
-    x1: float
-    x2: float
+HPoint = namedtuple("HPoint", "x0 x1 x2")
 
-
-class PlacedTriangle(NamedTuple):
-    """Vertices in slot order: p_a at slot A, p_b at slot B, p_c at slot C."""
-
-    p_a: HPoint
-    p_b: HPoint
-    p_c: HPoint
+PlacedTriangle = namedtuple("PlacedTriangle", "p_a p_b p_c")  # vertices, in slot order
 
 
 def minkowski(u: HPoint, v: HPoint) -> float:
@@ -115,7 +106,7 @@ def place(e: EdgeLengths) -> PlacedTriangle:
     first axis, slot C at distance b in the direction making angle A.
     Edges above MAX_PLACED_EDGE are refused.
     """
-    longest = max(e.as_tuple())
+    longest = max(e)
     if longest > MAX_PLACED_EDGE:
         raise ValueError(f"edge {longest!r} exceeds {MAX_PLACED_EDGE}, beyond which "
                          f"hyperboloid coordinates lose their precision")

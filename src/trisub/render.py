@@ -24,12 +24,12 @@ formatting) so renders can be compared byte for byte.
 """
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from . import plane_model
 from .plane_model import cell_children
-from .shape import EdgeLengths
+from .shape import EdgeLengths, _Checked
 from .symbolic import LETTERS, _check_letter
 
 MAX_DEPTH = 8
@@ -42,15 +42,11 @@ DEFAULT_PALETTE = {
 }
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(_Checked, namedtuple("RenderSpec", "model depth word size samples_per_edge",
+                                      defaults=("klein", None, None, 800, 32))):
     """What to draw: disk model, subdivision depth or a single orbit word."""
 
-    model: str = "klein"
-    depth: int | None = None
-    word: str | None = None
-    size: int = 800
-    samples_per_edge: int = 32
+    __slots__ = ()
 
     def __post_init__(self):
         if self.model not in ("klein", "poincare"):

@@ -6,7 +6,7 @@ pi (within EUCLIDEAN_ATOL) and carry no edge lengths.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import hyptrig
 from .hyptrig import DomainError
@@ -16,13 +16,32 @@ from .hyptrig import DomainError
 EUCLIDEAN_ATOL = hyptrig.EUCLIDEAN_SUM_ATOL
 
 
-@dataclass(frozen=True)
-class AngleShape:
+class _Checked:
+    """Base of a named tuple whose __post_init__ checks its fields; _make and
+    _replace call it too, where namedtuple would build with tuple.__new__."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):  # keywords, defaults, a wrong count
+            self = super().__new__(cls, *args, **kwargs)
+        else:
+            self = tuple.__new__(cls, args)
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def as_tuple(self) -> tuple:
+        return tuple(self)
+
+
+class AngleShape(_Checked, namedtuple("AngleShape", "A B C")):
     """Ordered angle triple (A, B, C) in radians."""
 
-    A: float
-    B: float
-    C: float
+    __slots__ = ()
 
     def __post_init__(self):
         for name, x in (("A", self.A), ("B", self.B), ("C", self.C)):
@@ -38,43 +57,50 @@ class AngleShape:
     def is_euclidean(self) -> bool:
         return abs(self.angle_sum() - math.pi) <= EUCLIDEAN_ATOL
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return self.A, self.B, self.C
 
-
-@dataclass(frozen=True)
-class EdgeLengths:
+class EdgeLengths(_Checked, namedtuple("EdgeLengths", "a b c")):
     """Ordered hyperbolic edge triple (a, b, c), a opposite A."""
 
-    a: float
-    b: float
-    c: float
+    __slots__ = ()
 
     def __post_init__(self):
-        hyptrig._check_edges(self.a, self.b, self.c)
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return self.a, self.b, self.c
+        hyptrig._check_edges(*self)
 
 
-@dataclass(frozen=True)
 class ShapeRecord:
     """A shape with consistent angles, edges (hyperbolic only) and area."""
 
-    angles: AngleShape
-    edges: EdgeLengths | None
-    area: float
+    __slots__ = ("angles", "edges", "area")
+
+    def __init__(self, angles: AngleShape, edges: EdgeLengths | None, area: float):
+        object.__setattr__(self, "angles", angles)  # frozen: __setattr__ refuses
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "area", area)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return ShapeRecord, (self.angles, self.edges, self.area)
+
+    def __eq__(self, other):
+        if type(other) is not ShapeRecord:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        return "ShapeRecord(angles=%r, edges=%r, area=%r)" % self.__reduce__()[1]
 
     @property
     def is_euclidean(self) -> bool:
         return self.edges is None
 
     def to_json_dict(self) -> dict:
-        return {
-            "angles": list(self.angles.as_tuple()),
-            "edges": list(self.edges.as_tuple()) if self.edges else None,
-            "area": self.area,
-        }
+        edges = list(self.edges) if self.edges else None
+        return {"angles": list(self.angles), "edges": edges, "area": self.area}
 
 
 def shape_from_edges(a: float, b: float, c: float) -> ShapeRecord:
@@ -88,10 +114,10 @@ def shape_from_edges(a: float, b: float, c: float) -> ShapeRecord:
 
 
 def _record(state, edges: EdgeLengths | None = None) -> ShapeRecord:
-    # the record of a state (p, q, r), derived once; unless given, its edges
-    # are 2 asinh(sqrt(p)) etc.
+    # the record of a state (p, q, r), derived once; unless given, its edges are
+    # 2 asinh(sqrt(p)) etc., not checked again: on a valid sliver a + b - c can round to 0
     h = hyptrig._derive(*state)
-    edges = edges or EdgeLengths(*(2 * math.asinh(math.sqrt(x)) for x in state))
+    edges = edges or tuple.__new__(EdgeLengths, [2 * math.asinh(math.sqrt(x)) for x in state])
     return ShapeRecord(AngleShape(*hyptrig._angles(*h)), edges, hyptrig._area(*h))
 
 

@@ -18,7 +18,7 @@ sinh^2(c/2)), which validates nothing; edges appear only in records.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import hyptrig, plane_model
 from .shape import AngleShape, EdgeLengths, ShapeRecord, _record, shape_from_edges
@@ -27,6 +27,7 @@ from ._fmt import csv_line
 
 ORBIT_CSV_COLUMNS = ("n", "letter", "A", "B", "C", "a", "b", "c", "S",
                      "ln_sin_A", "sinh_a2", "sinh_b2", "sinh_c2")
+_NONE3 = (None, None, None)  # the empty columns of a Euclidean entry
 
 
 class ConvergenceError(RuntimeError):
@@ -47,7 +48,7 @@ def apply(letter: str, s: ShapeRecord) -> ShapeRecord:
     _check_letter(letter)
     if s.is_euclidean:
         return s
-    return _record(hyptrig.STEPS[letter](*hyptrig._half_sinh_sq(*s.edges.as_tuple())))
+    return _record(hyptrig.STEPS[letter](*hyptrig._half_sinh_sq(*s.edges)))
 
 
 def apply_oracle(letter: str, e: EdgeLengths) -> EdgeLengths:
@@ -64,30 +65,18 @@ def apply_oracle(letter: str, e: EdgeLengths) -> EdgeLengths:
                        plane_model.dist(v_a, v_b))
 
 
-@dataclass(frozen=True)
-class OrbitStep:
-    n: int
-    letter: str | None  # None on the starting entry
-    angles: AngleShape
-    edges: EdgeLengths | None
-    area: float
-    ln_sin_a: float
-    sinh_half_edges: tuple[float, float, float] | None
+# letter is None on the starting entry, edges and sinh_half_edges on Euclidean shapes
+OrbitStep = namedtuple("OrbitStep", "n letter angles edges area ln_sin_a sinh_half_edges")
 
 
-@dataclass(frozen=True)
-class OrbitTrace:
-    steps: tuple[OrbitStep, ...]
+class OrbitTrace(namedtuple("OrbitTrace", "steps")):
+    __slots__ = ()
 
     def csv_lines(self):
         yield csv_line(ORBIT_CSV_COLUMNS)
         for st in self.steps:
-            edges = st.edges.as_tuple() if st.edges else (None, None, None)
-            sh = st.sinh_half_edges or (None, None, None)
-            yield csv_line((st.n, st.letter if st.letter else "-",
-                            st.angles.A, st.angles.B, st.angles.C,
-                            edges[0], edges[1], edges[2], st.area,
-                            st.ln_sin_a, sh[0], sh[1], sh[2]))
+            yield csv_line((st.n, st.letter or "-", *st.angles, *(st.edges or _NONE3),
+                            st.area, st.ln_sin_a, *(st.sinh_half_edges or _NONE3)))
 
     def to_csv(self) -> str:
         return "\n".join(self.csv_lines()) + "\n"
@@ -101,7 +90,7 @@ def orbit(word, s0: ShapeRecord) -> OrbitTrace:
         for letter in word:
             _check_letter(letter)
     else:
-        states = [hyptrig._half_sinh_sq(*s0.edges.as_tuple())]
+        states = [hyptrig._half_sinh_sq(*s0.edges)]
         for letter in word:
             states.append((hyptrig.STEPS.get(letter) or _check_letter(letter))(*states[-1]))
         records[1:] = map(_record, states[1:])
@@ -111,11 +100,7 @@ def orbit(word, s0: ShapeRecord) -> OrbitTrace:
         for n, (letter, s, sh) in enumerate(zip([None, *word], records, halves))))
 
 
-@dataclass(frozen=True)
-class LimitResult:
-    angles: AngleShape  # Euclidean
-    iterations: int
-    residual: float
+LimitResult = namedtuple("LimitResult", "angles iterations residual")  # Euclidean angles
 
 
 def limit_shape_info(seq, s0: ShapeRecord, tol: float = 1e-13,
@@ -136,7 +121,7 @@ def limit_shape_info(seq, s0: ShapeRecord, tol: float = 1e-13,
         raise ValueError("max_iter must be >= 1")
     if s0.is_euclidean:
         return LimitResult(s0.angles, 0, 0.0)
-    return _limit(seq, *hyptrig._half_sinh_sq(*s0.edges.as_tuple()), tol, max_iter)
+    return _limit(seq, *hyptrig._half_sinh_sq(*s0.edges), tol, max_iter)
 
 
 def _limit(letters, p: float, q: float, r: float, tol: float,

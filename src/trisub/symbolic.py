@@ -19,7 +19,7 @@ and an exact address is reduced once, when it is built.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, cycle, permutations
 
@@ -74,29 +74,45 @@ def _primitive_cycle(c: str) -> str:
     return c[:(c + c).find(c, 1)]
 
 
-@dataclass(frozen=True)
 class SymbolSequence:
     """Eventually periodic infinite word: finite prefix, repeating cycle.
 
     Every sequence is stored in canonical form, whatever its spelling: the
     cycle is primitive, and prefix letters equal to the cycle's last letter
     rotate into the cycle, so two spellings of one word compare equal.
+    Not a tuple: iterating or indexing it gives the infinite word.
     """
 
-    prefix: str
-    cycle: str
+    __slots__ = ("prefix", "cycle")
 
-    def __post_init__(self):
-        if not self.cycle:
+    def __init__(self, prefix: str, cycle: str):
+        if not cycle:
             raise ValueError("cycle must be nonempty")
-        if not _LETTER_SET.issuperset(self.prefix + self.cycle):
-            for ch in self.prefix + self.cycle:
+        if not _LETTER_SET.issuperset(prefix + cycle):
+            for ch in prefix + cycle:
                 _check_letter(ch)  # names the first bad letter
-        prefix, cycle = self.prefix, _primitive_cycle(self.cycle)
+        cycle = _primitive_cycle(cycle)
         while prefix and prefix[-1] == cycle[-1]:
             prefix, cycle = prefix[:-1], cycle[-1] + cycle[:-1]
-        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "prefix", prefix)  # frozen: __setattr__ refuses
         object.__setattr__(self, "cycle", cycle)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return SymbolSequence, (self.prefix, self.cycle)
+
+    def __eq__(self, other):
+        if type(other) is not SymbolSequence:
+            return NotImplemented
+        return self.prefix == other.prefix and self.cycle == other.cycle
+
+    def __hash__(self):
+        return hash((self.prefix, self.cycle))
+
+    def __repr__(self):
+        return "SymbolSequence(prefix=%r, cycle=%r)" % (self.prefix, self.cycle)
 
     @classmethod
     def parse(cls, text: str) -> "SymbolSequence":
@@ -197,16 +213,12 @@ def equivalent(s, t) -> bool:
     return all(x * dt == y * ds for x, y in zip(ns, nt))
 
 
-@dataclass(frozen=True)
-class Prop31Match:
-    """Witness that two sequences fit a pair of the six known tail forms."""
+class Prop31Match(namedtuple("Prop31Match", "prefix sigma zeta m form_s form_t")):
+    """Witness that two sequences fit a pair of the six known tail forms: the
+    shared leading block tau (prefix), the images sigma of (A, B, C), a word
+    zeta over the indeterminates "x" and "y", and m; form_s and form_t are 1..6."""
 
-    prefix: str            # shared leading block tau
-    sigma: tuple[str, str, str]   # images of (A, B, C)
-    zeta: str              # word over indeterminates "x", "y"
-    m: int
-    form_s: int            # 1..6
-    form_t: int
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -15,13 +15,13 @@ mask a real defect.
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from functools import partial
 from itertools import accumulate, chain, compress, count, islice, repeat, starmap
 from operator import gt, lt, mul, sub, truediv
 
 from . import hyptrig, symbolic
-from .shape import AngleShape, EdgeLengths, ShapeRecord, metric_distance, \
+from .shape import AngleShape, EdgeLengths, ShapeRecord, _Checked, metric_distance, \
     shape_from_angles, shape_from_edges
 from .subdivision import LimitResult, _euclidean, _limit, apply, limit_shape
 from .symbolic import LETTERS, _check_letter
@@ -34,14 +34,11 @@ MAX_STORED_FAILURES = 25
 SINH_HALF_LT_1 = 2 * math.asinh(1.0)  # edge length where sinh(edge/2) = 1
 
 
-@dataclass(frozen=True)
-class SampleSpec:
+class SampleSpec(_Checked, namedtuple("SampleSpec", "seed samples edge_range max_steps",
+                                      defaults=((0.01, 5.0), 40))):
     """Sampling plan for a suite: seed, sample count, edge range, orbit length."""
 
-    seed: int
-    samples: int
-    edge_range: tuple[float, float] = (0.01, 5.0)
-    max_steps: int = 40
+    __slots__ = ()
 
     def __post_init__(self):
         if not all(map(math.isfinite, self.edge_range)):
@@ -54,13 +51,13 @@ class SampleSpec:
             raise ValueError("max_steps must be >= 0")
 
 
-@dataclass
 class Report:
-    suite: str
-    passed: bool
-    samples: int
-    failures: list = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
+    __slots__ = ("suite", "passed", "samples", "failures", "stats")
+
+    def __init__(self, suite: str, passed: bool, samples: int, failures=None, stats=None):
+        self.suite, self.passed, self.samples = suite, passed, samples
+        self.failures = [] if failures is None else failures
+        self.stats = {} if stats is None else stats
 
     def add_failure(self, **payload):
         self.passed = False
@@ -81,7 +78,7 @@ class Report:
         """Record observed beyond bound as flagged tests it; the one recorder."""
         violated = bool(self.flagged([observed], [bound], upper))
         if violated:
-            self.add_failure(input=list(start.as_tuple()), step=step,
+            self.add_failure(input=list(start), step=step,
                              observed=observed, bound=bound)
         return violated
 
@@ -121,7 +118,7 @@ def _run_seeded(suite: str, spec: SampleSpec, orbit, small=False, stats=()) -> R
         try:
             orbit(report, rng, start)
         except hyptrig.DomainError as exc:
-            raise type(exc)(f"{suite} orbit from {list(start.as_tuple())}: "
+            raise type(exc)(f"{suite} orbit from {list(start)}: "
                             f"{exc}") from exc
     return report
 
@@ -187,7 +184,7 @@ def _orbit_limit(hs, tol: float) -> LimitResult:
         if p + q + r < tol:
             return LimitResult(_euclidean(p, q, r), n, p + q + r)
     tail = _limit(repeat("M"), *hs[-1][:3], tol)
-    return replace(tail, iterations=len(hs) - 1 + tail.iterations)
+    return tail._replace(iterations=len(hs) - 1 + tail.iterations)
 
 
 def run_lemma21(spec: SampleSpec, halving_factor: float = 0.5,
@@ -278,7 +275,7 @@ def run_ratio_limit(spec: SampleSpec, interval: tuple[float, float] | None = Non
         settle = abs(r80 - r40)
         worst_settle = max(worst_settle, settle)
         r_lo, r_hi = min(r_lo, r80), max(r_hi, r80)
-        fail = partial(report.add_failure, input=list(start.as_tuple()), step=n_full)
+        fail = partial(report.add_failure, input=list(start), step=n_full)
         if settle >= settle_tol:
             fail(observed=settle, bound=settle_tol)
         if not (interval[0] < r80 < interval[1]):
@@ -325,7 +322,7 @@ def run_noncontraction() -> Report:
         distance_before=d0, distance_after=d1,
         equilateral_distance_before=metric_distance(eq.angles, fixed),
         equilateral_distance_after=metric_distance(eq_child.angles, fixed),
-        corner_A_angles=list(corner.angles.as_tuple()),
+        corner_A_angles=list(corner.angles),
         corner_A_distance=metric_distance(corner.angles, fixed))
 
 
@@ -378,7 +375,8 @@ def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
     def orbit(report, rng, start):
         nonlocal worst, min_limit_angle
         hs, _ = _burn_in(start, _letters(rng), spec.max_steps)  # no burn-in
-        budget = sum(hs[0][:3]) * bound_scale
+        # a fixed-order sum: sum() of floats is compensated from Python 3.12
+        budget = (hs[0][0] + hs[0][1] + hs[0][2]) * bound_scale
         rho = [[math.log(s) for s in hyptrig._sin_angles(*h)] for h in hs]
         cols = list(zip(*rho))  # per slot, its largest rise and fall from each step on
         ups = [map(sub, reversed(list(accumulate(reversed(c), max))), c) for c in cols]
@@ -393,10 +391,10 @@ def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
                     report.check(start, [n, k], abs(x - y), bounds[n])
         # the limit along this walk, then M forever
         lim = _orbit_limit(hs, 1e-13).angles
-        min_limit_angle = min(min_limit_angle, min(lim.as_tuple()))
-        if not min(lim.as_tuple()) > 0:
-            report.add_failure(input=list(start.as_tuple()), step=-1,
-                               observed=min(lim.as_tuple()), bound=0.0)
+        min_limit_angle = min(min_limit_angle, min(lim))
+        if not min(lim) > 0:
+            report.add_failure(input=list(start), step=-1,
+                               observed=min(lim), bound=0.0)
 
     report = _run_seeded("cauchy", spec, orbit, small=True)
     return report.finish(worst_excess=worst, min_limit_angle=min_limit_angle)
@@ -464,14 +462,14 @@ def run_continuity(seq, base: ShapeRecord, radii,
     radii = list(radii)
     report = Report("continuity", True, samples)
     rng = random.Random(seed)
-    base_angles = base.angles.as_tuple()
+    base_angles = base.angles
     ref = limit_shape(iter(seq), base)
 
     dirs = []
     for _ in range(samples):
         while True:
             d = [rng.gauss(0.0, 1.0) for _ in range(3)]
-            norm = math.sqrt(sum(x * x for x in d))
+            norm = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
             if norm > 1e-12:
                 break
         dirs.append([x / norm for x in d])
@@ -481,7 +479,7 @@ def run_continuity(seq, base: ShapeRecord, radii,
         sup = 0.0
         for d in dirs:
             ang = [b + r * x for b, x in zip(base_angles, d)]
-            if min(ang) <= 0 or sum(ang) >= math.pi - 1e-9:
+            if min(ang) <= 0 or ang[0] + ang[1] + ang[2] >= math.pi - 1e-9:
                 continue
             out = limit_shape(iter(seq), shape_from_angles(*ang))
             sup = max(sup, metric_distance(out, ref))
@@ -595,7 +593,7 @@ def run_suite(name: str, seed: int | None = None,
     if name in DEFAULT_SPECS:
         overrides = {k: v for k, v in (("seed", seed), ("samples", samples))
                      if v is not None}
-        spec = replace(DEFAULT_SPECS[name], **overrides)
+        spec = DEFAULT_SPECS[name]._replace(**overrides)
         return {"lemma21": run_lemma21, "area": run_area_bounds,
                 "ratiolimit": run_ratio_limit, "cauchy": run_cauchy_bound,
                 "angleratio": run_angle_ratio, "eq1probe": run_eq1_probe}[name](spec)

@@ -208,6 +208,18 @@ class TestOrbitCommand:
         rows = [ln.split(",") for ln in out.strip().split("\n")[2:]]
         assert len(rows) == 3 and all(float(x) > 0 for row in rows for x in row[2:8])
 
+    def test_rebuilt_edges_are_not_checked_again(self, capsys):
+        # after MBC the state is valid (its Heron root is 2.06e-7), but its
+        # edges rebuilt as 2 asinh(sqrt(p)) give a + b - c = 0.0: only the
+        # edges a user gives are checked for the triangle inequality
+        code, out, err = run(capsys, "orbit", "--edges",
+                             "26.77140277034582,5.91333169169455,31.640324086913058",
+                             "--word", "MBC")
+        assert code == 0, err
+        rows = [ln.split(",") for ln in out.strip().split("\n")[1:]]
+        assert [row[1] for row in rows] == ["-", "M", "B", "C"]
+        assert all(float(x) > 0 for row in rows for x in row[2:5])
+
 
 class TestLimitCommand:
     def test_447_regression(self, capsys):
@@ -388,6 +400,21 @@ class TestVerifyCommand:
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # the value records are named tuples and slotted classes; dataclasses
+    # alone would pull in inspect, ast, dis and tokenize at every CLI start
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import trisub, trisub.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestSweepCommand:

@@ -1,17 +1,23 @@
 """Tests for shape values and the angle-space metric."""
 
+import copy
 import math
+import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trisub import hyptrig
 from trisub.hyptrig import DomainError
-from trisub.shape import (AngleShape, EUCLIDEAN_ATOL, metric_distance,
+from trisub.render import RenderSpec
+from trisub.shape import (AngleShape, EUCLIDEAN_ATOL, EdgeLengths, metric_distance,
                           project_euclidean, shape_from_angles,
                           shape_from_edges)
 from trisub.subdivision import apply, orbit
+from trisub.symbolic import SymbolSequence
+from trisub.verify import SampleSpec
 
 
 def test_shape_from_edges_equilateral():
@@ -69,9 +75,9 @@ def test_record_invariants_sampled():
 
 @pytest.mark.parametrize("build, counts", [
     (lambda: shape_from_edges(2, 2, 3), (1, 1, 1)),
-    # the orbit checks and derives each child once, and takes the start's
-    # state once more to walk from it
-    (lambda: orbit("M" * 20, shape_from_edges(2, 2, 3)), (21, 2, 21)),
+    # the orbit checks the given edges only, derives each child once, and
+    # takes the start's state once more to walk from it
+    (lambda: orbit("M" * 20, shape_from_edges(2, 2, 3)), (1, 2, 21)),
 ], ids=["shape", "orbit"])
 def test_one_check_and_one_derivation_per_record(monkeypatch, build, counts):
     names = ("_check_edges", "_half_sinh_sq", "_derive")
@@ -83,6 +89,37 @@ def test_one_check_and_one_derivation_per_record(monkeypatch, build, counts):
         monkeypatch.setattr(hyptrig, name, counting)
     build()
     assert seen == dict(zip(names, counts))
+
+
+@pytest.mark.parametrize("value, field, bad", [
+    (AngleShape(1.0, 1.0, 1.0), "B", -0.5),
+    (AngleShape(1.0, 1.0, 1.0), "C", 2.0),
+    (EdgeLengths(2.0, 2.0, 3.0), "c", 4.0),
+    (RenderSpec(depth=2), "depth", -1),
+    (RenderSpec(depth=2), "word", "AB"),
+    (SampleSpec(seed=1, samples=4), "samples", 0),
+], ids=["angle", "angle-sum", "triangle-inequality", "depth", "depth-and-word", "samples"])
+def test_replace_and_make_check_like_the_constructor(value, field, bad):
+    fields = {**value._asdict(), field: bad}
+    with pytest.raises(ValueError) as built:
+        type(value)(**fields)
+    for rebuild in (lambda: value._replace(**{field: bad}),
+                    lambda: type(value)._make(fields.values())):
+        with pytest.raises(type(built.value), match=f"^{re.escape(str(built.value))}$"):
+            rebuild()
+
+
+@pytest.mark.parametrize("value", [
+    shape_from_edges(2, 2, 3), shape_from_angles(1.0, 1.0, math.pi - 2.0),
+    SymbolSequence("AB", "C"), AngleShape(1.0, 1.0, 1.0),
+], ids=["hyperbolic", "euclidean", "sequence", "angles"])
+def test_records_copy_and_pickle_by_value(value):
+    # the slotted records refuse assignment, so they copy through __init__
+    for again in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(again) is type(value) and again == value and hash(again) == hash(value)
+        assert repr(again) == repr(value)
+    with pytest.raises(AttributeError):
+        value.area = 0.0
 
 
 def test_metric_distance_basics():

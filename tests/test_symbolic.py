@@ -1,6 +1,5 @@
 """Tests for sequence parsing, addresses, equivalence, and the form matcher."""
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -114,9 +113,12 @@ class TestCanonicalConstruction:
             for word in map("".join, itertools.product("ABCM", repeat=n)):
                 assert symbolic._primitive_cycle(word) == by_divisors(word), word
 
-    def test_replace_is_canonical(self):
-        s = dataclasses.replace(SymbolSequence.parse("CB|A"), cycle="BB")
-        assert (s.prefix, s.cycle) == ("C", "B")
+    def test_canonical_from_any_construction(self):
+        for s in (SymbolSequence("CB", "BB"), SymbolSequence(prefix="CB", cycle="BB"),
+                  SymbolSequence.parse("CB|BB")):
+            assert (s.prefix, s.cycle) == ("C", "B")
+            with pytest.raises(AttributeError):  # and stays so
+                s.cycle = "BB"
 
     def test_address_functions_do_not_recanonicalise(self, monkeypatch):
         s, t = SymbolSequence.parse("AMB|C"), SymbolSequence.parse("AMC|B")

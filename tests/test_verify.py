@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 from itertools import chain, islice, repeat
 
 import pytest
@@ -267,7 +266,7 @@ class TestCauchyAllPairs:
     @pytest.mark.parametrize("spec, bound_scale", [
         (small("cauchy"), 1.0),
         (small("cauchy"), 0.25),
-        (replace(verify.DEFAULT_SPECS["cauchy"], seed=25), 1.0),
+        (verify.DEFAULT_SPECS["cauchy"]._replace(seed=25), 1.0),
     ], ids=["passing", "quarter-bound", "seed-25"])
     def test_same_report(self, spec, bound_scale):
         got = verify.run_cauchy_bound(spec, bound_scale=bound_scale)
@@ -373,7 +372,7 @@ class TestSeriesPass:
         spec = small(name)
         kwargs = tightened if plan == "tightened" else {}
         if plan == "seed-24":
-            spec = replace(verify.DEFAULT_SPECS[name], seed=24)
+            spec = verify.DEFAULT_SPECS[name]._replace(seed=24)
         got, ref = run(spec, **kwargs), plain(spec, **kwargs)
         assert got.to_json_dict() == ref.to_json_dict()
         assert list(got.stats) == list(ref.stats)
