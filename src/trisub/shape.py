@@ -7,6 +7,7 @@ pi (within EUCLIDEAN_ATOL) and carry no edge lengths.
 
 import math
 from collections import namedtuple
+from operator import attrgetter
 
 from . import hyptrig
 from .hyptrig import DomainError
@@ -23,10 +24,7 @@ class _Checked:
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        if kwargs or len(args) != len(cls._fields):  # keywords, defaults, a wrong count
-            self = super().__new__(cls, *args, **kwargs)
-        else:
-            self = tuple.__new__(cls, args)
+        self = super().__new__(cls, *args, **kwargs)
         self.__post_init__()
         return self
 
@@ -34,8 +32,39 @@ class _Checked:
     def _make(cls, iterable):
         return cls(*iterable)
 
+    def __reduce__(self):  # a copy of a checked value needs no new check
+        return tuple.__new__, (type(self), tuple(self))
+
     def as_tuple(self) -> tuple:
         return tuple(self)
+
+
+class _Frozen:
+    """Base of a frozen slotted value class: its fields are its __slots__
+    (two or more), which __init__ sets once through object.__setattr__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = property(attrgetter(*cls.__slots__))  # the field tuple, at C level
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return type(self), self._values
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 class AngleShape(_Checked, namedtuple("AngleShape", "A B C")):
@@ -67,7 +96,7 @@ class EdgeLengths(_Checked, namedtuple("EdgeLengths", "a b c")):
         hyptrig._check_edges(*self)
 
 
-class ShapeRecord:
+class ShapeRecord(_Frozen):
     """A shape with consistent angles, edges (hyperbolic only) and area."""
 
     __slots__ = ("angles", "edges", "area")
@@ -76,23 +105,6 @@ class ShapeRecord:
         object.__setattr__(self, "angles", angles)  # frozen: __setattr__ refuses
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "area", area)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):  # copy and pickle through __init__
-        return ShapeRecord, (self.angles, self.edges, self.area)
-
-    def __eq__(self, other):
-        if type(other) is not ShapeRecord:
-            return NotImplemented
-        return self.__reduce__() == other.__reduce__()
-
-    def __hash__(self):
-        return hash(self.__reduce__())
-
-    def __repr__(self):
-        return "ShapeRecord(angles=%r, edges=%r, area=%r)" % self.__reduce__()[1]
 
     @property
     def is_euclidean(self) -> bool:

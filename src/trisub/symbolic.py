@@ -23,6 +23,8 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, cycle, permutations
 
+from .shape import _Frozen
+
 LETTERS = ("A", "B", "C", "M")
 _LETTER_SET = frozenset(LETTERS)
 
@@ -74,7 +76,7 @@ def _primitive_cycle(c: str) -> str:
     return c[:(c + c).find(c, 1)]
 
 
-class SymbolSequence:
+class SymbolSequence(_Frozen):
     """Eventually periodic infinite word: finite prefix, repeating cycle.
 
     Every sequence is stored in canonical form, whatever its spelling: the
@@ -96,23 +98,6 @@ class SymbolSequence:
             prefix, cycle = prefix[:-1], cycle[-1] + cycle[:-1]
         object.__setattr__(self, "prefix", prefix)  # frozen: __setattr__ refuses
         object.__setattr__(self, "cycle", cycle)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):  # copy and pickle through __init__
-        return SymbolSequence, (self.prefix, self.cycle)
-
-    def __eq__(self, other):
-        if type(other) is not SymbolSequence:
-            return NotImplemented
-        return self.prefix == other.prefix and self.cycle == other.cycle
-
-    def __hash__(self):
-        return hash((self.prefix, self.cycle))
-
-    def __repr__(self):
-        return "SymbolSequence(prefix=%r, cycle=%r)" % (self.prefix, self.cycle)
 
     @classmethod
     def parse(cls, text: str) -> "SymbolSequence":

@@ -109,12 +109,23 @@ def test_replace_and_make_check_like_the_constructor(value, field, bad):
             rebuild()
 
 
+def _sliver():
+    # the state after MBC from these edges is valid, but its rebuilt edges
+    # round to c >= a + b: the checked constructor would refuse them
+    s0 = shape_from_edges(26.77140277034582, 5.91333169169455, 31.640324086913058)
+    step = orbit("MBC", s0).steps[-1]
+    with pytest.raises(DomainError, match="triangle inequality"):
+        EdgeLengths(*step.edges)
+    return step
+
+
 @pytest.mark.parametrize("value", [
     shape_from_edges(2, 2, 3), shape_from_angles(1.0, 1.0, math.pi - 2.0),
-    SymbolSequence("AB", "C"), AngleShape(1.0, 1.0, 1.0),
-], ids=["hyperbolic", "euclidean", "sequence", "angles"])
+    SymbolSequence("AB", "C"), AngleShape(1.0, 1.0, 1.0), _sliver(),
+], ids=["hyperbolic", "euclidean", "sequence", "angles", "sliver"])
 def test_records_copy_and_pickle_by_value(value):
-    # the slotted records refuse assignment, so they copy through __init__
+    # the slotted records refuse assignment, so they copy through __init__;
+    # checked tuples copy unchecked, as a copy of a value needs no new check
     for again in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(again) is type(value) and again == value and hash(again) == hash(value)
         assert repr(again) == repr(value)

@@ -300,7 +300,7 @@ class TestLimitLoop:
         for s0 in starts:
             got = outcome(limit_shape_info, iter(letters), s0, **kwargs)
             assert got == outcome(reference_limit, iter(letters), s0, **kwargs)
-            assert isinstance(got, tuple)  # every case raises
+            assert not isinstance(got, LimitResult), got  # every case raises
 
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_bad_iteration_cap(self, max_iter):
