@@ -62,6 +62,16 @@ def _half_sinh_sq(a: float, b: float, c: float) -> tuple[float, float, float]:
                           f"sinh^2(edge/2) overflows") from None
 
 
+def _nonzero_state(a: float, b: float, c: float) -> tuple[float, float, float]:
+    # the state of checked edges, refused when it underflows to 0: _derive
+    # passes a zero state through, for placed points
+    state = _half_sinh_sq(a, b, c)
+    if not max(state):
+        raise DomainError(f"edges ({a!r}, {b!r}, {c!r}) are too short: "
+                          f"sinh^2(edge/2) underflows to 0")
+    return state
+
+
 def _derive(p: float, q: float, r: float):
     # (p, q, r, root), root = sqrt of the state's Heron form; for three equal
     # edges above ~237 4pqr overflows to inf, and above ~500 the form is nan.
@@ -224,7 +234,7 @@ def medial_data(a: float, b: float, c: float) -> MedialData:
     sinh l_x = cosh(x/2) sin(S/2) / sinh m_x with sin(S/2) = sqrt(H)/K.
     """
     _check_edges(a, b, c)
-    p, q, r, root = _derive(*_half_sinh_sq(a, b, c))
+    p, q, r, root = _derive(*_nonzero_state(a, b, c))
     ch = cp, cq, cr = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
     ms = [2 * math.asinh(math.sqrt(x)) for x in _step_m(p, q, r)]
     K = 2 * cp * cq * cr

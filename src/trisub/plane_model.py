@@ -9,7 +9,6 @@ after arithmetic so that drift does not build up over deep subdivision.
 
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
 
 from .shape import EdgeLengths
 from . import hyptrig
@@ -126,29 +125,18 @@ def to_disk(u: HPoint, model: str = "klein") -> tuple[float, float]:
     raise ValueError(f"unknown disk model {model!r}")
 
 
-def geodesic_samples(u: HPoint, v: HPoint,
-                     ts: Iterable[float]) -> Iterator[tuple[float, float, float]]:
-    """The points at parameters ts in [0, 1] along the geodesic from u to v.
+def geodesic_point(u: HPoint, v: HPoint, t: float) -> HPoint:
+    """Point at parameter t in [0, 1] along the geodesic from u to v.
 
-    One loop from one distance yields each point as a coordinate triple.
-    When ts are i / n with n a power of two, i / n and 1 - i / n are
-    exact, so the points read backwards are bit for bit those from v to u.
+    Below d = 1e-15 the ends are interpolated linearly.  Above it, when t
+    is i / n with n a power of two, 1 - t is exact, so the points read
+    backwards are bit for bit those from v to u.
     """
     d = dist(u, v)
+    if d < 1e-15:
+        return _renorm(u.x0 + t * (v.x0 - u.x0), u.x1 + t * (v.x1 - u.x1),
+                       u.x2 + t * (v.x2 - u.x2))
     sinh_d = math.sinh(d)
-    u0, u1, u2 = u
-    v0, v1, v2 = v
-    for t in ts:
-        if d < 1e-15:
-            x0, x1, x2 = u0 + t * (v0 - u0), u1 + t * (v1 - u1), u2 + t * (v2 - u2)
-        else:
-            wu = math.sinh((1 - t) * d) / sinh_d
-            wv = math.sinh(t * d) / sinh_d
-            x0, x1, x2 = wu * u0 + wv * v0, wu * u1 + wv * v1, wu * u2 + wv * v2
-        s = math.sqrt(x0 * x0 - x1 * x1 - x2 * x2)
-        yield x0 / s, x1 / s, x2 / s
-
-
-def geodesic_point(u: HPoint, v: HPoint, t: float) -> HPoint:
-    """Point at parameter t in [0, 1] along the geodesic from u to v."""
-    return HPoint(*next(geodesic_samples(u, v, (t,))))
+    wu = math.sinh((1 - t) * d) / sinh_d
+    wv = math.sinh(t * d) / sinh_d
+    return _renorm(wu * u.x0 + wv * v.x0, wu * u.x1 + wv * v.x1, wu * u.x2 + wv * v.x2)

@@ -5,7 +5,7 @@ keys: geodesics are straight chords in the Klein disk and sampled
 polylines in the Poincare disk.  A vertex shared by several cells is
 computed, projected and formatted once, and an edge shared by two cells
 is sampled once.  One loop per Poincare edge does the arithmetic of
-plane_model.geodesic_samples in the same order and projects each
+plane_model.geodesic_point in the same order and projects each
 sample: the weights sinh(t d) / sinh(d) of one end, read backwards, are
 those of the other when every 1 - t is again a parameter (a power-of-two
 sample count), so each sample takes one sinh; the end samples are the
@@ -136,10 +136,10 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
         d = plane_model.dist(u, v)
         if d < 1e-15:  # interpolated linearly, so the end at v is not v
             pts = [_POINT % (x1 / (1 + x0) + 0.0, 0.0 - x2 / (1 + x0))
-                   for x0, x1, x2 in plane_model.geodesic_samples(u, v, ts)]
+                   for x0, x1, x2 in (plane_model.geodesic_point(u, v, t) for t in ts)]
             pending[kv, ku] = _SEP.join(pts[n:0:-1])
             return _SEP.join(pts[:n])
-        # the operations of plane_model.geodesic_samples in the same order,
+        # the operations of plane_model.geodesic_point in the same order,
         # each sample projected as in the branch above, in one loop
         sinh, sqrt = math.sinh, math.sqrt
         sinh_d = sinh(d)

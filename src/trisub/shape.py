@@ -118,11 +118,7 @@ class ShapeRecord(_Frozen):
 def shape_from_edges(a: float, b: float, c: float) -> ShapeRecord:
     """Build the hyperbolic shape realized by edge lengths (a, b, c)."""
     edges = EdgeLengths(a, b, c)
-    state = hyptrig._half_sinh_sq(a, b, c)
-    if not max(state):  # _derive passes a zero state through, for placed points
-        raise DomainError(f"edges ({a!r}, {b!r}, {c!r}) are too short: "
-                          f"sinh^2(edge/2) underflows to 0")
-    return _record(state, edges)
+    return _record(hyptrig._nonzero_state(a, b, c), edges)
 
 
 def _record(state, edges: EdgeLengths | None = None) -> ShapeRecord:

@@ -135,17 +135,12 @@ def _limit(letters, p: float, q: float, r: float, tol: float,
             raise ConvergenceError(f"no convergence within {max_iter} steps")
         residual = p + q + r
         if residual < tol:
-            return LimitResult(_euclidean(p, q, r), n, residual)
+            # its angles scaled by pi/(A+B+C): project_euclidean leaves a sum
+            # within EUCLIDEAN_ATOL of pi as it is, and with it the state's defect
+            A, B, C = hyptrig._angles(*hyptrig._derive(p, q, r))
+            k = math.pi / (A + B + C)
+            return LimitResult(AngleShape(A * k, B * k, C * k), n, residual)
     raise ValueError("letter sequence ended before convergence")
-
-
-def _euclidean(p: float, q: float, r: float) -> AngleShape:
-    # the angles of a stopping state scaled by pi/(A+B+C): project_euclidean
-    # leaves a sum within EUCLIDEAN_ATOL of pi as it is, and with it the
-    # stopping state's defect
-    A, B, C = hyptrig._angles(*hyptrig._derive(p, q, r))
-    k = math.pi / (A + B + C)
-    return AngleShape(A * k, B * k, C * k)
 
 
 def limit_shape(seq, s0: ShapeRecord, tol: float = 1e-13) -> AngleShape:

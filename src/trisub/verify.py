@@ -23,7 +23,7 @@ from operator import gt, lt, mul, sub, truediv
 from . import hyptrig, symbolic
 from .shape import AngleShape, EdgeLengths, ShapeRecord, _Checked, metric_distance, \
     shape_from_angles, shape_from_edges
-from .subdivision import LimitResult, _euclidean, _limit, apply, limit_shape
+from .subdivision import _limit, apply, limit_shape
 from .symbolic import LETTERS, _check_letter
 
 RESOLUTION = 1e-11
@@ -54,9 +54,8 @@ class SampleSpec(_Checked, namedtuple("SampleSpec", "seed samples edge_range max
 class Report:
     __slots__ = ("suite", "passed", "samples", "failures", "stats")
 
-    def __init__(self, suite: str, passed: bool, samples: int, failures=None, stats=None):
-        self.suite, self.passed, self.samples = suite, passed, samples
-        self.failures = [] if failures is None else failures
+    def __init__(self, suite: str, samples: int, stats=None):
+        self.suite, self.passed, self.samples, self.failures = suite, True, samples, []
         self.stats = {} if stats is None else stats
 
     def add_failure(self, **payload):
@@ -111,7 +110,7 @@ def _sample_edges(rng: random.Random, spec: SampleSpec, small: bool) -> EdgeLeng
 def _run_seeded(suite: str, spec: SampleSpec, orbit, small=False, stats=()) -> Report:
     """Run orbit(report, rng, start) from spec.samples seeded (small) starts;
     a DomainError is raised again naming the suite and the start."""
-    report = Report(suite, True, spec.samples, stats=dict(stats))
+    report = Report(suite, spec.samples, stats=dict(stats))
     rng = random.Random(spec.seed)
     for _ in range(spec.samples):
         start = _sample_edges(rng, spec, small)
@@ -173,18 +172,6 @@ def _burn_in(e: EdgeLengths, letters, steps: int):
             _refuse_flat(p, q, r, len(path))
         path.append((p, q, r, root))
     return tuple(path), burn
-
-
-def _orbit_limit(hs, tol: float) -> LimitResult:
-    """The limit along the walk whose states are hs, then M forever, as
-    _limit finds it from hs[0]: the first held state n >= 1 with residual
-    below tol stops it, and only when none does is the walk continued from
-    the last one."""
-    for n, (p, q, r, _) in enumerate(hs[1:], start=1):
-        if p + q + r < tol:
-            return LimitResult(_euclidean(p, q, r), n, p + q + r)
-    tail = _limit(repeat("M"), *hs[-1][:3], tol)
-    return tail._replace(iterations=len(hs) - 1 + tail.iterations)
 
 
 def run_lemma21(spec: SampleSpec, halving_factor: float = 0.5,
@@ -295,7 +282,7 @@ def run_noncontraction() -> Report:
     without asserting, the equilateral case (distance must shrink there)
     and the corner-cell behaviour of the witness triangle.
     """
-    report = Report("noncontraction", True, 1)
+    report = Report("noncontraction", 1)
     margin = 1e-12
     fixed = AngleShape(math.pi / 3, math.pi / 3, math.pi / 3)
 
@@ -334,8 +321,6 @@ def run_eq1_probe(spec: SampleSpec) -> Report:
     slope of log(delta) against log(area), None when fewer than two
     distinct areas give a positive delta; asserts nothing.
     """
-    from statistics import linear_regression
-
     deltas, points = [], []
 
     def orbit(report, rng, e):
@@ -351,7 +336,10 @@ def run_eq1_probe(spec: SampleSpec) -> Report:
     deltas.sort()
     slope = None
     if len({x for x, _ in points}) >= 2:
-        slope = linear_regression(*zip(*points)).slope
+        # least squares with fsum sums in a fixed order, the same on every Python
+        xbar, ybar = (math.fsum(v) / len(points) for v in zip(*points))
+        sxy = math.fsum((x - xbar) * (y - ybar) for x, y in points)
+        slope = sxy / math.fsum((x - xbar) * (x - xbar) for x, _ in points)
     return report.finish(delta_min=deltas[0], delta_median=deltas[len(deltas) // 2],
                          delta_max=deltas[-1], log_slope_vs_area=slope)
 
@@ -374,7 +362,8 @@ def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
 
     def orbit(report, rng, start):
         nonlocal worst, min_limit_angle
-        hs, _ = _burn_in(start, _letters(rng), spec.max_steps)  # no burn-in
+        word = list(islice(_letters(rng), spec.max_steps))
+        hs, _ = _burn_in(start, iter(word), spec.max_steps)  # no burn-in
         # a fixed-order sum: sum() of floats is compensated from Python 3.12
         budget = (hs[0][0] + hs[0][1] + hs[0][2]) * bound_scale
         rho = [[math.log(s) for s in hyptrig._sin_angles(*h)] for h in hs]
@@ -389,8 +378,8 @@ def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
             for k, there in enumerate(rho[n:]):
                 for x, y in zip(there, rho[n]):
                     report.check(start, [n, k], abs(x - y), bounds[n])
-        # the limit along this walk, then M forever
-        lim = _orbit_limit(hs, 1e-13).angles
+        # from the start along word, then M forever
+        lim = _limit(chain(word, repeat("M")), *hs[0][:3], 1e-13).angles
         min_limit_angle = min(min_limit_angle, min(lim))
         if not min(lim) > 0:
             report.add_failure(input=list(start), step=-1,
@@ -460,7 +449,7 @@ def run_continuity(seq, base: ShapeRecord, radii,
     if samples < 1:
         raise ValueError("need at least one sample")
     radii = list(radii)
-    report = Report("continuity", True, samples)
+    report = Report("continuity", samples)
     rng = random.Random(seed)
     base_angles = base.angles
     ref = limit_shape(iter(seq), base)
@@ -563,7 +552,7 @@ def run_surjectivity(seq, grid_n: int, residual_tol: float = 1e-6,
             beta = (math.pi - alpha) * j / (grid_n + 1)
             targets.append((alpha, beta, math.pi - alpha - beta))
 
-    report = Report("surjectivity", True, len(targets))
+    report = Report("surjectivity", len(targets))
     residuals = []
     for target in targets:
         r, evals = _invert_limit(seq, AngleShape(*target), slice_defect, maxfev)

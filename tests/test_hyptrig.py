@@ -12,7 +12,7 @@ from trisub.hyptrig import (DomainError, InconsistentInputError, TraceCoords,
                             defect_area, edges_from_angles, keogh_area,
                             law_of_sines_ratio, medial_data, trace_parent_area)
 from trisub import plane_model
-from trisub.shape import EdgeLengths
+from trisub.shape import EdgeLengths, shape_from_edges
 
 
 def sample_edges(rng, lo=0.01, hi=5.0):
@@ -303,6 +303,14 @@ class TestMedialData:
             a, b, c = sample_edges(rng)
             md = medial_data(a, b, c)
             assert abs(md.mu - math.cos(area_from_edges(a, b, c) / 2)) < 1e-12
+
+    def test_underflowing_state_is_too_short(self):
+        # sinh^2(edge/2) underflows to 0 below ~4.4e-162, where every midline
+        # is 0; medial_data refuses it with the check shape_from_edges makes
+        for t in (1e-170, 1e-300):
+            for build in (medial_data, shape_from_edges):
+                with pytest.raises(DomainError, match=r"too short: sinh\^2\(edge/2\) underflows"):
+                    build(t, t, t)
 
     def test_mu_is_cos_half_area_to_rounding(self):
         # mu and the area share the state (p, q, r); for long edges S/2

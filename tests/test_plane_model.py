@@ -222,6 +222,62 @@ class TestDisk:
             to_disk(HPoint(1, 0, 0), "gans")
 
 
+def reference_geodesic_samples(u, v, ts):
+    # the one loop from one distance that sampled Poincare edges before
+    # geodesic_point took over its arithmetic, one point per parameter
+    d = dist(u, v)
+    sinh_d = math.sinh(d)
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    for t in ts:
+        if d < 1e-15:
+            x0, x1, x2 = u0 + t * (v0 - u0), u1 + t * (v1 - u1), u2 + t * (v2 - u2)
+        else:
+            wu = math.sinh((1 - t) * d) / sinh_d
+            wv = math.sinh(t * d) / sinh_d
+            x0, x1, x2 = wu * u0 + wv * v0, wu * u1 + wv * v1, wu * u2 + wv * v2
+        s = math.sqrt(x0 * x0 - x1 * x1 - x2 * x2)
+        yield x0 / s, x1 / s, x2 / s
+
+
+def bits(point):
+    return [float(x).hex() for x in point]
+
+
+class TestGeodesicPoint:
+    TS = [i / 32 for i in range(33)] + [0.1, 1 / 3, 0.7]
+
+    @staticmethod
+    def pairs():
+        # seeded pairs at every scale: far apart, within 1e-15 and equal
+        rng = random.Random(41)
+        out = [(HPoint(1.0, 0.0, 0.0), HPoint(1.0, 0.0, 0.0))]
+        for _ in range(60):
+            u = random_point(rng, spread=rng.choice((0.5, 3.0, 50.0)))
+            x1, x2 = u.x1 + rng.uniform(-4e-16, 4e-16), u.x2
+            near = HPoint(math.sqrt(1 + x1 * x1 + x2 * x2), x1, x2)
+            out += [(u, random_point(rng, spread=3.0)), (u, near), (u, u)]
+        return out
+
+    def test_pairs_cover_both_branches(self):
+        ds = [dist(u, v) for u, v in self.pairs()]
+        assert any(d == 0 for d in ds)
+        assert any(0 < d < 1e-15 for d in ds)
+        assert any(d >= 1e-15 for d in ds)
+
+    def test_matches_the_one_loop_sampler_bit_for_bit(self):
+        for u, v in self.pairs():
+            ref = reference_geodesic_samples(u, v, self.TS)
+            assert [bits(geodesic_point(u, v, t)) for t in self.TS] == list(map(bits, ref))
+
+    def test_points_read_backwards_run_from_v_to_u(self):
+        ts = [i / 32 for i in range(33)]
+        for u, v in self.pairs():
+            if dist(u, v) >= 1e-15:
+                forward = [bits(geodesic_point(u, v, t)) for t in ts]
+                assert forward[::-1] == [bits(geodesic_point(v, u, t)) for t in ts]
+
+
 def test_oracle_midline_agreement_sampled():
     rng = random.Random(37)
     for _ in range(1000):

@@ -211,7 +211,7 @@ class TestBoundCheck:
 
     def test_guard_and_payload(self):
         start = shape_from_edges(1, 1, 1).edges
-        r = Report("t", True, 1)
+        r = Report("t", 1)
         eps = verify.RESOLUTION
         assert not r.check(start, 1, 1 + eps / 2, 1.0)
         assert not r.check(start, 1, 1 - eps / 2, 1.0, upper=False)
@@ -386,17 +386,16 @@ class TestSeriesPass:
 
 @pytest.mark.parametrize("max_steps", [40, 5])
 def test_cauchy_limits_match_fresh_walks(monkeypatch, max_steps):
-    # the suite takes each limit along word + M^inf from the states of its
-    # walk (every sample stops by step 40, so with 5 steps the M tail
-    # decides); either way it is the limit of a fresh walk along
-    # word + M^inf, bit for bit
-    limits, orbit_limit = [], verify._orbit_limit
+    # the suite walks each start along word + M^inf (every sample stops by
+    # step 40, so with 5 steps the M tail decides); either way it is the
+    # limit of a fresh walk along word + M^inf, bit for bit
+    limits = []
 
-    def spy(hs, tol):
-        limits.append(orbit_limit(hs, tol))
+    def spy(letters, p, q, r, tol, max_iter=10_000):
+        limits.append(subdivision._limit(letters, p, q, r, tol, max_iter))
         return limits[-1]
 
-    monkeypatch.setattr(verify, "_orbit_limit", spy)
+    monkeypatch.setattr(verify, "_limit", spy)
     spec = small("cauchy", max_steps=max_steps)
     verify.run_cauchy_bound(spec)
     assert len(limits) == spec.samples
