@@ -41,6 +41,11 @@ def _check_edges(a: float, b: float, c: float) -> None:
         raise DomainError(f"edge c={c!r} violates the triangle inequality (c >= a + b)")
 
 
+def _check_angle(name: str, x: float) -> None:
+    if not 0 < x < math.pi:
+        raise DomainError(f"angle {name}={x!r} must be in (0, pi)")
+
+
 def _clamp_unit(x: float, what: str) -> float:
     if x > 1.0:
         if x > 1.0 + CLAMP_TOL:
@@ -146,8 +151,7 @@ def edges_from_angles(A: float, B: float, C: float) -> tuple[float, float, float
     S = pi - A - B - C, so tiny defects do not cancel.
     """
     for name, x in (("A", A), ("B", B), ("C", C)):
-        if not x > 0:
-            raise DomainError(f"angle {name}={x!r} must be positive")
+        _check_angle(name, x)
     S = math.pi - A - B - C
     if S <= EUCLIDEAN_SUM_ATOL:
         raise DomainError(f"angle sum {A + B + C!r} is not hyperbolic")
@@ -180,6 +184,7 @@ def cagnoli_area(a: float, b: float, c: float, A: float) -> float:
     sin(S/2) = sinh(b/2) sinh(c/2) sin A / cosh(a/2).
     """
     _check_edges(a, b, c)
+    _check_angle("A", A)
     rhs = math.sinh(b / 2) * math.sinh(c / 2) * math.sin(A) / math.cosh(a / 2)
     return 2 * math.asin(_clamp_unit(rhs, "sin(S/2)"))
 
@@ -192,6 +197,7 @@ def keogh_area(m_b: float, m_c: float, alpha: float) -> float:
     """
     if not (m_b > 0 and m_c > 0):
         raise DomainError("midlines must be positive")
+    _check_angle("alpha", alpha)
     rhs = math.sinh(m_b) * math.sinh(m_c) * math.sin(alpha)
     return 2 * math.asin(_clamp_unit(rhs, "sin(S/2)"))
 
@@ -200,6 +206,7 @@ def law_of_sines_ratio(a: float, A: float) -> float:
     """sin A / sinh a; the same for all three edge/opposite-angle pairs."""
     if not a > 0:
         raise DomainError(f"edge {a!r} must be positive")
+    _check_angle("A", A)
     return math.sin(A) / math.sinh(a)
 
 

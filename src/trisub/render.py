@@ -11,12 +11,10 @@ those of the other when every 1 - t is again a parameter (a power-of-two
 sample count), so each sample takes one sinh; the end samples are the
 vertices' own cached texts; and the inner samples are formatted by one
 %-template per edge, split and reversed for the cell that runs the edge
-the other way.  The
-depth-first walk stops one level above the leaves; each cell there
-yields the paths of its four children as one piece, and the document
-is never held whole.  In Klein depth mode the walk has its own loop: the
-vertices of the cells above the leaf-parents are kept as coordinates and
-text, while the edge midpoints of the leaf-parents, the last-level
+the other way.  One depth-first walk serves both models.  It stops one
+level above the leaves; each cell there yields the paths of its four
+children as one piece, and the document is never held whole.  In the
+Klein disk the edge midpoints of those leaf-parents, the last-level
 vertices, are kept only as text, from the first cell on their edge until
 the second takes them (those on the outline until the render ends).
 Output is fully deterministic (fixed element order and number
@@ -99,9 +97,13 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
     # of its ends and each vertex is computed once.
     side = 2 ** (spec.depth if spec.word is None else len(spec.word))
     root = (side * (side + 1), side, 0)
+    sqrt = math.sqrt
     points = {}
     texts = {}    # vertex key -> its formatted point
-    pending = {}  # Poincare: (u, v) -> the samples from u to v, not yet used
+    # Poincare: (u, v) -> the samples from u to v, not yet used;
+    # Klein: last-level vertex key -> its text, not yet used
+    pending = {}
+    pop = pending.pop
 
     def add(k, p):
         points[k] = p
@@ -119,8 +121,20 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
 
     def mid(ku, kv):
         k = (ku + kv) >> 1
-        if k not in points:
+        if k in points:
+            return k
+        if not klein:
             add(k, plane_model.midpoint(points[ku], points[kv]))
+            return k
+        # the operations of plane_model.midpoint and of add, in the same
+        # order, on plain tuples
+        u0, u1, u2 = points[ku]
+        v0, v1, v2 = points[kv]
+        x0, x1, x2 = u0 + v0, u1 + v1, u2 + v2
+        s = sqrt(x0 * x0 - x1 * x1 - x2 * x2)
+        x0, x1, x2 = x0 / s, x1 / s, x2 / s
+        points[k] = x0, x1, x2
+        texts[k] = _POINT % (x1 / x0 + 0.0, 0.0 - x2 / x0)
         return k
 
     def poincare_edge(ku, kv):
@@ -173,68 +187,30 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
     yield ('  <circle cx="0" cy="0" r="1" fill="none" stroke="#cccccc" '
            'stroke-width="0.004" />\n')
     yield path(root, _TAIL % ("none", "#000000", ""))
-    if spec.word is None and klein:
-        yield from _klein_leaves(points, texts, root, spec.depth)
-    elif spec.word is None:
-        # depth-first, cells in A, B, C, M order; a cell one level above the
-        # leaves yields the paths of its four children as one piece
-        stack = [(root, spec.depth)] if spec.depth else []
-        while stack:
-            cell, depth = stack.pop()
-            kids = cell_children(cell, mid)
-            if depth > 1:
-                stack.extend((kids[ch], depth - 1) for ch in reversed(LETTERS))
-            else:
-                yield "".join([path(kids[ch], _LEAF_TAILS[ch]) for ch in LETTERS])
-    else:
-        cell = root
-        for i, letter in enumerate(spec.word):
-            cell = cell_children(cell, mid)[letter]
-            last = i == len(spec.word) - 1
-            fill = DEFAULT_PALETTE[letter] if last else "none"
-            extra = ' fill-opacity="0.25"' if last else ""
-            yield path(cell, _TAIL % (fill, DEFAULT_PALETTE[letter], extra))
-    yield "</svg>\n"
-
-
-def _klein_leaves(points, texts, root, depth):
-    # The walk of _svg_lines for Klein depth mode, with each leaf-parent cell
-    # in straight-line code.  points and texts hold the root's vertices; the
-    # vertices of the cells above the leaf-parents join them as (x0, x1, x2)
-    # tuples with their texts.  A leaf-parent's edge midpoint is the end of no
-    # other midpoint, so it is kept only as text, in pending, until the second
-    # cell on its edge pops it.  Every midpoint takes the operations of
-    # plane_model.midpoint in the same order, so it is the same to the bit.
-    sqrt = math.sqrt
     join, head, sep = "".join, _HEAD, _SEP
     tail_a, tail_b, tail_c, tail_m = (_LEAF_TAILS[ch] for ch in LETTERS)
-    pending = {}
-    pop = pending.pop
-
-    def vertex(ku, kv):
-        k = (ku + kv) >> 1
-        if k not in points:
-            u0, u1, u2 = points[ku]
-            v0, v1, v2 = points[kv]
-            x0, x1, x2 = u0 + v0, u1 + v1, u2 + v2
-            s = sqrt(x0 * x0 - x1 * x1 - x2 * x2)
-            x0, x1, x2 = x0 / s, x1 / s, x2 / s
-            points[k] = x0, x1, x2
-            texts[k] = _POINT % (x1 / x0 + 0.0, 0.0 - x2 / x0)
-        return k
-
-    stack = [(*root, depth)] if depth else []
+    stack = [(*root, spec.depth)] if spec.depth else []  # empty in word mode
     push = stack.append
     while stack:
         a, b, c, depth = stack.pop()
         if depth > 1:  # children pushed so that they pop in A, B, C, M order
-            m_a, m_b, m_c = vertex(b, c), vertex(c, a), vertex(a, b)
+            m_a, m_b, m_c = mid(b, c), mid(c, a), mid(a, b)
             depth -= 1
             push((m_a, m_b, m_c, depth))
             push((m_b, m_a, c, depth))
             push((m_c, b, m_a, depth))
             push((a, m_c, m_b, depth))
             continue
+        # a leaf-parent yields the paths of its children A (a, m_c, m_b),
+        # B (m_c, b, m_a), C (m_b, m_a, c) and M (m_a, m_b, m_c) as one piece
+        if not klein:
+            m_a, m_b, m_c = mid(b, c), mid(c, a), mid(a, b)
+            yield join((path((a, m_c, m_b), tail_a), path((m_c, b, m_a), tail_b),
+                        path((m_b, m_a, c), tail_c), path((m_a, m_b, m_c), tail_m)))
+            continue
+        # Klein: a last-level vertex is the end of no other midpoint, so it
+        # is kept only as text, in pending, until the second cell on its edge
+        # pops it (those on the outline until the render ends)
         u0, u1, u2 = points[a]
         v0, v1, v2 = points[b]
         w0, w1, w2 = points[c]
@@ -257,11 +233,17 @@ def _klein_leaves(points, texts, root, depth):
             s = sqrt(x0 * x0 - x1 * x1 - x2 * x2)
             x0 = x0 / s
             t_c = pending[m_c] = _POINT % (x1 / s / x0 + 0.0, 0.0 - x2 / s / x0)
-        # the paths of children A (a, m_c, m_b), B (m_c, b, m_a),
-        # C (m_b, m_a, c) and M (m_a, m_b, m_c), as one piece
         a, b, c = texts[a], texts[b], texts[c]
         yield join((head, a, sep, t_c, sep, t_b, tail_a, head, t_c, sep, b, sep, t_a, tail_b,
                     head, t_b, sep, t_a, sep, c, tail_c, head, t_a, sep, t_b, sep, t_c, tail_m))
+    cell = root
+    for i, letter in enumerate(spec.word or ()):  # no letters in depth mode
+        cell = cell_children(cell, mid)[letter]
+        last = i == len(spec.word) - 1
+        fill = DEFAULT_PALETTE[letter] if last else "none"
+        extra = ' fill-opacity="0.25"' if last else ""
+        yield path(cell, _TAIL % (fill, DEFAULT_PALETTE[letter], extra))
+    yield "</svg>\n"
 
 
 def render_svg(spec: RenderSpec, edges: EdgeLengths) -> str:

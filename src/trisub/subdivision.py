@@ -18,6 +18,7 @@ sinh^2(c/2)), which validates nothing; edges appear only in records.
 """
 
 import math
+import sys
 from collections import namedtuple
 
 from . import hyptrig, plane_model
@@ -28,6 +29,9 @@ from ._fmt import csv_line
 ORBIT_CSV_COLUMNS = ("n", "letter", "A", "B", "C", "a", "b", "c", "S",
                      "ln_sin_A", "sinh_a2", "sinh_b2", "sinh_c2")
 _NONE3 = (None, None, None)  # the empty columns of a Euclidean entry
+# A step shrinks p + q + r at most about fourfold, so at the stop the largest
+# of the three is at least tol / 12; from this tol up it is never subnormal
+MIN_TOL = 16 * sys.float_info.min
 
 
 class ConvergenceError(RuntimeError):
@@ -109,14 +113,15 @@ def limit_shape_info(seq, s0: ShapeRecord, tol: float = 1e-13,
 
     Iterates the maps on bare states and stops after the first step whose
     residual, p + q + r = the sum of sinh^2(edge/2) over the three edges,
-    is below tol; then scales its angles by pi/(A+B+C).  By the
+    is below tol; then scales its angles by pi/(A+B+C).  tol must be at
+    least MIN_TOL, below which the stopping state can be subnormal.  By the
     paper's Cauchy lemma the residual bounds how far ln sin of any angle
     can still drift along the exact orbit, before scaling; it does not
     cover floating-point rounding.  seq is any iterable of letters; an
     eventually periodic sequence object works directly.
     """
-    if not 0 < tol < math.inf:  # an infinite tol would stop at any residual
-        raise ValueError("tol must be positive and finite")
+    if not MIN_TOL <= tol < math.inf:  # an infinite tol would stop at any residual
+        raise ValueError(f"tol must be positive and finite, and at least {MIN_TOL!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if s0.is_euclidean:

@@ -251,9 +251,11 @@ class TestLimitCommand:
     def test_bad_sequence(self, capsys):
         assert run(capsys, "limit", "--edges", "1,1,1", "--seq", "A|")[0] == 1
 
-    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-13"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-13", "5e-324", "1e-310", "8.9e-308"])
     def test_bad_tolerance(self, capsys, tol):
-        # --tol inf stopped after one step and printed residual 6.25... as a limit
+        # --tol inf stopped after one step and printed residual 6.25... as a limit;
+        # a subnormal stopping state raised ZeroDivisionError (5e-324) or
+        # blamed the edges (1e-310)
         code, out, err = run(capsys, "limit", "--edges", "4,4,7", "--seq", "|M", f"--tol={tol}")
         assert code == 1 and out == ""
         assert "tol must be positive and finite" in err
@@ -690,6 +692,23 @@ class TestRenderSharing:
     def test_poincare_bytes_are_pinned(self, n, kw, edges, digest):
         spec = RenderSpec(model="poincare", samples_per_edge=n, **kw)
         svg = render_svg(spec, EdgeLengths(*edges))
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+    # sha256 of the document: Klein depth mode takes its last-level vertices
+    # from the walk's leaf-parent step, and word mode takes every vertex from
+    # the inline midpoint of the shared vertex function
+    @pytest.mark.parametrize("kw, edges, digest", [
+        ({"depth": 3}, (2, 2, 3),
+         "302dc90ce64829982de55079e4aaddf3b29d32ded73a2a8867eab27b868b8141"),
+        ({"depth": 3}, (1.3, 0.7, 1.1),
+         "9bf7b47a31cb55f6ef81b5c85534ea1fc64a53dfd5a046d8075e1835c3e3365c"),
+        ({"word": "MMABCA"}, (2, 2, 3),
+         "a4d41c3840db9882f4b86519ad9589be80cdfe7608cb7465f3b86c40410c7b07"),
+        ({"word": "MMABCA"}, (1.3, 0.7, 1.1),
+         "3d63a3e827608098c781ab4adaf9ec69675a7f497e6097f20d64637866a1e514"),
+    ], ids=["depth3-2,2,3", "depth3-1.3,0.7,1.1", "MMABCA-2,2,3", "MMABCA-1.3,0.7,1.1"])
+    def test_klein_bytes_are_pinned(self, kw, edges, digest):
+        svg = render_svg(RenderSpec(model="klein", **kw), EdgeLengths(*edges))
         assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("depth", [1, 2, 4])

@@ -205,6 +205,18 @@ class TestAreas:
                     assert abs(routes[i] - routes[j]) < 1e-9
 
 
+@pytest.mark.parametrize("bad", [-0.5, 0.0, math.pi, 4.0, math.inf, math.nan])
+@pytest.mark.parametrize("identity", [
+    lambda A: cagnoli_area(1, 1, 1, A),
+    lambda A: keogh_area(0.5, 0.5, A),
+    lambda A: law_of_sines_ratio(1.0, A),
+], ids=["cagnoli_area", "keogh_area", "law_of_sines_ratio"])
+def test_identities_refuse_impossible_angles(identity, bad):
+    # a negative angle gave a negative area or ratio, and nan gave nan
+    with pytest.raises(DomainError, match=r"must be in \(0, pi\)"):
+        identity(bad)
+
+
 class TestLawOfSines:
     def test_equilateral_symmetry(self):
         A = angles_from_edges(1, 1, 1)[0]

@@ -12,7 +12,7 @@ from trisub.render import cell_children
 from trisub.shape import (AngleShape, EdgeLengths, metric_distance,
                           project_euclidean, shape_from_angles, shape_from_edges)
 from trisub.subdivision import (ConvergenceError, LETTERS, ORBIT_CSV_COLUMNS,
-                                LimitResult, apply, apply_oracle, child_edges,
+                                LimitResult, MIN_TOL, apply, apply_oracle, child_edges,
                                 limit_shape, limit_shape_info, orbit)
 from trisub.symbolic import _check_letter
 
@@ -421,6 +421,16 @@ class TestLimitShape:
         # an infinite tol stopped after one step, as if any residual were a limit
         with pytest.raises(ValueError, match="positive and finite"):
             limit_shape_info(iter("M"), shape_from_edges(4, 4, 7), tol=tol)
+
+    def test_tolerance_floor(self):
+        # below MIN_TOL the stopping state could be subnormal: 5e-324 raised
+        # ZeroDivisionError, and 1e-310 blamed the edges for being too short
+        rec = shape_from_edges(2, 2, 3)
+        with pytest.raises(ValueError, match="positive and finite"):
+            limit_shape_info(itertools.repeat("M"), rec, tol=math.nextafter(MIN_TOL, 0))
+        res = limit_shape_info(itertools.repeat("M"), rec, tol=MIN_TOL)
+        assert 0 < res.residual < MIN_TOL
+        assert sum(res.angles) == pytest.approx(math.pi)
 
 
 def test_cauchy_drift_bound_sampled():
