@@ -5,8 +5,9 @@ taken from edges by _half_sinh_sq.  Formulas in it add and multiply
 positive terms, so nothing cancels for tiny or long edges (the Heron form
 cancels only at flat triangles).  STEPS holds one step kernel per
 subdivision map, a straight-line function from a state to its child's.
-_derive adds the Heron root; the angles, their sines and the area are
-formulas in its result.
+_derive adds the Heron root, and refuses a flat state (a nonzero state
+whose form is not positive) for every caller; the angles, their sines and
+the area are formulas in its result.
 """
 
 import math
@@ -41,9 +42,10 @@ def _check_edges(a: float, b: float, c: float) -> None:
         raise DomainError(f"edge c={c!r} violates the triangle inequality (c >= a + b)")
 
 
-def _check_angle(name: str, x: float) -> None:
-    if not 0 < x < math.pi:
-        raise DomainError(f"angle {name}={x!r} must be in (0, pi)")
+def _check_angles(**angles: float) -> None:
+    for name, x in angles.items():
+        if not 0 < x < math.pi:
+            raise DomainError(f"angle {name}={x!r} must be in (0, pi)")
 
 
 def _clamp_unit(x: float, what: str) -> float:
@@ -78,22 +80,29 @@ def _nonzero_state(a: float, b: float, c: float) -> tuple[float, float, float]:
 
 
 def _derive(p: float, q: float, r: float):
-    # (p, q, r, root), root = sqrt of the state's Heron form; for three equal
+    # (p, q, r, root), root = sqrt of the state's Heron form, which must be
+    # positive unless the state is zero (a placed point).  For three equal
     # edges above ~237 4pqr overflows to inf, and above ~500 the form is nan.
     # Its products underflow from p ~ 1e-154, so a nonzero state below 2^-400
     # is scaled exactly by s = 2^k: H(p, q, r) = s^2 H(p/s, q/s, r/s; cubic * s)
-    big = max(p, q, r)
-    if big < 2.0 ** -400 and big:
-        if big < 2.0 ** -1022:  # subnormal, from edges below ~3e-154
-            raise DomainError(f"edges with sinh^2(edge/2) = ({p!r}, {q!r}, {r!r}) are "
-                              f"too short: the largest is subnormal")
+    H = _heron_sinh_sq(p, q, r)
+    if 2.0 ** -800 <= H < math.inf:
+        return p, q, r, math.sqrt(H)
+    big, s = max(p, q, r), 1.0
+    if not big:
+        return p, q, r, 0.0
+    if big < 2.0 ** -1022:  # subnormal, from edges below ~3e-154
+        raise DomainError(f"edges with sinh^2(edge/2) = ({p!r}, {q!r}, {r!r}) are "
+                          f"too short: the largest is subnormal")
+    if big < 2.0 ** -400:
         s = 2.0 ** math.frexp(big)[1]
-        return p, q, r, s * math.sqrt(max(_heron_sinh_sq(p / s, q / s, r / s, s), 0.0))
-    root = math.sqrt(max(_heron_sinh_sq(p, q, r), 0.0))
-    if not root < math.inf:
+        H = _heron_sinh_sq(p / s, q / s, r / s, s)
+    elif not H < math.inf:
         raise DomainError(f"edges with sinh^2(edge/2) = ({p!r}, {q!r}, {r!r}) are "
                           f"too long: their Heron form overflows")
-    return p, q, r, root
+    if not H > 0:
+        raise DomainError(f"state {[p, q, r]} is flat: its Heron form is not positive")
+    return p, q, r, s * math.sqrt(H)
 
 
 # Step kernels: a child's state from its parent's, with cp = cosh(a/2) etc.  A
@@ -150,8 +159,7 @@ def edges_from_angles(A: float, B: float, C: float) -> tuple[float, float, float
     evaluated as sinh^2(a/2) = sin(S/2) sin(A + S/2) / (sin B sin C) with
     S = pi - A - B - C, so tiny defects do not cancel.
     """
-    for name, x in (("A", A), ("B", B), ("C", C)):
-        _check_angle(name, x)
+    _check_angles(A=A, B=B, C=C)
     S = math.pi - A - B - C
     if S <= EUCLIDEAN_SUM_ATOL:
         raise DomainError(f"angle sum {A + B + C!r} is not hyperbolic")
@@ -170,6 +178,7 @@ def edges_from_angles(A: float, B: float, C: float) -> tuple[float, float, float
 
 def defect_area(A: float, B: float, C: float) -> float:
     """Area as the angle defect pi - A - B - C."""
+    _check_angles(A=A, B=B, C=C)
     S = math.pi - A - B - C
     if S < 0:
         if S < -CLAMP_TOL:
@@ -184,7 +193,7 @@ def cagnoli_area(a: float, b: float, c: float, A: float) -> float:
     sin(S/2) = sinh(b/2) sinh(c/2) sin A / cosh(a/2).
     """
     _check_edges(a, b, c)
-    _check_angle("A", A)
+    _check_angles(A=A)
     rhs = math.sinh(b / 2) * math.sinh(c / 2) * math.sin(A) / math.cosh(a / 2)
     return 2 * math.asin(_clamp_unit(rhs, "sin(S/2)"))
 
@@ -197,7 +206,7 @@ def keogh_area(m_b: float, m_c: float, alpha: float) -> float:
     """
     if not (m_b > 0 and m_c > 0):
         raise DomainError("midlines must be positive")
-    _check_angle("alpha", alpha)
+    _check_angles(alpha=alpha)
     rhs = math.sinh(m_b) * math.sinh(m_c) * math.sin(alpha)
     return 2 * math.asin(_clamp_unit(rhs, "sin(S/2)"))
 
@@ -206,7 +215,7 @@ def law_of_sines_ratio(a: float, A: float) -> float:
     """sin A / sinh a; the same for all three edge/opposite-angle pairs."""
     if not a > 0:
         raise DomainError(f"edge {a!r} must be positive")
-    _check_angle("A", A)
+    _check_angles(A=A)
     return math.sin(A) / math.sinh(a)
 
 

@@ -137,40 +137,29 @@ def _letters(rng: random.Random):
     return map(LETTERS.__getitem__, filter((4).__gt__, map(rng.getrandbits, repeat(3))))
 
 
-def _refuse_flat(p: float, q: float, r: float, n: int):
-    # the state of step n has a Heron form that is not positive
-    hyptrig._derive(p, q, r)  # raises "too long" on an overflowed form
-    raise hyptrig.DomainError(f"state {[p, q, r]} at step {n} is flat: "
-                              f"its Heron form is not positive")
-
-
 def _burn_in(e: EdgeLengths, letters, steps: int):
     """The orbit of e under the letter iterator, e first: burn-in until
     p, q, r = sinh^2(edge/2) are all below 1, then steps more.  Returns the
-    derived states (p, q, r, root), each checked for a positive root as it
-    arrives, and the burn-in length; no letter is taken beyond the last
-    state."""
-    path, kernels = [], hyptrig.STEPS
-    heron, sqrt, inf = hyptrig._heron_sinh_sq, math.sqrt, math.inf
-    p, q, r = hyptrig._half_sinh_sq(e.a, e.b, e.c)
-    while True:
-        root = sqrt(max(heron(p, q, r), 0.0))  # as in _derive
-        if not 0 < root < inf:
-            _refuse_flat(p, q, r, len(path))
-        path.append((p, q, r, root))
-        if max(p, q, r) < 1.0:
-            break
-        if len(path) > 500:
-            raise RuntimeError("burn-in did not terminate")
-        letter = next(letters)
-        p, q, r = (kernels.get(letter) or _check_letter(letter))(p, q, r)
-    burn = len(path) - 1
-    for letter in islice(letters, steps):
-        p, q, r = (kernels.get(letter) or _check_letter(letter))(p, q, r)
-        root = sqrt(max(heron(p, q, r), 0.0))
-        if not 0 < root < inf:
-            _refuse_flat(p, q, r, len(path))
-        path.append((p, q, r, root))
+    derived states (p, q, r, root) of hyptrig._derive, which refuses a flat
+    state as it arrives (the error names its step), and the burn-in length;
+    no letter is taken beyond the last state."""
+    path, kernels, derive = [], hyptrig.STEPS, hyptrig._derive
+    p, q, r = hyptrig._nonzero_state(e.a, e.b, e.c)
+    try:
+        while True:
+            path.append(derive(p, q, r))
+            if max(p, q, r) < 1.0:
+                break
+            if len(path) > 500:
+                raise RuntimeError("burn-in did not terminate")
+            letter = next(letters)
+            p, q, r = (kernels.get(letter) or _check_letter(letter))(p, q, r)
+        burn = len(path) - 1
+        for letter in islice(letters, steps):
+            p, q, r = (kernels.get(letter) or _check_letter(letter))(p, q, r)
+            path.append(derive(p, q, r))
+    except hyptrig.DomainError as exc:
+        raise type(exc)(f"step {len(path)}: {exc}") from exc
     return tuple(path), burn
 
 

@@ -251,6 +251,17 @@ class TestLimitCommand:
     def test_bad_sequence(self, capsys):
         assert run(capsys, "limit", "--edges", "1,1,1", "--seq", "A|")[0] == 1
 
+    @pytest.mark.parametrize("edges, seq", [
+        ("20,20,39", "|M"),
+        # orbit --word MBC from the same edges prints four rows
+        ("26.77140277034582,5.91333169169455,31.640324086913058", "MB|M")])
+    def test_flat_stopping_state(self, capsys, edges, seq):
+        # the Heron form of the stopping state rounds to 0 or below: the
+        # error names the flat state, not the zero angle it was clamped to
+        code, out, err = run(capsys, "limit", "--edges", edges, "--seq", seq)
+        assert code == 1 and out == ""
+        assert "is flat" in err and "angle A=0.0" not in err
+
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-13", "5e-324", "1e-310", "8.9e-308"])
     def test_bad_tolerance(self, capsys, tol):
         # --tol inf stopped after one step and printed residual 6.25... as a limit;

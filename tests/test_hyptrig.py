@@ -210,11 +210,66 @@ class TestAreas:
     lambda A: cagnoli_area(1, 1, 1, A),
     lambda A: keogh_area(0.5, 0.5, A),
     lambda A: law_of_sines_ratio(1.0, A),
-], ids=["cagnoli_area", "keogh_area", "law_of_sines_ratio"])
+    lambda A: defect_area(A, 0.5, 0.5),
+], ids=["cagnoli_area", "keogh_area", "law_of_sines_ratio", "defect_area"])
 def test_identities_refuse_impossible_angles(identity, bad):
     # a negative angle gave a negative area or ratio, and nan gave nan
     with pytest.raises(DomainError, match=r"must be in \(0, pi\)"):
         identity(bad)
+
+
+# a valid sliver (a + b - c is one ulp of c) whose Heron form rounds to 0
+FLAT_SLIVER = (0.7878068188688756, 1.7710252354914908, 2.558832054360366)
+
+
+class TestDerive:
+    """_derive is the one place a state's Heron form is evaluated and judged."""
+
+    @pytest.mark.parametrize("state", [
+        (1.0, 1.0, 0.0), (9.0, 1.0, 1.0),
+        # the stopping state of limit --edges 20,20,39 --seq "|M": its form
+        # is 16 p^3 > 0 exactly, but rounds to 0 or below
+        (5.0098814023564386e-15, 5.0098814023564386e-15, 2.003952560942586e-14),
+        hyptrig._half_sinh_sq(*FLAT_SLIVER),
+    ])
+    def test_flat_state_is_refused(self, state):
+        with pytest.raises(DomainError, match=r"is flat: its Heron form is not positive"):
+            hyptrig._derive(*state)
+
+    def test_zero_state_passes_through(self):
+        # plane_model.place puts a point there
+        assert hyptrig._derive(0.0, 0.0, 0.0) == (0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("edges", [(1e-150, 1e-150, 1e-150), (1e-130, 2e-130, 1.5e-130),
+                                       (3e-154, 4e-154, 5e-154)])
+    def test_tiny_state_is_scaled_exactly(self, edges):
+        p, q, r = hyptrig._half_sinh_sq(*edges)
+        assert 0 < max(p, q, r) < 2.0 ** -400
+        s = 2.0 ** math.frexp(max(p, q, r))[1]
+        expect = s * math.sqrt(hyptrig._heron_sinh_sq(p / s, q / s, r / s, s))
+        assert hyptrig._derive(p, q, r)[3].hex() == expect.hex()
+
+    @pytest.mark.parametrize("t", [238.0, 500.0, 709.0])
+    def test_overflowing_form_is_too_long(self, t):
+        with pytest.raises(DomainError, match="too long: their Heron form overflows"):
+            hyptrig._derive(*hyptrig._half_sinh_sq(t, t, t))
+
+    def test_root_is_the_plain_root(self):
+        rng = random.Random(41)
+        for lo, hi in ((1e-6, 1e-3), (0.01, 5.0), (0.01, 40.0)):
+            for _ in range(300):
+                state = hyptrig._half_sinh_sq(*sample_edges(rng, lo, hi))
+                H = hyptrig._heron_sinh_sq(*state)
+                if H > 0:
+                    *derived, root = hyptrig._derive(*state)
+                    assert tuple(derived) == state and root.hex() == math.sqrt(H).hex()
+
+    @pytest.mark.parametrize("public", [angles_from_edges, area_from_edges, medial_data,
+                                        shape_from_edges])
+    def test_public_functions_refuse_a_flat_sliver(self, public):
+        # they returned zero angles, a zero area or zero feet
+        with pytest.raises(DomainError, match="is flat"):
+            public(*FLAT_SLIVER)
 
 
 class TestLawOfSines:

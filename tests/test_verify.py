@@ -570,6 +570,22 @@ class TestErrorContext:
             run(spec)
         assert str(info.value).startswith(f"{name} orbit from [")
 
+    @pytest.mark.parametrize("run", [verify.run_area_bounds, verify.run_lemma21,
+                                     verify.run_ratio_limit])
+    def test_tiny_edge_plans(self, run):
+        # the states of edges near 1e-100 are below 2^-400, where _derive
+        # rescales the Heron form; an unscaled root underflowed to "is flat"
+        report = run(SampleSpec(seed=1, samples=20, edge_range=(1e-100, 2e-100)))
+        assert report.passed
+
+    def test_flat_refusal_names_its_step(self):
+        # one medial step takes 20,20,39 to a state whose form rounds to 0
+        with pytest.raises(DomainError, match=r"^step 1: state \[.*\] is flat"):
+            verify._burn_in(shape_from_edges(20, 20, 39).edges, repeat("M"), 10)
+        with pytest.raises(DomainError, match=r"^area orbit from \[.*\]: step 2: "
+                                              r"state \[.*\] is flat"):
+            verify.run_area_bounds(SampleSpec(seed=1, samples=20, edge_range=(19, 40)))
+
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 24, 2 ** 70 + 5])
 def test_letters_are_choice_draws(seed):
