@@ -5,9 +5,10 @@ taken from edges by _half_sinh_sq.  Formulas in it add and multiply
 positive terms, so nothing cancels for tiny or long edges (the Heron form
 cancels only at flat triangles).  STEPS holds one step kernel per
 subdivision map, a straight-line function from a state to its child's.
-_derive adds the Heron root, and refuses a flat state (a nonzero state
-whose form is not positive) for every caller; the angles, their sines and
-the area are formulas in its result.
+_derive adds the Heron root; the angles, their sines and the area are
+formulas in its result.  These two alone decide the domain: _half_sinh_sq
+refuses a state that overflows or underflows to 0, and _derive one that is
+too short (subnormal), too long or flat (its form not positive).
 """
 
 import math
@@ -61,27 +62,21 @@ def _clamp_unit(x: float, what: str) -> float:
 
 
 def _half_sinh_sq(a: float, b: float, c: float) -> tuple[float, float, float]:
-    # the state (p, q, r) of an edge triple: p = sinh^2(a/2) etc.
+    # the state (p, q, r) of an edge triple, p = sinh^2(a/2) etc., if finite and nonzero
     try:
-        return math.sinh(a / 2) ** 2, math.sinh(b / 2) ** 2, math.sinh(c / 2) ** 2
+        p, q, r = math.sinh(a / 2) ** 2, math.sinh(b / 2) ** 2, math.sinh(c / 2) ** 2
     except OverflowError:  # sinh^2(x/2) passes the largest binary64 above x ~ 710
         raise DomainError(f"edges ({a!r}, {b!r}, {c!r}) are too long: "
                           f"sinh^2(edge/2) overflows") from None
-
-
-def _nonzero_state(a: float, b: float, c: float) -> tuple[float, float, float]:
-    # the state of checked edges, refused when it underflows to 0: _derive
-    # passes a zero state through, for placed points
-    state = _half_sinh_sq(a, b, c)
-    if not max(state):
+    if not (p or q or r):  # edges below ~3.1e-162
         raise DomainError(f"edges ({a!r}, {b!r}, {c!r}) are too short: "
                           f"sinh^2(edge/2) underflows to 0")
-    return state
+    return p, q, r
 
 
 def _derive(p: float, q: float, r: float):
     # (p, q, r, root), root = sqrt of the state's Heron form, which must be
-    # positive unless the state is zero (a placed point).  For three equal
+    # positive; a zero or subnormal state is too short.  For three equal
     # edges above ~237 4pqr overflows to inf, and above ~500 the form is nan.
     # Its products underflow from p ~ 1e-154, so a nonzero state below 2^-400
     # is scaled exactly by s = 2^k: H(p, q, r) = s^2 H(p/s, q/s, r/s; cubic * s)
@@ -89,9 +84,7 @@ def _derive(p: float, q: float, r: float):
     if 2.0 ** -800 <= H < math.inf:
         return p, q, r, math.sqrt(H)
     big, s = max(p, q, r), 1.0
-    if not big:
-        return p, q, r, 0.0
-    if big < 2.0 ** -1022:  # subnormal, from edges below ~3e-154
+    if big < 2.0 ** -1022:  # zero or subnormal
         raise DomainError(f"edges with sinh^2(edge/2) = ({p!r}, {q!r}, {r!r}) are "
                           f"too short: the largest is subnormal")
     if big < 2.0 ** -400:
@@ -250,7 +243,7 @@ def medial_data(a: float, b: float, c: float) -> MedialData:
     sinh l_x = cosh(x/2) sin(S/2) / sinh m_x with sin(S/2) = sqrt(H)/K.
     """
     _check_edges(a, b, c)
-    p, q, r, root = _derive(*_nonzero_state(a, b, c))
+    p, q, r, root = _derive(*_half_sinh_sq(a, b, c))
     ch = cp, cq, cr = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
     ms = [2 * math.asinh(math.sqrt(x)) for x in _step_m(p, q, r)]
     K = 2 * cp * cq * cr
@@ -300,10 +293,15 @@ def trace_parent_area(tc: TraceCoords) -> float:
 
 def _sin_angles(p: float, q: float, r: float, root: float) -> tuple[float, float, float]:
     # sin A = sqrt(H) / (2 sqrt(q r (1+q)(1+r))) in the variables of
-    # angles_from_edges, with full relative accuracy for sliver angles
-    return (root / (2 * math.sqrt(q * r * (1 + q) * (1 + r))),
-            root / (2 * math.sqrt(r * p * (1 + r) * (1 + p))),
-            root / (2 * math.sqrt(p * q * (1 + p) * (1 + q))))
+    # angles_from_edges, with full relative accuracy for sliver angles; a state
+    # below 2^-400 is scaled as in _derive, where its 1 + q etc. are exactly 1
+    cp, cq, cr = 1 + p, 1 + q, 1 + r
+    if p < 2.0 ** -400 and q < 2.0 ** -400 and r < 2.0 ** -400:
+        s = 2.0 ** math.frexp(max(p, q, r))[1]
+        p, q, r, root = p / s, q / s, r / s, root / s
+    return (root / (2 * math.sqrt(q * r * cq * cr)),
+            root / (2 * math.sqrt(r * p * cr * cp)),
+            root / (2 * math.sqrt(p * q * cp * cq)))
 
 
 def _area(p: float, q: float, r: float, root: float) -> float:

@@ -73,9 +73,7 @@ class AngleShape(_Checked, namedtuple("AngleShape", "A B C")):
     __slots__ = ()
 
     def __post_init__(self):
-        for name, x in (("A", self.A), ("B", self.B), ("C", self.C)):
-            if not x > 0:
-                raise DomainError(f"angle {name}={x!r} must be positive")
+        hyptrig._check_angles(A=self.A, B=self.B, C=self.C)
         if self.angle_sum() > math.pi + EUCLIDEAN_ATOL:
             raise DomainError(f"angle sum {self.angle_sum()!r} exceeds pi")
 
@@ -118,7 +116,7 @@ class ShapeRecord(_Frozen):
 def shape_from_edges(a: float, b: float, c: float) -> ShapeRecord:
     """Build the hyperbolic shape realized by edge lengths (a, b, c)."""
     edges = EdgeLengths(a, b, c)
-    return _record(hyptrig._nonzero_state(a, b, c), edges)
+    return _record(hyptrig._half_sinh_sq(a, b, c), edges)
 
 
 def _record(state, edges: EdgeLengths | None = None) -> ShapeRecord:
@@ -130,11 +128,12 @@ def _record(state, edges: EdgeLengths | None = None) -> ShapeRecord:
 
 
 def shape_from_angles(A: float, B: float, C: float) -> ShapeRecord:
-    """Build the shape with angles (A, B, C); Euclidean ones carry no edges."""
+    """Build the shape with angles (A, B, C); Euclidean ones carry no edges.
+    Derived edges are not checked again: on a sliver a + b - c can round to 0."""
     angles = AngleShape(A, B, C)
     if angles.is_euclidean:
         return ShapeRecord(angles, None, 0.0)
-    edges = EdgeLengths(*hyptrig.edges_from_angles(A, B, C))
+    edges = tuple.__new__(EdgeLengths, hyptrig.edges_from_angles(A, B, C))
     return ShapeRecord(angles, edges, hyptrig.defect_area(A, B, C))
 
 

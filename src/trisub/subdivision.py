@@ -22,7 +22,7 @@ import sys
 from collections import namedtuple
 
 from . import hyptrig, plane_model
-from .shape import AngleShape, EdgeLengths, ShapeRecord, _record, shape_from_edges
+from .shape import AngleShape, EdgeLengths, ShapeRecord, _record
 from .symbolic import LETTERS, _check_letter  # LETTERS stays public here
 from ._fmt import csv_line
 
@@ -39,8 +39,9 @@ class ConvergenceError(RuntimeError):
 
 
 def child_edges(letter: str, e: EdgeLengths) -> EdgeLengths:
-    """Edge lengths of the chosen subdivision cell, in slot order."""
-    return apply(letter, shape_from_edges(e.a, e.b, e.c)).edges
+    """Edge lengths of the chosen subdivision cell, in slot order.  e was checked
+    when built; derived edges are not checked again (a + b - c can round to 0)."""
+    return apply(letter, _record(hyptrig._half_sinh_sq(e.a, e.b, e.c), e)).edges
 
 
 def apply(letter: str, s: ShapeRecord) -> ShapeRecord:

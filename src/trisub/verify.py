@@ -144,7 +144,7 @@ def _burn_in(e: EdgeLengths, letters, steps: int):
     state as it arrives (the error names its step), and the burn-in length;
     no letter is taken beyond the last state."""
     path, kernels, derive = [], hyptrig.STEPS, hyptrig._derive
-    p, q, r = hyptrig._nonzero_state(e.a, e.b, e.c)
+    p, q, r = hyptrig._half_sinh_sq(e.a, e.b, e.c)
     try:
         while True:
             path.append(derive(p, q, r))

@@ -16,6 +16,7 @@ from trisub import cli, hyptrig, plane_model, render
 from trisub.cli import main
 from trisub.render import RenderSpec, cell_children, render_svg, svg_lines
 from trisub.shape import EdgeLengths
+from trisub.subdivision import apply_oracle
 
 
 def run(capsys, *argv):
@@ -123,6 +124,52 @@ class TestShapeCommand:
             fresh.append(run(capsys, *argv))
         assert shared == fresh
         assert [code for code, _, _ in shared] == [0, 0, 64, 0]
+
+
+class TestDomainFloor:
+    """Every command and public edge function refuses the same tiny
+    triangles: below ~3e-154 the state (sinh^2(edge/2), ...) is subnormal or
+    0, and hyptrig refuses it as too short."""
+
+    @staticmethod
+    def outcomes(capsys, tmp_path, t):
+        # each entry point's error, or None where it succeeds
+        def call(f):
+            try:
+                f()
+            except hyptrig.DomainError as exc:
+                return str(exc)
+            return None
+
+        def cli_call(*argv):
+            code, _, err = run(capsys, *argv, "--edges", f"{t},{t},{t}")
+            assert code == (1 if err else 0)
+            return err or None
+
+        out_file = tmp_path / "t.svg"
+        e = EdgeLengths(t, t, t)
+        found = {
+            "shape": cli_call("shape"),
+            "orbit": cli_call("orbit", "--word", ""),
+            "render": cli_call("render", "--depth", "2", "-o", str(out_file)),
+            "medial_data": call(lambda: hyptrig.medial_data(t, t, t)),
+            "angles_from_edges": call(lambda: hyptrig.angles_from_edges(t, t, t)),
+            "area_from_edges": call(lambda: hyptrig.area_from_edges(t, t, t)),
+            "apply_oracle": call(lambda: apply_oracle("M", e)),
+        }
+        assert out_file.exists() == (found["render"] is None)
+        return found
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-170, 1e-162, 1e-160, 1e-155])
+    def test_below_the_floor_is_too_short(self, capsys, tmp_path, t):
+        found = self.outcomes(capsys, tmp_path, t)
+        found["limit"] = run(capsys, "limit", "--edges", f"{t},{t},{t}", "--seq", "|M")[2]
+        assert all(err and "too short" in err for err in found.values()), found
+
+    @pytest.mark.parametrize("t", [3e-154, 1e-150])
+    def test_above_the_floor_succeeds(self, capsys, tmp_path, t):
+        found = self.outcomes(capsys, tmp_path, t)
+        assert all(err is None for err in found.values()), found
 
 
 class TestLongEdges:
@@ -619,8 +666,6 @@ class TestRenderSharing:
         (RenderSpec(model="klein", depth=6), EDGES),
         (RenderSpec(model="poincare", depth=5), EDGES),
         # edges so short that the sampler interpolates linearly
-        (RenderSpec(model="klein", depth=2), EdgeLengths(1e-300, 1e-300, 1e-300)),
-        (RenderSpec(model="poincare", depth=2), EdgeLengths(1e-300, 1e-300, 1e-300)),
         (RenderSpec(model="klein", depth=2), EdgeLengths(1e-16, 1.5e-16, 2e-16)),
         (RenderSpec(model="poincare", depth=2), EdgeLengths(1e-16, 1.5e-16, 2e-16)),
         (RenderSpec(model="klein", depth=7), EDGES),
@@ -630,11 +675,17 @@ class TestRenderSharing:
         (RenderSpec(model="poincare", depth=3), EdgeLengths(14.9, 14.9, 14.9)),
     ], ids=["klein-depth4", "poincare-depth3", "poincare-word", "klein-word",
             "klein-depth0", "poincare-depth0", "klein-depth1", "poincare-depth1",
-            "klein-depth6", "poincare-depth5", "klein-1e-300", "poincare-1e-300",
+            "klein-depth6", "poincare-depth5",
             "klein-1e-16", "poincare-1e-16", "klein-depth7", "klein-long-edges",
             "klein-word-long-edges", "poincare-long-edges"])
     def test_matches_cell_by_cell_reference(self, spec, edges):
         assert render_svg(spec, edges) == reference_svg(spec, edges)
+
+    @pytest.mark.parametrize("model", ["klein", "poincare"])
+    def test_refuses_edges_below_the_floor(self, model):
+        # their state underflows to 0; placing it put every vertex on one point
+        with pytest.raises(hyptrig.DomainError, match="too short"):
+            render_svg(RenderSpec(model=model, depth=2), EdgeLengths(1e-300, 1e-300, 1e-300))
 
     def test_klein_stream_keeps_last_level_as_text_only(self):
         # the 6,240 vertices new at the last level of a depth-7 render are

@@ -236,9 +236,10 @@ class TestDerive:
         with pytest.raises(DomainError, match=r"is flat: its Heron form is not positive"):
             hyptrig._derive(*state)
 
-    def test_zero_state_passes_through(self):
-        # plane_model.place puts a point there
-        assert hyptrig._derive(0.0, 0.0, 0.0) == (0.0, 0.0, 0.0, 0.0)
+    def test_zero_state_is_too_short(self):
+        # the floor _half_sinh_sq also holds; no caller places a point there
+        with pytest.raises(DomainError, match="too short"):
+            hyptrig._derive(0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("edges", [(1e-150, 1e-150, 1e-150), (1e-130, 2e-130, 1.5e-130),
                                        (3e-154, 4e-154, 5e-154)])
@@ -270,6 +271,22 @@ class TestDerive:
         # they returned zero angles, a zero area or zero feet
         with pytest.raises(DomainError, match="is flat"):
             public(*FLAT_SLIVER)
+
+
+@pytest.mark.parametrize("edges", [(1e-65, 1e-65, 1e-65), (1e-70, 1.5e-70, 2e-70),
+                                   (1e-100, 1.5e-100, 2e-100)])
+def test_sin_angles_of_tiny_states(edges):
+    # below 2^-400 the state and its root are scaled by 2^k, which is exact:
+    # where the plain products stay normal (edges above ~2.4e-77) the sines
+    # keep their bits, and below it they stay finite and match the angles
+    p, q, r, root = h = hyptrig._derive(*hyptrig._half_sinh_sq(*edges))
+    assert max(p, q, r) < 2.0 ** -400
+    sines = hyptrig._sin_angles(*h)
+    if q * r > 2.0 ** -1022:
+        assert sines == (root / (2 * math.sqrt(q * r * (1 + q) * (1 + r))),
+                         root / (2 * math.sqrt(r * p * (1 + r) * (1 + p))),
+                         root / (2 * math.sqrt(p * q * (1 + p) * (1 + q))))
+    assert sines == pytest.approx([math.sin(x) for x in hyptrig._angles(*h)], rel=1e-15)
 
 
 class TestLawOfSines:

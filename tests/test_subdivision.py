@@ -433,6 +433,29 @@ class TestLimitShape:
         assert sum(res.angles) == pytest.approx(math.pi)
 
 
+def test_child_edges_chain_takes_its_edges_unchecked():
+    # child_edges along seeded 12-letter words from edges in [0.01, 40],
+    # where orbit passes: re-checking each child's edges refused 20 of these
+    # chains with the triangle inequality.  A flat state is still refused
+    # (22 chains here); that belongs to the tangent core
+    rng = random.Random(5)
+    chains = 0
+    for _ in range(3000):
+        e = sample_edges(rng, 0.01, 40.0)
+        word = "".join(rng.choice(LETTERS) for _ in range(12))
+        try:
+            orbit(word, shape_from_edges(*e))
+        except hyptrig.DomainError:
+            continue
+        chains += 1
+        try:
+            for letter in word:
+                e = child_edges(letter, e)
+        except hyptrig.DomainError as exc:
+            assert "is flat" in str(exc)
+    assert chains == 2614
+
+
 def test_cauchy_drift_bound_sampled():
     rng = random.Random(61)
     for _ in range(50):

@@ -571,10 +571,12 @@ class TestErrorContext:
         assert str(info.value).startswith(f"{name} orbit from [")
 
     @pytest.mark.parametrize("run", [verify.run_area_bounds, verify.run_lemma21,
-                                     verify.run_ratio_limit])
+                                     verify.run_ratio_limit, verify.run_cauchy_bound,
+                                     verify.run_angle_ratio])
     def test_tiny_edge_plans(self, run):
         # the states of edges near 1e-100 are below 2^-400, where _derive
-        # rescales the Heron form; an unscaled root underflowed to "is flat"
+        # rescales the Heron form and _sin_angles the products q r; unscaled,
+        # the root underflowed to "is flat" and the sines to a ZeroDivisionError
         report = run(SampleSpec(seed=1, samples=20, edge_range=(1e-100, 2e-100)))
         assert report.passed
 
