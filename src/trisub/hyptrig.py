@@ -1,14 +1,18 @@
 """Scalar hyperbolic trigonometry for triangles.
 
-A triangle's state is (p, q, r) = (sinh^2(a/2), sinh^2(b/2), sinh^2(c/2)),
-taken from edges by _half_sinh_sq.  Formulas in it add and multiply
-positive terms, so nothing cancels for tiny or long edges (the Heron form
-cancels only at flat triangles).  STEPS holds one step kernel per
-subdivision map, a straight-line function from a state to its child's.
-_derive adds the Heron root; the angles, their sines and the area are
-formulas in its result.  These two alone decide the domain: _half_sinh_sq
-refuses a state that overflows or underflows to 0, and _derive one that is
-too short (subnormal), too long or flat (its form not positive).
+A triangle's state is (p, q, r, root): p = sinh^2(a/2) etc., and root the
+square root of their Heron form H = 2(pq+qr+rp) - p^2 - q^2 - r^2 + 4pqr.
+_start takes a state from edges, the only place a root comes from edges:
+H = sinh s sinh x sinh y sinh z on the half-sums x = (b + c - a)/2 etc.
+and s = x + y + z, each rounded once by math.fsum, so nothing cancels on
+slivers (W. Kahan's remedy for needle-like triangles).  STEPS holds one
+step kernel per subdivision map, a straight-line function from a state to
+its child's: every cell divides the root by a factor its kernel already
+builds, so no Heron form is evaluated again.  The angles, their sines and
+the area are formulas in a state.  _half_sinh_sq alone decides the
+domain of edges: it refuses edges whose sinh^2(edge/2) overflows,
+underflows or is subnormal, and edges whose Heron form's products
+overflow (too long).
 """
 
 import math
@@ -62,7 +66,8 @@ def _clamp_unit(x: float, what: str) -> float:
 
 
 def _half_sinh_sq(a: float, b: float, c: float) -> tuple[float, float, float]:
-    # the state (p, q, r) of an edge triple, p = sinh^2(a/2) etc., if finite and nonzero
+    # the state (p, q, r) of an edge triple, p = sinh^2(a/2) etc., refused
+    # where it is too long or too short for the step kernels and read-outs
     try:
         p, q, r = math.sinh(a / 2) ** 2, math.sinh(b / 2) ** 2, math.sinh(c / 2) ** 2
     except OverflowError:  # sinh^2(x/2) passes the largest binary64 above x ~ 710
@@ -71,57 +76,57 @@ def _half_sinh_sq(a: float, b: float, c: float) -> tuple[float, float, float]:
     if not (p or q or r):  # edges below ~3.1e-162
         raise DomainError(f"edges ({a!r}, {b!r}, {c!r}) are too short: "
                           f"sinh^2(edge/2) underflows to 0")
+    if max(p, q, r) < 2.0 ** -1022:
+        raise DomainError(f"edges with sinh^2(edge/2) = ({p!r}, {q!r}, {r!r}) are "
+                          f"too short: the largest is subnormal")
+    # the positive products of the Heron form: 4pqr overflows from three equal
+    # edges of ~238; the angles need 2qr etc., and with these finite sinh of
+    # the half-perimeter cannot overflow either
+    if not 4 * p * q * r + 2 * (p * q + q * r + r * p) < math.inf:
+        raise DomainError(f"edges with sinh^2(edge/2) = ({p!r}, {q!r}, {r!r}) are "
+                          f"too long: their Heron form overflows")
     return p, q, r
 
 
-def _derive(p: float, q: float, r: float):
-    # (p, q, r, root), root = sqrt of the state's Heron form, which must be
-    # positive; a zero or subnormal state is too short.  For three equal
-    # edges above ~237 4pqr overflows to inf, and above ~500 the form is nan.
-    # Its products underflow from p ~ 1e-154, so a nonzero state below 2^-400
-    # is scaled exactly by s = 2^k: H(p, q, r) = s^2 H(p/s, q/s, r/s; cubic * s)
-    H = _heron_sinh_sq(p, q, r)
-    if 2.0 ** -800 <= H < math.inf:
-        return p, q, r, math.sqrt(H)
-    big, s = max(p, q, r), 1.0
-    if big < 2.0 ** -1022:  # zero or subnormal
-        raise DomainError(f"edges with sinh^2(edge/2) = ({p!r}, {q!r}, {r!r}) are "
-                          f"too short: the largest is subnormal")
-    if big < 2.0 ** -400:
-        s = 2.0 ** math.frexp(big)[1]
-        H = _heron_sinh_sq(p / s, q / s, r / s, s)
-    elif not H < math.inf:
-        raise DomainError(f"edges with sinh^2(edge/2) = ({p!r}, {q!r}, {r!r}) are "
-                          f"too long: their Heron form overflows")
-    if not H > 0:
-        raise DomainError(f"state {[p, q, r]} is flat: its Heron form is not positive")
-    return p, q, r, s * math.sqrt(H)
+def _start(a: float, b: float, c: float) -> tuple[float, float, float, float]:
+    # the state (p, q, r, root) of edges that passed _check_edges; root is a
+    # product of four square roots, which underflows only with the edges
+    p, q, r = _half_sinh_sq(a, b, c)
+    x, y, z = math.fsum((b, c, -a)) / 2, math.fsum((c, a, -b)) / 2, math.fsum((a, b, -c)) / 2
+    return p, q, r, (math.sqrt(math.sinh(x + y + z)) * math.sqrt(math.sinh(x))
+                     * math.sqrt(math.sinh(y)) * math.sqrt(math.sinh(z)))
 
 
 # Step kernels: a child's state from its parent's, with cp = cosh(a/2) etc.  A
 # halved edge has sinh^2(b/4) = q / (2 + 2 cq); midlines are as in medial_data.
-def _step_a(p: float, q: float, r: float) -> tuple[float, float, float]:
+# A corner cell keeps its parent's angle at the kept vertex, and
+# sin A = root / (2 sqrt(q r (1+q)(1+r))) with q = 4q'(1+q'), so its root is
+# root / (4 cq cr); the medial cell's is root / (4 cp cq cr), since
+# sin(S/2) = root / (2 cp cq cr) and Keogh's sin(S/2) = sinh m_b sinh m_c
+# sin alpha (keogh_area): the paper's area decay, at least fourfold per step.
+def _step_a(p: float, q: float, r: float, root: float) -> tuple[float, float, float, float]:
     cq, cr = math.sqrt(1 + q), math.sqrt(1 + r)
-    d = (q - r) / (cq + cr)
-    return (p + d * d) / (4 * cq * cr), q / (2 + 2 * cq), r / (2 + 2 * cr)
+    d, k = (q - r) / (cq + cr), 4 * cq * cr
+    return (p + d * d) / k, q / (2 + 2 * cq), r / (2 + 2 * cr), root / k
 
 
-def _step_b(p: float, q: float, r: float) -> tuple[float, float, float]:
+def _step_b(p: float, q: float, r: float, root: float) -> tuple[float, float, float, float]:
     cp, cr = math.sqrt(1 + p), math.sqrt(1 + r)
-    d = (r - p) / (cr + cp)
-    return p / (2 + 2 * cp), (q + d * d) / (4 * cr * cp), r / (2 + 2 * cr)
+    d, k = (r - p) / (cr + cp), 4 * cr * cp
+    return p / (2 + 2 * cp), (q + d * d) / k, r / (2 + 2 * cr), root / k
 
 
-def _step_c(p: float, q: float, r: float) -> tuple[float, float, float]:
+def _step_c(p: float, q: float, r: float, root: float) -> tuple[float, float, float, float]:
     cp, cq = math.sqrt(1 + p), math.sqrt(1 + q)
-    d = (p - q) / (cp + cq)
-    return p / (2 + 2 * cp), q / (2 + 2 * cq), (r + d * d) / (4 * cp * cq)
+    d, k = (p - q) / (cp + cq), 4 * cp * cq
+    return p / (2 + 2 * cp), q / (2 + 2 * cq), (r + d * d) / k, root / k
 
 
-def _step_m(p: float, q: float, r: float) -> tuple[float, float, float]:
+def _step_m(p: float, q: float, r: float, root: float) -> tuple[float, float, float, float]:
     cp, cq, cr = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
     d, e, f = (q - r) / (cq + cr), (r - p) / (cr + cp), (p - q) / (cp + cq)
-    return (p + d * d) / (4 * cq * cr), (q + e * e) / (4 * cr * cp), (r + f * f) / (4 * cp * cq)
+    k = 4 * cq * cr  # then cp: 4 cp cq cr overflows from edges of ~474
+    return (p + d * d) / k, (q + e * e) / (4 * cr * cp), (r + f * f) / (4 * cp * cq), root / k / cp
 
 
 STEPS = {"A": _step_a, "B": _step_b, "C": _step_c, "M": _step_m}
@@ -142,7 +147,7 @@ def angles_from_edges(a: float, b: float, c: float) -> tuple[float, float, float
     relative accuracy whether it is tiny, near pi/2 or near pi.
     """
     _check_edges(a, b, c)
-    return _angles(*_derive(*_half_sinh_sq(a, b, c)))
+    return _angles(*_start(a, b, c))
 
 
 def edges_from_angles(A: float, B: float, C: float) -> tuple[float, float, float]:
@@ -156,17 +161,47 @@ def edges_from_angles(A: float, B: float, C: float) -> tuple[float, float, float
     S = math.pi - A - B - C
     if S <= EUCLIDEAN_SUM_ATOL:
         raise DomainError(f"angle sum {A + B + C!r} is not hyperbolic")
+    return _from_angles(A, B, C, S)[0]
+
+
+def _from_angles(A: float, B: float, C: float, S: float):
+    # the edges and the state (p, q, r, root) of valid angles with defect
+    # S > 0, unchecked; the root is 2 sin A sqrt(q r (1+q)(1+r)), which has
+    # no cancellation, or a _BigRoot where it passes binary64
+    half = math.sin(S / 2)
 
     def one(A, B, C):
         den = math.sin(B) * math.sin(C)  # 0 once the product underflows
-        val = math.sin(S / 2) * math.sin(A + S / 2) / den if den else math.inf
-        return 2 * math.asinh(math.sqrt(val))
+        return half * math.sin(A + S / 2) / den if den else math.inf
 
-    edges = one(A, B, C), one(B, C, A), one(C, A, B)
+    p, q, r = one(A, B, C), one(B, C, A), one(C, A, B)
+    edges = tuple(2 * math.asinh(math.sqrt(x)) for x in (p, q, r))
     if math.inf in edges:
         raise DomainError(f"angles ({A!r}, {B!r}, {C!r}) are too small: "
                           f"an edge overflows")
-    return edges
+    root = 2 * math.sin(A) * math.sqrt(q * r) * math.sqrt((1 + q) * (1 + r))
+    if root == math.inf:
+        root = _BigRoot(half, math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r))
+    return edges, (p, q, r, root)
+
+
+class _BigRoot:
+    """The root 2 sin(S/2) cp cq cr of a state from angles so small that it
+    passes binary64 (edges from ~474), with cp = cosh(a/2) etc.  A step
+    kernel only divides it, by a factor holding cq cr, cr cp or cp cq, and
+    that quotient is a float again: the walk from such a start needs no
+    other form of its root."""
+
+    __slots__ = ("half", "cp", "cq", "cr")
+
+    def __init__(self, half: float, cp: float, cq: float, cr: float):
+        self.half, self.cp, self.cq, self.cr = half, cp, cq, cr
+
+    def __truediv__(self, k: float) -> float:
+        if k == math.inf:  # edges from ~709.8: the kernel's factor overflows
+            raise DomainError(f"a state with cosh(edge/2) = ({self.cp!r}, {self.cq!r}, "
+                              f"{self.cr!r}) is too long to step")
+        return 2 * self.half * self.cp * (self.cq / k) * self.cr
 
 
 def defect_area(A: float, B: float, C: float) -> float:
@@ -243,9 +278,9 @@ def medial_data(a: float, b: float, c: float) -> MedialData:
     sinh l_x = cosh(x/2) sin(S/2) / sinh m_x with sin(S/2) = sqrt(H)/K.
     """
     _check_edges(a, b, c)
-    p, q, r, root = _derive(*_half_sinh_sq(a, b, c))
+    p, q, r, root = h = _start(a, b, c)
     ch = cp, cq, cr = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
-    ms = [2 * math.asinh(math.sqrt(x)) for x in _step_m(p, q, r)]
+    ms = [2 * math.asinh(math.sqrt(x)) for x in _step_m(*h)[:3]]
     K = 2 * cp * cq * cr
     ls = [math.asinh(x * root / (K * math.sinh(m))) for x, m in zip(ch, ms)]
     return MedialData((2 + p + q + r) / K, *ms, *ls)
@@ -261,10 +296,10 @@ class TraceCoords(namedtuple("TraceCoords", "x y z")):
         return cls(2 * math.cosh(a), 2 * math.cosh(b), 2 * math.cosh(c))
 
 
-def _heron_sinh_sq(p: float, q: float, r: float, s: float = 1.0) -> float:
-    # Heron-like symmetric form in p = sinh^2(a/2) etc. of a state divided by
-    # s; the only cancellation left is the intrinsic one at flat triangles.
-    return 2 * (p * q + q * r + r * p) - p * p - q * q - r * r + 4 * s * p * q * r
+def _heron_sinh_sq(p: float, q: float, r: float) -> float:
+    # Heron-like symmetric form in p = sinh^2(a/2) etc.; it cancels near
+    # flat triangles, which trace coordinates cannot avoid
+    return 2 * (p * q + q * r + r * p) - p * p - q * q - r * r + 4 * p * q * r
 
 
 def trace_parent_area(tc: TraceCoords) -> float:
@@ -294,7 +329,8 @@ def trace_parent_area(tc: TraceCoords) -> float:
 def _sin_angles(p: float, q: float, r: float, root: float) -> tuple[float, float, float]:
     # sin A = sqrt(H) / (2 sqrt(q r (1+q)(1+r))) in the variables of
     # angles_from_edges, with full relative accuracy for sliver angles; a state
-    # below 2^-400 is scaled as in _derive, where its 1 + q etc. are exactly 1
+    # below 2^-400 is scaled by a power of two, which is exact, so that q r does
+    # not underflow (its 1 + q etc. are exactly 1)
     cp, cq, cr = 1 + p, 1 + q, 1 + r
     if p < 2.0 ** -400 and q < 2.0 ** -400 and r < 2.0 ** -400:
         s = 2.0 ** math.frexp(max(p, q, r))[1]
@@ -316,4 +352,4 @@ def area_from_edges(a: float, b: float, c: float) -> float:
     variables, which is the same identity with the cancellation removed.
     """
     _check_edges(a, b, c)
-    return _area(*_derive(*_half_sinh_sq(a, b, c)))
+    return _area(*_start(a, b, c))

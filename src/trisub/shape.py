@@ -40,19 +40,23 @@ class _Checked:
 
 
 class _Frozen:
-    """Base of a frozen slotted value class: its fields are its __slots__
-    (two or more), which __init__ sets once through object.__setattr__."""
+    """Base of a frozen slotted value class: its fields are its public
+    __slots__ (two or more), which __init__ sets once through
+    object.__setattr__ in slot order.  A private slot, such as a cached
+    derivation, is passed on by copies but not compared or shown."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._values = property(attrgetter(*cls.__slots__))  # the field tuple, at C level
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._values = property(attrgetter(*cls._fields))  # the field tuple, at C level
+        cls._args = property(attrgetter(*cls.__slots__))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __reduce__(self):  # copy and pickle through __init__
-        return type(self), self._values
+        return type(self), self._args
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -63,7 +67,7 @@ class _Frozen:
         return hash(self._values)
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
 
@@ -95,14 +99,21 @@ class EdgeLengths(_Checked, namedtuple("EdgeLengths", "a b c")):
 
 
 class ShapeRecord(_Frozen):
-    """A shape with consistent angles, edges (hyperbolic only) and area."""
+    """A shape with consistent angles, edges (hyperbolic only) and area.
 
-    __slots__ = ("angles", "edges", "area")
+    A record the library builds also keeps the state (p, q, r, root) of
+    hyptrig it came from, so that the maps step that state; one built
+    without it takes its state from its edges.
+    """
 
-    def __init__(self, angles: AngleShape, edges: EdgeLengths | None, area: float):
+    __slots__ = ("angles", "edges", "area", "_state")
+
+    def __init__(self, angles: AngleShape, edges: EdgeLengths | None, area: float,
+                 _state=None):
         object.__setattr__(self, "angles", angles)  # frozen: __setattr__ refuses
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "area", area)
+        object.__setattr__(self, "_state", _state)
 
     @property
     def is_euclidean(self) -> bool:
@@ -116,15 +127,24 @@ class ShapeRecord(_Frozen):
 def shape_from_edges(a: float, b: float, c: float) -> ShapeRecord:
     """Build the hyperbolic shape realized by edge lengths (a, b, c)."""
     edges = EdgeLengths(a, b, c)
-    return _record(hyptrig._half_sinh_sq(a, b, c), edges)
+    return _record(hyptrig._start(a, b, c), edges)
+
+
+def _edges(state) -> EdgeLengths:
+    # the edges 2 asinh(sqrt(p)) etc. of a state, not checked again: on a
+    # valid sliver a + b - c can round to 0
+    return tuple.__new__(EdgeLengths, [2 * math.asinh(math.sqrt(x)) for x in state[:3]])
 
 
 def _record(state, edges: EdgeLengths | None = None) -> ShapeRecord:
-    # the record of a state (p, q, r), derived once; unless given, its edges are
-    # 2 asinh(sqrt(p)) etc., not checked again: on a valid sliver a + b - c can round to 0
-    h = hyptrig._derive(*state)
-    edges = edges or tuple.__new__(EdgeLengths, [2 * math.asinh(math.sqrt(x)) for x in state])
-    return ShapeRecord(AngleShape(*hyptrig._angles(*h)), edges, hyptrig._area(*h))
+    # the record of a state (p, q, r, root), with its edges unless given
+    return ShapeRecord(AngleShape(*hyptrig._angles(*state)), edges or _edges(state),
+                       hyptrig._area(*state), state)
+
+
+def _state_of(s: ShapeRecord):
+    # the state of a hyperbolic record: its own, or one taken from its edges
+    return s._state or hyptrig._start(*s.edges)
 
 
 def shape_from_angles(A: float, B: float, C: float) -> ShapeRecord:
@@ -133,8 +153,9 @@ def shape_from_angles(A: float, B: float, C: float) -> ShapeRecord:
     angles = AngleShape(A, B, C)
     if angles.is_euclidean:
         return ShapeRecord(angles, None, 0.0)
-    edges = tuple.__new__(EdgeLengths, hyptrig.edges_from_angles(A, B, C))
-    return ShapeRecord(angles, edges, hyptrig.defect_area(A, B, C))
+    S = math.pi - A - B - C  # positive: the angles are not Euclidean
+    edges, state = hyptrig._from_angles(A, B, C, S)
+    return ShapeRecord(angles, tuple.__new__(EdgeLengths, edges), S, state)
 
 
 def metric_distance(s1: AngleShape, s2: AngleShape) -> float:

@@ -13,8 +13,10 @@ where M_x is the midpoint of edge x.  Child edges follow from the slot
 order: the corner cell at A has edges (m_a, b/2, c/2), and the medial
 cell has the three midlines (m_a, m_b, m_c).  Every step, in orbit,
 limit_shape_info, apply and the verify suites, is the kernel of its letter
-in hyptrig.STEPS on a bare state (p, q, r) = (sinh^2(a/2), sinh^2(b/2),
-sinh^2(c/2)), which validates nothing; edges appear only in records.
+in hyptrig.STEPS on a bare state (p, q, r, root), with p = sinh^2(a/2) etc.
+and root the square root of their Heron form; a kernel validates nothing.
+A walk takes its start's state once, from the record that keeps it or
+from its edges, and edges appear only in records.
 """
 
 import math
@@ -22,7 +24,7 @@ import sys
 from collections import namedtuple
 
 from . import hyptrig, plane_model
-from .shape import AngleShape, EdgeLengths, ShapeRecord, _record
+from .shape import AngleShape, EdgeLengths, ShapeRecord, _edges, _record, _state_of
 from .symbolic import LETTERS, _check_letter  # LETTERS stays public here
 from ._fmt import csv_line
 
@@ -40,20 +42,23 @@ class ConvergenceError(RuntimeError):
 
 def child_edges(letter: str, e: EdgeLengths) -> EdgeLengths:
     """Edge lengths of the chosen subdivision cell, in slot order.  e was checked
-    when built; derived edges are not checked again (a + b - c can round to 0)."""
-    return apply(letter, _record(hyptrig._half_sinh_sq(e.a, e.b, e.c), e)).edges
+    when built; derived edges are not checked again (a + b - c can round to 0).
+    The cell's edges need no root: a chain of derived edges, whose half-sums
+    may have rounded to 0, passes through."""
+    _check_letter(letter)
+    return _edges(hyptrig.STEPS[letter](*hyptrig._half_sinh_sq(e.a, e.b, e.c), 0.0))
 
 
 def apply(letter: str, s: ShapeRecord) -> ShapeRecord:
     """Apply one subdivision map to a shape.
 
     Euclidean shapes are fixed by all four maps.  Hyperbolic child angles
-    and area are derived from the child's state.
+    and area are derived from the child's state, one step from s's.
     """
     _check_letter(letter)
     if s.is_euclidean:
         return s
-    return _record(hyptrig.STEPS[letter](*hyptrig._half_sinh_sq(*s.edges)))
+    return _record(hyptrig.STEPS[letter](*_state_of(s)))
 
 
 def apply_oracle(letter: str, e: EdgeLengths) -> EdgeLengths:
@@ -95,11 +100,11 @@ def orbit(word, s0: ShapeRecord) -> OrbitTrace:
         for letter in word:
             _check_letter(letter)
     else:
-        states = [hyptrig._half_sinh_sq(*s0.edges)]
+        states = [_state_of(s0)]
         for letter in word:
             states.append((hyptrig.STEPS.get(letter) or _check_letter(letter))(*states[-1]))
         records[1:] = map(_record, states[1:])
-        halves = [tuple(map(math.sqrt, st)) for st in states]
+        halves = [tuple(map(math.sqrt, st[:3])) for st in states]
     return OrbitTrace(tuple(
         OrbitStep(n, letter, s.angles, s.edges, s.area, math.log(math.sin(s.angles.A)), sh)
         for n, (letter, s, sh) in enumerate(zip([None, *word], records, halves))))
@@ -127,23 +132,23 @@ def limit_shape_info(seq, s0: ShapeRecord, tol: float = 1e-13,
         raise ValueError("max_iter must be >= 1")
     if s0.is_euclidean:
         return LimitResult(s0.angles, 0, 0.0)
-    return _limit(seq, *hyptrig._half_sinh_sq(*s0.edges), tol, max_iter)
+    return _limit(seq, *_state_of(s0), tol, max_iter)
 
 
-def _limit(letters, p: float, q: float, r: float, tol: float,
+def _limit(letters, p: float, q: float, r: float, root: float, tol: float,
            max_iter: int = 10_000) -> LimitResult:
-    # step (p, q, r) along the letters; stop at the first state, counted
-    # from 1, whose residual is below tol
+    # step (p, q, r, root) along the letters; stop at the first state,
+    # counted from 1, whose residual is below tol
     steps = hyptrig.STEPS
     for n, letter in enumerate(letters, start=1):
-        p, q, r = (steps.get(letter) or _check_letter(letter))(p, q, r)
+        p, q, r, root = (steps.get(letter) or _check_letter(letter))(p, q, r, root)
         if n > max_iter:
             raise ConvergenceError(f"no convergence within {max_iter} steps")
         residual = p + q + r
         if residual < tol:
             # its angles scaled by pi/(A+B+C): project_euclidean leaves a sum
             # within EUCLIDEAN_ATOL of pi as it is, and with it the state's defect
-            A, B, C = hyptrig._angles(*hyptrig._derive(p, q, r))
+            A, B, C = hyptrig._angles(p, q, r, root)
             k = math.pi / (A + B + C)
             return LimitResult(AngleShape(A * k, B * k, C * k), n, residual)
     raise ValueError("letter sequence ended before convergence")

@@ -6,11 +6,10 @@ break it are recorded (Report.check) as counterexamples, never raised.
 Strict inequalities are certified at binary64 resolution.  Two effects
 set the floor: deep orbits drive edges so small that the true margin
 (of order edge^2) underflows rounding and the comparison ties at zero
-margin, and near-degenerate slivers evaluate their Heron-style products
-with relative noise ~eps/margin.  A violation therefore only counts when
-it exceeds the bound by RESOLUTION relative; the tightened-constant
-self-tests fail by ~9 orders of magnitude more, so the guard cannot
-mask a real defect.
+margin, and near-degenerate slivers evaluate their bounds with relative
+noise ~eps/margin.  A violation therefore only counts when it exceeds
+the bound by RESOLUTION relative; the tightened-constant self-tests fail
+by ~9 orders of magnitude more, so the guard cannot mask a real defect.
 """
 
 import math
@@ -140,26 +139,21 @@ def _letters(rng: random.Random):
 def _burn_in(e: EdgeLengths, letters, steps: int):
     """The orbit of e under the letter iterator, e first: burn-in until
     p, q, r = sinh^2(edge/2) are all below 1, then steps more.  Returns the
-    derived states (p, q, r, root) of hyptrig._derive, which refuses a flat
-    state as it arrives (the error names its step), and the burn-in length;
-    no letter is taken beyond the last state."""
-    path, kernels, derive = [], hyptrig.STEPS, hyptrig._derive
-    p, q, r = hyptrig._half_sinh_sq(e.a, e.b, e.c)
-    try:
-        while True:
-            path.append(derive(p, q, r))
-            if max(p, q, r) < 1.0:
-                break
-            if len(path) > 500:
-                raise RuntimeError("burn-in did not terminate")
-            letter = next(letters)
-            p, q, r = (kernels.get(letter) or _check_letter(letter))(p, q, r)
-        burn = len(path) - 1
-        for letter in islice(letters, steps):
-            p, q, r = (kernels.get(letter) or _check_letter(letter))(p, q, r)
-            path.append(derive(p, q, r))
-    except hyptrig.DomainError as exc:
-        raise type(exc)(f"step {len(path)}: {exc}") from exc
+    states (p, q, r, root), from hyptrig._start and then the step kernels,
+    and the burn-in length; no letter is taken beyond the last state."""
+    kernels = hyptrig.STEPS
+    h = hyptrig._start(e.a, e.b, e.c)
+    path = [h]
+    while max(h[0], h[1], h[2]) >= 1.0:
+        if len(path) > 500:
+            raise RuntimeError("burn-in did not terminate")
+        letter = next(letters)
+        h = (kernels.get(letter) or _check_letter(letter))(*h)
+        path.append(h)
+    burn = len(path) - 1
+    for letter in islice(letters, steps):
+        h = (kernels.get(letter) or _check_letter(letter))(*h)
+        path.append(h)
     return tuple(path), burn
 
 
@@ -313,8 +307,8 @@ def run_eq1_probe(spec: SampleSpec) -> Report:
     deltas, points = [], []
 
     def orbit(report, rng, e):
-        h = hyptrig._derive(*hyptrig._half_sinh_sq(e.a, e.b, e.c))
-        probed = hyptrig._angles(*hyptrig._derive(*hyptrig.STEPS["M"](*h[:3])))
+        h = hyptrig._start(e.a, e.b, e.c)
+        probed = hyptrig._angles(*hyptrig.STEPS["M"](*h))
         delta = max(abs(x - y) for x, y in zip(hyptrig._angles(*h), probed))
         area = hyptrig._area(*h)
         deltas.append(delta)
@@ -367,8 +361,12 @@ def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
             for k, there in enumerate(rho[n:]):
                 for x, y in zip(there, rho[n]):
                     report.check(start, [n, k], abs(x - y), bounds[n])
-        # from the start along word, then M forever
-        lim = _limit(chain(word, repeat("M")), *hs[0][:3], 1e-13).angles
+        # from the start along word, then M forever: the walk stops at the
+        # first state after the start with p + q + r below 1e-13, so it
+        # resumes from the state of hs before that one, or from the last
+        k = next((i - 1 for i in range(1, len(hs)) if hs[i][0] + hs[i][1] + hs[i][2] < 1e-13),
+                 len(hs) - 1)
+        lim = _limit(chain(word[k:], repeat("M")), *hs[k], 1e-13).angles
         min_limit_angle = min(min_limit_angle, min(lim))
         if not min(lim) > 0:
             report.add_failure(input=list(start), step=-1,

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, getcontext, localcontext
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -218,59 +219,115 @@ def test_identities_refuse_impossible_angles(identity, bad):
         identity(bad)
 
 
-# a valid sliver (a + b - c is one ulp of c) whose Heron form rounds to 0
+# a valid sliver (a + b - c is one ulp of c) whose Heron form rounds to 0 in
+# floats: its state (p, q, r) has lost the digits the form would cancel
 FLAT_SLIVER = (0.7878068188688756, 1.7710252354914908, 2.558832054360366)
 
 
-class TestDerive:
-    """_derive is the one place a state's Heron form is evaluated and judged."""
+def decimal_sinh(t):
+    # sinh of a Decimal at the context's precision, by its series below 1 so
+    # that tiny arguments do not cancel
+    if abs(t) >= 1:
+        return (t.exp() - (-t).exp()) / 2
+    term = total = t
+    k, small = 1, Decimal(10) ** -(getcontext().prec + 2)
+    while abs(term) > abs(total) * small:
+        term *= t * t / ((2 * k) * (2 * k + 1))
+        total += term
+        k += 1
+    return total
 
-    @pytest.mark.parametrize("state", [
-        (1.0, 1.0, 0.0), (9.0, 1.0, 1.0),
-        # the stopping state of limit --edges 20,20,39 --seq "|M": its form
-        # is 16 p^3 > 0 exactly, but rounds to 0 or below
-        (5.0098814023564386e-15, 5.0098814023564386e-15, 2.003952560942586e-14),
-        hyptrig._half_sinh_sq(*FLAT_SLIVER),
-    ])
-    def test_flat_state_is_refused(self, state):
-        with pytest.raises(DomainError, match=r"is flat: its Heron form is not positive"):
-            hyptrig._derive(*state)
+
+def decimal_heron_root(p, q, r):
+    # the square root of the Heron form of a Decimal state, at 80 digits
+    with localcontext() as ctx:
+        ctx.prec = 80
+        return (2 * (p * q + q * r + r * p) - p * p - q * q - r * r + 4 * p * q * r).sqrt()
+
+
+def decimal_state(a, b, c):
+    """The state (p, q, r, root) of float edges at 80 digits, root from the
+    Heron form: a route apart from _start's product of sinh values."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        p, q, r = (decimal_sinh(Decimal(x) / 2) ** 2 for x in (a, b, c))
+    return p, q, r, decimal_heron_root(p, q, r)
+
+
+def decimal_angles(a, b, c):
+    # each angle from its root and cosine term taken at 80 digits and rounded
+    # once, then math.atan2: right to about an ulp
+    p, q, r, root = decimal_state(a, b, c)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        terms = q + r - p + 2 * q * r, r + p - q + 2 * r * p, p + q - r + 2 * p * q
+    return tuple(math.atan2(float(root), float(t)) for t in terms)
+
+
+def rel(x, ref):
+    return abs(x - float(ref)) / float(ref)
+
+
+class TestDerive:
+    """_start derives a state (p, q, r, root) from edges, the one place a
+    state comes from edges, and decides the domain."""
 
     def test_zero_state_is_too_short(self):
-        # the floor _half_sinh_sq also holds; no caller places a point there
+        # the floor _check_edges also holds; no caller places a point there
         with pytest.raises(DomainError, match="too short"):
-            hyptrig._derive(0.0, 0.0, 0.0)
+            hyptrig._start(0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("edges", [(1e-150, 1e-150, 1e-150), (1e-130, 2e-130, 1.5e-130),
-                                       (3e-154, 4e-154, 5e-154)])
+                                       (3e-154, 4e-154, 5e-154), (1e-100, 1.5e-100, 2e-100)])
     def test_tiny_state_is_scaled_exactly(self, edges):
-        p, q, r = hyptrig._half_sinh_sq(*edges)
-        assert 0 < max(p, q, r) < 2.0 ** -400
-        s = 2.0 ** math.frexp(max(p, q, r))[1]
-        expect = s * math.sqrt(hyptrig._heron_sinh_sq(p / s, q / s, r / s, s))
-        assert hyptrig._derive(p, q, r)[3].hex() == expect.hex()
+        # below ~1e-8 sinh(x) rounds to x, so the root of edges scaled by 2^100
+        # is the root scaled by 2^200, bit for bit: its four square roots keep
+        # it normal down to the floor (~3e-154), and it is right there too
+        root = hyptrig._start(*edges)[3]
+        assert 2.0 ** -1022 < root < math.inf
+        assert root == hyptrig._start(*(x * 2.0 ** 100 for x in edges))[3] * 2.0 ** -200
+        assert rel(root, decimal_state(*edges)[3]) < 1e-15
 
     @pytest.mark.parametrize("t", [238.0, 500.0, 709.0])
     def test_overflowing_form_is_too_long(self, t):
         with pytest.raises(DomainError, match="too long: their Heron form overflows"):
-            hyptrig._derive(*hyptrig._half_sinh_sq(t, t, t))
+            hyptrig._start(t, t, t)
 
     def test_root_is_the_plain_root(self):
+        # the state is sinh^2(edge/2) bit for bit, and the root the square root
+        # of its Heron form to a few ulps; long edges amplify the rounding of
+        # the half-sums by up to the half-perimeter
         rng = random.Random(41)
-        for lo, hi in ((1e-6, 1e-3), (0.01, 5.0), (0.01, 40.0)):
+        for (lo, hi), tol in (((1e-6, 1e-3), 1e-15), ((0.01, 5.0), 1e-15), ((0.01, 40.0), 1e-14)):
             for _ in range(300):
-                state = hyptrig._half_sinh_sq(*sample_edges(rng, lo, hi))
-                H = hyptrig._heron_sinh_sq(*state)
-                if H > 0:
-                    *derived, root = hyptrig._derive(*state)
-                    assert tuple(derived) == state and root.hex() == math.sqrt(H).hex()
+                edges = sample_edges(rng, lo, hi)
+                p, q, r, root = hyptrig._start(*edges)
+                assert (p, q, r) == tuple(math.sinh(x / 2) ** 2 for x in edges)
+                assert rel(root, decimal_state(*edges)[3]) < tol
 
     @pytest.mark.parametrize("public", [angles_from_edges, area_from_edges, medial_data,
                                         shape_from_edges])
-    def test_public_functions_refuse_a_flat_sliver(self, public):
-        # they returned zero angles, a zero area or zero feet
-        with pytest.raises(DomainError, match="is flat"):
-            public(*FLAT_SLIVER)
+    def test_public_functions_take_a_flat_sliver(self, public):
+        # they refused it as flat, and before that returned zero angles, a
+        # zero area or zero feet
+        out = public(*FLAT_SLIVER)
+        if public is shape_from_edges:
+            out = [*out.angles, *out.edges, out.area]
+        assert all(0 < x < math.inf for x in ([out] if isinstance(out, float) else out))
+
+    def test_sliver_angles_match_the_reference(self):
+        # angles of slivers down to one ulp of slack, within a few ulps of the
+        # 80-digit Heron form: the half-sums keep what the state loses
+        rng = random.Random(43)
+        slivers = [FLAT_SLIVER, (5, 5, 9.99), (20, 20, 39), (14.2, 13.82, 0.43)]
+        while len(slivers) < 200:
+            b, c = rng.uniform(0.01, 30), rng.uniform(0.01, 30)
+            a = (b + c) * (1 - 10 ** rng.uniform(-15, -1))
+            if abs(b - c) < a < b + c:
+                slivers.append((a, b, c))
+        for edges in slivers:
+            got, want = angles_from_edges(*edges), decimal_angles(*edges)
+            assert max(abs(x - y) / y for x, y in zip(got, want)) < 1e-13, edges
 
 
 @pytest.mark.parametrize("edges", [(1e-65, 1e-65, 1e-65), (1e-70, 1.5e-70, 2e-70),
@@ -279,7 +336,7 @@ def test_sin_angles_of_tiny_states(edges):
     # below 2^-400 the state and its root are scaled by 2^k, which is exact:
     # where the plain products stay normal (edges above ~2.4e-77) the sines
     # keep their bits, and below it they stay finite and match the angles
-    p, q, r, root = h = hyptrig._derive(*hyptrig._half_sinh_sq(*edges))
+    p, q, r, root = h = hyptrig._start(*edges)
     assert max(p, q, r) < 2.0 ** -400
     sines = hyptrig._sin_angles(*h)
     if q * r > 2.0 ** -1022:
@@ -412,17 +469,19 @@ def reference_midline_sinh_sq(p, q, r, cq, cr):
     return (p + d * d) / (4 * cq * cr)
 
 
-def reference_child(letter, p, q, r):
-    # one step as a dispatch on the letter over reference_midline_sinh_sq
+def reference_child(letter, p, q, r, root):
+    # one step as a dispatch on the letter over reference_midline_sinh_sq; a
+    # cell divides the root by 4 times the cosh values of its halved edges
     cp, cq, cr = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
     mid = reference_midline_sinh_sq
     if letter == "M":
-        return mid(p, q, r, cq, cr), mid(q, r, p, cr, cp), mid(r, p, q, cp, cq)
+        return (mid(p, q, r, cq, cr), mid(q, r, p, cr, cp), mid(r, p, q, cp, cq),
+                root / (4 * cq * cr) / cp)
     if letter == "A":
-        return mid(p, q, r, cq, cr), q / (2 + 2 * cq), r / (2 + 2 * cr)
+        return mid(p, q, r, cq, cr), q / (2 + 2 * cq), r / (2 + 2 * cr), root / (4 * cq * cr)
     if letter == "B":
-        return p / (2 + 2 * cp), mid(q, r, p, cr, cp), r / (2 + 2 * cr)
-    return p / (2 + 2 * cp), q / (2 + 2 * cq), mid(r, p, q, cp, cq)
+        return p / (2 + 2 * cp), mid(q, r, p, cr, cp), r / (2 + 2 * cr), root / (4 * cr * cp)
+    return p / (2 + 2 * cp), q / (2 + 2 * cq), mid(r, p, q, cp, cq), root / (4 * cp * cq)
 
 
 @st.composite
@@ -434,9 +493,10 @@ def sliver_edges(draw):
 
 
 states = st.one_of(
-    st.tuples(*[st.floats(1e-300, 1e200)] * 3),  # any positive state
-    st.tuples(*[st.floats(1e-300, 1e-12)] * 3),  # tiny states
-    sliver_edges().map(lambda e: hyptrig._half_sinh_sq(*e)),
+    st.tuples(*[st.floats(1e-300, 1e200)] * 4),  # any positive state and root
+    st.tuples(*[st.floats(1e-300, 1e-12)] * 4),  # tiny states
+    sliver_edges().filter(lambda e: e[0] < e[1] + e[2] and e[1] < e[2] + e[0]
+                          and e[2] < e[0] + e[1]).map(lambda e: hyptrig._start(*e)),
 )
 
 
@@ -457,6 +517,19 @@ class TestStepKernels:
         for letter in "ABCM":
             assert bits(hyptrig.STEPS[letter](*state)) == bits(reference_child(letter, *state))
 
+    def test_carried_root_is_the_heron_root(self):
+        # each cell's root is its parent's over a factor its kernel builds; from
+        # triangles with no angle below 0.1 it is the root of the cell's own
+        # Heron form, taken at 80 digits, to within a few ulps
+        rng = random.Random(47)
+        for _ in range(300):
+            edges = sample_edges(rng, 0.05, 5.0)
+            if min(angles_from_edges(*edges)) < 0.1:
+                continue
+            for letter in "ABCM":
+                p, q, r, root = hyptrig.STEPS[letter](*hyptrig._start(*edges))
+                assert rel(root, decimal_heron_root(Decimal(p), Decimal(q), Decimal(r))) < 1e-14
+
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(sliver_edges(), st.tuples(*[st.floats(1e-8, 200.0)] * 3)))
     def test_medial_data_midlines(self, edges):
@@ -466,7 +539,7 @@ class TestStepKernels:
             md = medial_data(a, b, c)
         except DomainError:  # the Heron form overflows
             assume(False)
-        p, q, r, _ = hyptrig._derive(*hyptrig._half_sinh_sq(a, b, c))
+        p, q, r, _ = hyptrig._start(a, b, c)
         cp, cq, cr = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
         args = (p, q, r, cq, cr), (q, r, p, cr, cp), (r, p, q, cp, cq)
         assert md.midlines == tuple(2 * math.asinh(math.sqrt(reference_midline_sinh_sq(*x)))

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from trisub import hyptrig
 from trisub.hyptrig import DomainError
 from trisub.render import RenderSpec
-from trisub.shape import (AngleShape, EUCLIDEAN_ATOL, EdgeLengths, metric_distance,
-                          project_euclidean, shape_from_angles,
+from trisub.shape import (AngleShape, EUCLIDEAN_ATOL, EdgeLengths, ShapeRecord,
+                          metric_distance, project_euclidean, shape_from_angles,
                           shape_from_edges)
 from trisub.subdivision import apply, orbit
 from trisub.symbolic import SymbolSequence
@@ -75,17 +75,22 @@ def test_record_invariants_sampled():
 
 @pytest.mark.parametrize("build, counts", [
     (lambda: shape_from_edges(2, 2, 3), (1, 1, 1)),
-    # the orbit checks the given edges only, derives each child once, and
-    # takes the start's state once more to walk from it
-    (lambda: orbit("M" * 20, shape_from_edges(2, 2, 3)), (1, 2, 21)),
-], ids=["shape", "orbit"])
+    # the orbit checks the given edges only, and walks from the state its
+    # start record keeps: each child comes from a step kernel, and each
+    # record checks its angles once
+    (lambda: orbit("M" * 20, shape_from_edges(2, 2, 3)), (1, 21, 1)),
+    # given angles are checked once, and the state comes from them, not from
+    # edges
+    (lambda: shape_from_angles(1.0, 1.0, 0.5), (0, 1, 0)),
+    (lambda: orbit("M" * 20, shape_from_angles(1.0, 1.0, 0.5)), (0, 21, 0)),
+], ids=["shape", "orbit", "angles", "angles-orbit"])
 def test_one_check_and_one_derivation_per_record(monkeypatch, build, counts):
-    names = ("_check_edges", "_half_sinh_sq", "_derive")
+    names = ("_check_edges", "_check_angles", "_start")
     seen = dict.fromkeys(names, 0)
     for name in names:
-        def counting(*args, real=getattr(hyptrig, name), name=name):
+        def counting(*args, real=getattr(hyptrig, name), name=name, **kwargs):
             seen[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
         monkeypatch.setattr(hyptrig, name, counting)
     build()
     assert seen == dict(zip(names, counts))
@@ -144,6 +149,24 @@ def test_records_copy_and_pickle_by_value(value):
         assert repr(again) == repr(value)
     with pytest.raises(AttributeError):
         value.area = 0.0
+
+
+def test_records_keep_their_state_out_of_sight():
+    # a library record keeps the state it came from; equality, hash, repr and
+    # JSON are on its public fields, and a copy keeps the state too
+    rec = shape_from_angles(1.0, 0.5, 0.25)
+    p, q, r, root = rec._state
+    assert rec.edges.as_tuple() == tuple(2 * math.asinh(math.sqrt(x)) for x in (p, q, r))
+    assert root == pytest.approx(2 * math.sin(1.0) * math.sqrt(q * r * (1 + q) * (1 + r)),
+                                 rel=1e-15)
+    bare = ShapeRecord(rec.angles, rec.edges, rec.area)
+    assert bare._state is None and bare == rec and hash(bare) == hash(rec)
+    assert repr(bare) == repr(rec) and bare.to_json_dict() == rec.to_json_dict()
+    assert copy.deepcopy(rec)._state == rec._state
+    # one built without a state takes it from its edges
+    for letter in "ABCM":
+        assert apply(letter, bare).angles.as_tuple() == pytest.approx(
+            apply(letter, rec).angles.as_tuple(), rel=1e-13)
 
 
 def test_metric_distance_basics():
