@@ -10,9 +10,10 @@ step kernel per subdivision map, a straight-line function from a state to
 its child's: every cell divides the root by a factor its kernel already
 builds, so no Heron form is evaluated again.  The angles, their sines and
 the area are formulas in a state.  _half_sinh_sq alone decides the
-domain of edges: it refuses edges whose sinh^2(edge/2) overflows,
-underflows or is subnormal, and edges whose Heron form's products
-overflow (too long).
+domain of edges: it refuses edges whose sinh^2(edge/2) overflows or
+underflows, and edges whose Heron form's products overflow (too long).
+Derived values are not checked again: _normal alone refuses a state,
+given or walked to, once its largest entry is subnormal (too short).
 """
 
 import math
@@ -54,15 +55,20 @@ def _check_angles(**angles: float) -> None:
 
 
 def _clamp_unit(x: float, what: str) -> float:
-    if x > 1.0:
-        if x > 1.0 + CLAMP_TOL:
-            raise InconsistentInputError(f"{what} = {x!r} exceeds 1")
-        return 1.0
-    if x < -1.0:
-        if x < -1.0 - CLAMP_TOL:
-            raise InconsistentInputError(f"{what} = {x!r} is below -1")
-        return -1.0
-    return x
+    if x > 1.0 + CLAMP_TOL:
+        raise InconsistentInputError(f"{what} = {x!r} exceeds 1")
+    if x < -1.0 - CLAMP_TOL:
+        raise InconsistentInputError(f"{what} = {x!r} is below -1")
+    return min(max(x, -1.0), 1.0)
+
+
+def _normal(state):
+    # the one rule on a state, given or walked to: it is returned unless its
+    # largest entry is subnormal, too few bits for the read-outs (too short)
+    if max(state[:3]) < 2.0 ** -1022:
+        raise DomainError(f"edges with sinh^2(edge/2) = {state[:3]!r} are "
+                          f"too short: the largest is subnormal")
+    return state
 
 
 def _half_sinh_sq(a: float, b: float, c: float) -> tuple[float, float, float]:
@@ -76,16 +82,13 @@ def _half_sinh_sq(a: float, b: float, c: float) -> tuple[float, float, float]:
     if not (p or q or r):  # edges below ~3.1e-162
         raise DomainError(f"edges ({a!r}, {b!r}, {c!r}) are too short: "
                           f"sinh^2(edge/2) underflows to 0")
-    if max(p, q, r) < 2.0 ** -1022:
-        raise DomainError(f"edges with sinh^2(edge/2) = ({p!r}, {q!r}, {r!r}) are "
-                          f"too short: the largest is subnormal")
     # the positive products of the Heron form: 4pqr overflows from three equal
     # edges of ~238; the angles need 2qr etc., and with these finite sinh of
     # the half-perimeter cannot overflow either
     if not 4 * p * q * r + 2 * (p * q + q * r + r * p) < math.inf:
         raise DomainError(f"edges with sinh^2(edge/2) = ({p!r}, {q!r}, {r!r}) are "
                           f"too long: their Heron form overflows")
-    return p, q, r
+    return _normal((p, q, r))
 
 
 def _start(a: float, b: float, c: float) -> tuple[float, float, float, float]:
@@ -207,12 +210,9 @@ class _BigRoot:
 def defect_area(A: float, B: float, C: float) -> float:
     """Area as the angle defect pi - A - B - C."""
     _check_angles(A=A, B=B, C=C)
-    S = math.pi - A - B - C
-    if S < 0:
-        if S < -CLAMP_TOL:
-            raise DomainError(f"angle sum {A + B + C!r} exceeds pi")
-        S = 0.0
-    return S
+    if A + B + C > math.pi + EUCLIDEAN_SUM_ATOL:  # shape.AngleShape's rule too
+        raise DomainError(f"angle sum {A + B + C!r} exceeds pi")
+    return max(math.pi - A - B - C, 0.0)
 
 
 def cagnoli_area(a: float, b: float, c: float, A: float) -> float:
@@ -296,12 +296,6 @@ class TraceCoords(namedtuple("TraceCoords", "x y z")):
         return cls(2 * math.cosh(a), 2 * math.cosh(b), 2 * math.cosh(c))
 
 
-def _heron_sinh_sq(p: float, q: float, r: float) -> float:
-    # Heron-like symmetric form in p = sinh^2(a/2) etc.; it cancels near
-    # flat triangles, which trace coordinates cannot avoid
-    return 2 * (p * q + q * r + r * p) - p * p - q * q - r * r + 4 * p * q * r
-
-
 def trace_parent_area(tc: TraceCoords) -> float:
     """Parent area from trace coordinates of its medial triangle's edges.
 
@@ -309,20 +303,17 @@ def trace_parent_area(tc: TraceCoords) -> float:
     medial edges; evaluated through sinh^2 half-edges so values near the
     degenerate x = y = z = 2 corner stay accurate.
     """
-    p = (tc.x - 2) / 4
-    q = (tc.y - 2) / 4
-    r = (tc.z - 2) / 4
-    if min(p, q, r) < 0:
-        if min(p, q, r) < -CLAMP_TOL:
-            raise InconsistentInputError("trace coordinates below 2 are not hyperbolic")
-        p, q, r = max(p, 0.0), max(q, 0.0), max(r, 0.0)
-    H = _heron_sinh_sq(p, q, r)
+    p, q, r = (tc.x - 2) / 4, (tc.y - 2) / 4, (tc.z - 2) / 4
+    if min(p, q, r) < -CLAMP_TOL:
+        raise InconsistentInputError("trace coordinates below 2 are not hyperbolic")
+    p, q, r = max(p, 0.0), max(q, 0.0), max(r, 0.0)
+    # Heron-like symmetric form in p = sinh^2(a/2) etc.; it cancels near
+    # flat triangles, which trace coordinates cannot avoid
+    H = 2 * (p * q + q * r + r * p) - p * p - q * q - r * r + 4 * p * q * r
     # rhs of the trace identity is 4 - 16H; it must land in (0, 4]
-    if H < 0:
-        if H < -CLAMP_TOL:
-            raise InconsistentInputError("trace identity right side exceeds 4")
-        H = 0.0
-    s = 2 * math.sqrt(H)  # sin(S/2)
+    if H < -CLAMP_TOL:
+        raise InconsistentInputError("trace identity right side exceeds 4")
+    s = 2 * math.sqrt(max(H, 0.0))  # sin(S/2)
     return 2 * math.asin(_clamp_unit(s, "sin(S/2)"))
 
 

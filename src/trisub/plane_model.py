@@ -109,7 +109,7 @@ def place(e: EdgeLengths) -> PlacedTriangle:
     if longest > MAX_PLACED_EDGE:
         raise ValueError(f"edge {longest!r} exceeds {MAX_PLACED_EDGE}, beyond which "
                          f"hyperboloid coordinates lose their precision")
-    A = hyptrig.angles_from_edges(e.a, e.b, e.c)[0]
+    A = hyptrig._angles(*hyptrig._start(*e))[0]  # e was checked when built
     p_a = HPoint(1.0, 0.0, 0.0)
     p_b = HPoint(math.cosh(e.c), math.sinh(e.c), 0.0)
     p_c = HPoint(math.cosh(e.b), math.sinh(e.b) * math.cos(A), math.sinh(e.b) * math.sin(A))

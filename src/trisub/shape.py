@@ -10,7 +10,6 @@ from collections import namedtuple
 from operator import attrgetter
 
 from . import hyptrig
-from .hyptrig import DomainError
 
 # Angle sums within this of pi classify as Euclidean (binary64 round-off
 # scale; same band edges_from_angles refuses to invert).
@@ -77,9 +76,7 @@ class AngleShape(_Checked, namedtuple("AngleShape", "A B C")):
     __slots__ = ()
 
     def __post_init__(self):
-        hyptrig._check_angles(A=self.A, B=self.B, C=self.C)
-        if self.angle_sum() > math.pi + EUCLIDEAN_ATOL:
-            raise DomainError(f"angle sum {self.angle_sum()!r} exceeds pi")
+        hyptrig.defect_area(*self)  # each angle in (0, pi), the sum to pi + EUCLIDEAN_ATOL
 
     def angle_sum(self) -> float:
         return self.A + self.B + self.C
@@ -137,9 +134,10 @@ def _edges(state) -> EdgeLengths:
 
 
 def _record(state, edges: EdgeLengths | None = None) -> ShapeRecord:
-    # the record of a state (p, q, r, root), with its edges unless given
-    return ShapeRecord(AngleShape(*hyptrig._angles(*state)), edges or _edges(state),
-                       hyptrig._area(*state), state)
+    # the record of a state (p, q, r, root), with its edges unless given; its
+    # angles are not checked again: on a sliver the largest can round to pi
+    return ShapeRecord(tuple.__new__(AngleShape, hyptrig._angles(*state)),
+                       edges or _edges(state), hyptrig._area(*state), state)
 
 
 def _state_of(s: ShapeRecord):
@@ -172,5 +170,5 @@ def project_euclidean(s: AngleShape) -> AngleShape:
     """
     if s.is_euclidean:
         return s
-    t = s.angle_sum()
-    return AngleShape(s.A * math.pi / t, s.B * math.pi / t, s.C * math.pi / t)
+    t = s.angle_sum()  # s was checked when built, so its scaled angles need no check
+    return tuple.__new__(AngleShape, (s.A * math.pi / t, s.B * math.pi / t, s.C * math.pi / t))

@@ -58,7 +58,7 @@ def apply(letter: str, s: ShapeRecord) -> ShapeRecord:
     _check_letter(letter)
     if s.is_euclidean:
         return s
-    return _record(hyptrig.STEPS[letter](*_state_of(s)))
+    return _record(hyptrig._normal(hyptrig.STEPS[letter](*_state_of(s))))
 
 
 def apply_oracle(letter: str, e: EdgeLengths) -> EdgeLengths:
@@ -95,7 +95,7 @@ class OrbitTrace(namedtuple("OrbitTrace", "steps")):
 def orbit(word, s0: ShapeRecord) -> OrbitTrace:
     """Trace the orbit of s0 under a finite word of letters."""
     word = list(word)
-    records, halves = [s0] * (len(word) + 1), [None] * (len(word) + 1)
+    records, states = [s0] * (len(word) + 1), [None] * (len(word) + 1)
     if s0.is_euclidean:  # fixed by all four maps
         for letter in word:
             _check_letter(letter)
@@ -103,11 +103,19 @@ def orbit(word, s0: ShapeRecord) -> OrbitTrace:
         states = [_state_of(s0)]
         for letter in word:
             states.append((hyptrig.STEPS.get(letter) or _check_letter(letter))(*states[-1]))
+        # a step shrinks every entry at least fourfold (Lemma 2.1): the last is least
+        hyptrig._normal(states[-1])
         records[1:] = map(_record, states[1:])
-        halves = [tuple(map(math.sqrt, st[:3])) for st in states]
     return OrbitTrace(tuple(
-        OrbitStep(n, letter, s.angles, s.edges, s.area, math.log(math.sin(s.angles.A)), sh)
-        for n, (letter, s, sh) in enumerate(zip([None, *word], records, halves))))
+        OrbitStep(n, letter, s.angles, s.edges, s.area, _ln_sin_a(s.angles.A, st),
+                  st and tuple(map(math.sqrt, st[:3])))
+        for n, (letter, s, st) in enumerate(zip([None, *word], records, states))))
+
+
+def _ln_sin_a(A: float, state) -> float:
+    # sin of the rounded angle is accurate up to pi/2; above it, near pi,
+    # the sine comes from the state
+    return math.log(hyptrig._sin_angles(*state)[0] if state and A > math.pi / 2 else math.sin(A))
 
 
 LimitResult = namedtuple("LimitResult", "angles iterations residual")  # Euclidean angles
@@ -146,11 +154,12 @@ def _limit(letters, p: float, q: float, r: float, root: float, tol: float,
             raise ConvergenceError(f"no convergence within {max_iter} steps")
         residual = p + q + r
         if residual < tol:
-            # its angles scaled by pi/(A+B+C): project_euclidean leaves a sum
-            # within EUCLIDEAN_ATOL of pi as it is, and with it the state's defect
+            # its angles, unchecked (a state from MIN_TOL up is normal), scaled by
+            # pi/(A+B+C): project_euclidean leaves a sum within EUCLIDEAN_ATOL of
+            # pi as it is, and with it the state's defect
             A, B, C = hyptrig._angles(p, q, r, root)
             k = math.pi / (A + B + C)
-            return LimitResult(AngleShape(A * k, B * k, C * k), n, residual)
+            return LimitResult(tuple.__new__(AngleShape, (A * k, B * k, C * k)), n, residual)
     raise ValueError("letter sequence ended before convergence")
 
 

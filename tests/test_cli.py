@@ -267,6 +267,28 @@ class TestOrbitCommand:
         assert [row[1] for row in rows] == ["-", "M", "B", "C"]
         assert all(float(x) > 0 for row in rows for x in row[2:5])
 
+    def test_obtuse_rows_take_their_sine_from_the_state(self, capsys):
+        # A > pi/2 on every row, and it rounds to the float pi on the last, whose
+        # sin(A) = 1.2e-16 would give ln_sin_A = -36.6387 (a check of derived
+        # angles refused it); references from 200-digit kernels on these edges
+        code, out, err = run(capsys, "orbit", "--edges",
+                             "39.39123007451358,14.295832728893053,25.095478923718918",
+                             "--word", "MMM")
+        assert code == 0, err
+        got = [float(ln.split(",")[9]) for ln in out.strip().split("\n")[1:]]
+        want = (-4.013888869914404, -23.016275148512856, -32.170915094876548,
+                -36.401714339029112)
+        assert max(abs(x - y) / -y for x, y in zip(got, want)) < 1e-13
+
+    @pytest.mark.parametrize("steps", [510, 600])
+    def test_subnormal_state_is_too_short(self, capsys, steps):
+        # the 510th M from 1,1,1 reaches a subnormal state; the walk read rows
+        # from such states, and 518 steps and more failed with "angle sum
+        # 3.1415926535960663 exceeds pi"
+        assert run(capsys, "orbit", "--edges", "1,1,1", "--word", "M" * 509)[0] == 0
+        code, out, err = run(capsys, "orbit", "--edges", "1,1,1", "--word", "M" * steps)
+        assert code == 1 and out == "" and "too short" in err
+
 
 # Limit angles of (edges, sequence), from the step kernels with the root carried
 # and from the hyperboloid construction of bench/reference.py, both with mpmath
@@ -280,6 +302,12 @@ LIMIT_REFERENCES = {
         (1.8968073975798266e-15, 1.8968073975798266e-15, 3.1415926535897896),
     ("26.77140277034582,5.91333169169455,31.640324086913058", "MB|M"):
         (7.812044454124839e-12, 1.4778871117719072e-12, 3.141592653580503),
+    ("25.095478923718918,14.295832728893053,39.39123007451358", "|M"):
+        (7.080657239000075e-18, 4.033540990737713e-18, 3.141592653589793),
+    ("98.69021739931644,118.55789142489175,185.97895804438994", "|A"):
+        (3.999463912684795e-45, 7.032935432390907e-45, 3.141592653589793),
+    ("31.77404943599029,164.78423885792785,143.28611927012923", "|MC"):
+        (8.920641921190746e-48, 3.141592653589793, 5.519256076631485e-47),
 }
 
 
@@ -337,6 +365,16 @@ class TestLimitCommand:
         # the Heron form of the stopping state cancelled to noise that stayed
         # positive: limit printed 7.985e-09, 2.725e-08 and 3.1415926184 for the
         # first, and A 1.9e-7 relative off for the second, with residual 3e-14
+        self.assert_reference_limit(capsys, edges, seq)
+
+    @pytest.mark.parametrize("edges, seq", [
+        ("25.095478923718918,14.295832728893053,39.39123007451358", "|M"),
+        ("98.69021739931644,118.55789142489175,185.97895804438994", "|A"),
+        ("31.77404943599029,164.78423885792785,143.28611927012923", "|MC")])
+    def test_largest_angle_rounds_to_pi(self, capsys, edges, seq):
+        # the limit's largest angle is pi less 1e-17 to 1e-46, the float pi;
+        # the check of the derived angles refused it with "angle
+        # C=3.141592653589793 must be in (0, pi)"
         self.assert_reference_limit(capsys, edges, seq)
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-13", "5e-324", "1e-310", "8.9e-308"])

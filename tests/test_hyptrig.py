@@ -13,7 +13,7 @@ from trisub.hyptrig import (DomainError, InconsistentInputError, TraceCoords,
                             defect_area, edges_from_angles, keogh_area,
                             law_of_sines_ratio, medial_data, trace_parent_area)
 from trisub import plane_model
-from trisub.shape import EdgeLengths, shape_from_edges
+from trisub.shape import AngleShape, EdgeLengths, shape_from_edges
 
 
 def sample_edges(rng, lo=0.01, hi=5.0):
@@ -125,6 +125,21 @@ class TestAreas:
         assert defect_area(1.2, 1.2, math.pi - 2.4) == 0.0
         with pytest.raises(DomainError):
             defect_area(2.0, 2.0, 2.0)
+
+    # sums up to pi + CLAMP_TOL (1e-9) gave 0.0, also where AngleShape and
+    # edges_from_angles refuse them; EUCLIDEAN_SUM_ATOL (1e-12) is the one rule
+    @pytest.mark.parametrize("excess", [1e-13, 9e-13])
+    def test_defect_is_zero_within_the_euclidean_band(self, excess):
+        angles = (1.2, 1.2, math.pi - 2.4 + excess)
+        assert defect_area(*angles) == 0.0
+        assert AngleShape(*angles).is_euclidean
+
+    @pytest.mark.parametrize("excess", [2e-12, 1e-10, 1e-9])
+    def test_defect_refuses_sums_beyond_the_euclidean_band(self, excess):
+        angles = (1.2, 1.2, math.pi - 2.4 + excess)
+        for build in (defect_area, AngleShape):
+            with pytest.raises(DomainError, match="exceeds pi"):
+                build(*angles)
 
     def test_cagnoli_equals_defect(self):
         A, B, C = angles_from_edges(1, 1, 1)

@@ -15,7 +15,7 @@ from trisub.render import RenderSpec
 from trisub.shape import (AngleShape, EUCLIDEAN_ATOL, EdgeLengths, ShapeRecord,
                           metric_distance, project_euclidean, shape_from_angles,
                           shape_from_edges)
-from trisub.subdivision import apply, orbit
+from trisub.subdivision import apply, limit_shape_info, orbit
 from trisub.symbolic import SymbolSequence
 from trisub.verify import SampleSpec
 
@@ -74,16 +74,20 @@ def test_record_invariants_sampled():
 
 
 @pytest.mark.parametrize("build, counts", [
-    (lambda: shape_from_edges(2, 2, 3), (1, 1, 1)),
+    # given edges are checked once, and the angles derived from them not at all
+    (lambda: shape_from_edges(2, 2, 3), (1, 0, 1)),
     # the orbit checks the given edges only, and walks from the state its
-    # start record keeps: each child comes from a step kernel, and each
-    # record checks its angles once
-    (lambda: orbit("M" * 20, shape_from_edges(2, 2, 3)), (1, 21, 1)),
+    # start record keeps: each child comes from a step kernel, and no
+    # record's angles are checked
+    (lambda: orbit("M" * 20, shape_from_edges(2, 2, 3)), (1, 0, 1)),
+    (lambda: apply("M", apply("A", shape_from_edges(2, 2, 3))), (1, 0, 1)),
+    (lambda: limit_shape_info(SymbolSequence.parse("|M"), shape_from_edges(2, 2, 3)),
+     (1, 0, 1)),
     # given angles are checked once, and the state comes from them, not from
     # edges
     (lambda: shape_from_angles(1.0, 1.0, 0.5), (0, 1, 0)),
-    (lambda: orbit("M" * 20, shape_from_angles(1.0, 1.0, 0.5)), (0, 21, 0)),
-], ids=["shape", "orbit", "angles", "angles-orbit"])
+    (lambda: orbit("M" * 20, shape_from_angles(1.0, 1.0, 0.5)), (0, 1, 0)),
+], ids=["shape", "orbit", "apply", "limit", "angles", "angles-orbit"])
 def test_one_check_and_one_derivation_per_record(monkeypatch, build, counts):
     names = ("_check_edges", "_check_angles", "_start")
     seen = dict.fromkeys(names, 0)
@@ -117,14 +121,17 @@ def test_replace_and_make_check_like_the_constructor(value, field, bad):
 def test_sliver_angles_build_a_shape():
     # seeded valid slivers: defect 10^U(-11.9, 0.4), weights 10^U(-12, 0).
     # Checking the edges derived from them refused 1,851 of these 20,000
-    # with the triangle inequality, since a + b - c can round to 0
-    rng = random.Random(2)
+    # with the triangle inequality, since a + b - c can round to 0.  Their
+    # limits along |M refused 74 with "angle C=3.141592653589793 must be in
+    # (0, pi)", as the largest limit angle rounds to the float pi
+    rng, seq = random.Random(2), SymbolSequence.parse("|M")
     for _ in range(20_000):
         defect = 10 ** rng.uniform(-11.9, 0.4)
         w = [10 ** rng.uniform(-12, 0) for _ in range(3)]
         A, B = ((math.pi - defect) * x / sum(w) for x in w[:2])
         rec = shape_from_angles(A, B, math.pi - defect - A - B)
         assert rec.is_euclidean or min(rec.edges) > 0
+        assert min(limit_shape_info(seq, rec).angles) > 0
 
 
 def _sliver():

@@ -14,7 +14,7 @@ from trisub.shape import (AngleShape, EdgeLengths, metric_distance,
 from trisub.subdivision import (ConvergenceError, LETTERS, ORBIT_CSV_COLUMNS,
                                 LimitResult, MIN_TOL, apply, apply_oracle, child_edges,
                                 limit_shape, limit_shape_info, orbit)
-from trisub.symbolic import _check_letter
+from trisub.symbolic import SymbolSequence, _check_letter
 
 from test_symbolic import enumerate_sequences
 
@@ -77,6 +77,16 @@ class TestApply:
     def test_unknown_letter(self):
         with pytest.raises(ValueError):
             apply("X", shape_from_edges(1, 1, 1))
+
+    def test_subnormal_state_is_too_short(self):
+        # the 510th M from 1,1,1 reaches a subnormal state: apply returned
+        # records read from such states up to the 518th, which failed with
+        # "angle sum 3.1415926535960663 exceeds pi"
+        rec = shape_from_edges(1, 1, 1)
+        for _ in range(509):
+            rec = apply("M", rec)
+        with pytest.raises(hyptrig.DomainError, match="too short: the largest is subnormal"):
+            apply("M", rec)
 
 
 class TestApplyOracle:
@@ -449,6 +459,53 @@ def test_child_edges_chain_takes_its_edges_unchecked():
         orbit(word, shape_from_edges(*e))
         for letter in word:
             e = child_edges(letter, e)
+
+
+BAND_SEQS = ("|M", "|A", "|AB", "AB|CM", "|MC", "M|ABC")
+BAND_WORD = "MABCMMACBMAMBCM"
+SLIVER_RHOS = ((-15, -12), (-12, -8), (-8, -4))
+
+
+def long_edge_starts(n, seed=11):
+    """n seeded starts with edges uniform in [15, 200]."""
+    rng = random.Random(seed)
+    return [sample_edges(rng, 15.0, 200.0).as_tuple() for _ in range(n)]
+
+
+def sliver_starts(n, rho_exponents, seed=3):
+    """n seeded slivers: a, b uniform in [0.01, 30] and c = (a + b)(1 - rho U(0.5, 1)),
+    with rho = 10^U(*rho_exponents); a c that rounds to a + b is drawn again."""
+    rng, starts = random.Random(seed), []
+    while len(starts) < n:
+        a, b = rng.uniform(0.01, 30.0), rng.uniform(0.01, 30.0)
+        c = (a + b) * (1 - 10 ** rng.uniform(*rho_exponents) * rng.uniform(0.5, 1.0))
+        if c < a + b:
+            starts.append((a, b, c))
+    return starts
+
+
+@pytest.mark.parametrize("starts", [
+    long_edge_starts(300),
+    *(sliver_starts(100, rho) for rho in SLIVER_RHOS),
+], ids=["long-15-200", "sliver-1e-15", "sliver-1e-12", "sliver-1e-8"])
+def test_long_edges_and_slivers_walk_without_refusal(starts):
+    # derived angles were checked again: the largest rounds to the float pi on
+    # these valid starts, and limit_shape_info or orbit refused 260 of the 300
+    # long-edge starts and 41, 28 and 15 of each 100 slivers with "angle
+    # C=3.141592653589793 must be in (0, pi)"
+    for i, e in enumerate(starts):
+        rec = shape_from_edges(*e)
+        trace = orbit(BAND_WORD, rec)
+        assert all(math.isfinite(st.ln_sin_a) for st in trace.steps)
+        for letter in BAND_WORD:
+            rec = apply(letter, rec)
+        assert rec.angles == trace.steps[-1].angles
+        res = limit_shape_info(SymbolSequence.parse(BAND_SEQS[i % 6]), shape_from_edges(*e))
+        assert 0 < res.residual < 1e-13 and min(res.angles) > 0
+        assert sum(res.angles) == pytest.approx(math.pi, rel=1e-15)
+        cell = EdgeLengths(*e)
+        for letter in BAND_WORD:
+            cell = child_edges(letter, cell)
 
 
 def test_cauchy_drift_bound_sampled():
