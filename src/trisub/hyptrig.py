@@ -12,8 +12,8 @@ builds, so no Heron form is evaluated again.  The angles, their sines and
 the area are formulas in a state.  _half_sinh_sq alone decides the
 domain of edges: it refuses edges whose sinh^2(edge/2) overflows or
 underflows, and edges whose Heron form's products overflow (too long).
-Derived values are not checked again: _normal alone refuses a state,
-given or walked to, once its largest entry is subnormal (too short).
+Derived values are unchecked: _normal alone refuses a state, given or
+walked to, once its largest entry or its root is subnormal (too short).
 """
 
 import math
@@ -40,12 +40,10 @@ def _check_edges(a: float, b: float, c: float) -> None:
     for name, x in (("a", a), ("b", b), ("c", c)):
         if not x > 0:
             raise DomainError(f"edge {name}={x!r} must be positive")
-    if a >= b + c:
-        raise DomainError(f"edge a={a!r} violates the triangle inequality (a >= b + c)")
-    if b >= c + a:
-        raise DomainError(f"edge b={b!r} violates the triangle inequality (b >= c + a)")
-    if c >= a + b:
-        raise DomainError(f"edge c={c!r} violates the triangle inequality (c >= a + b)")
+    for x, y, z, names in ((a, b, c, "abc"), (b, c, a, "bca"), (c, a, b, "cab")):
+        if x >= y + z:
+            raise DomainError(f"edge {names[0]}={x!r} violates the triangle inequality "
+                              f"({names[0]} >= {names[1]} + {names[2]})")
 
 
 def _check_angles(**angles: float) -> None:
@@ -63,17 +61,20 @@ def _clamp_unit(x: float, what: str) -> float:
 
 
 def _normal(state):
-    # the one rule on a state, given or walked to: it is returned unless its
-    # largest entry is subnormal, too few bits for the read-outs (too short)
+    # the one rule on a state (p, q, r[, root]), given or walked to: too short, with
+    # too few bits to read, once its largest entry or float root is subnormal
     if max(state[:3]) < 2.0 ** -1022:
         raise DomainError(f"edges with sinh^2(edge/2) = {state[:3]!r} are "
                           f"too short: the largest is subnormal")
+    if state[3:] and not isinstance(state[3], _BigRoot) and state[3] < 2.0 ** -1022:
+        raise DomainError(f"edges with sinh^2(edge/2) = {state[:3]!r} are too short: "
+                          f"the root of their Heron form underflows ({state[3]!r})")
     return state
 
 
 def _half_sinh_sq(a: float, b: float, c: float) -> tuple[float, float, float]:
     # the state (p, q, r) of an edge triple, p = sinh^2(a/2) etc., refused
-    # where it is too long or too short for the step kernels and read-outs
+    # where it is too long or 0 for the step kernels; _normal does the rest
     try:
         p, q, r = math.sinh(a / 2) ** 2, math.sinh(b / 2) ** 2, math.sinh(c / 2) ** 2
     except OverflowError:  # sinh^2(x/2) passes the largest binary64 above x ~ 710
@@ -88,16 +89,16 @@ def _half_sinh_sq(a: float, b: float, c: float) -> tuple[float, float, float]:
     if not 4 * p * q * r + 2 * (p * q + q * r + r * p) < math.inf:
         raise DomainError(f"edges with sinh^2(edge/2) = ({p!r}, {q!r}, {r!r}) are "
                           f"too long: their Heron form overflows")
-    return _normal((p, q, r))
+    return p, q, r
 
 
 def _start(a: float, b: float, c: float) -> tuple[float, float, float, float]:
-    # the state (p, q, r, root) of edges that passed _check_edges; root is a
-    # product of four square roots, which underflows only with the edges
+    # the normal state (p, q, r, root) of edges that passed _check_edges; root
+    # is a product of four square roots, subnormal only on tiny slivers
     p, q, r = _half_sinh_sq(a, b, c)
     x, y, z = math.fsum((b, c, -a)) / 2, math.fsum((c, a, -b)) / 2, math.fsum((a, b, -c)) / 2
-    return p, q, r, (math.sqrt(math.sinh(x + y + z)) * math.sqrt(math.sinh(x))
-                     * math.sqrt(math.sinh(y)) * math.sqrt(math.sinh(z)))
+    return _normal((p, q, r, math.sqrt(math.sinh(x + y + z)) * math.sqrt(math.sinh(x))
+                    * math.sqrt(math.sinh(y)) * math.sqrt(math.sinh(z))))
 
 
 # Step kernels: a child's state from its parent's, with cp = cosh(a/2) etc.  A

@@ -18,9 +18,10 @@ EUCLIDEAN_ATOL = hyptrig.EUCLIDEAN_SUM_ATOL
 
 class _Checked:
     """Base of a named tuple whose __post_init__ checks its fields; _make and
-    _replace call it too, where namedtuple would build with tuple.__new__."""
+    _replace call it too, and _unchecked(values) builds without the check."""
 
     __slots__ = ()
+    _unchecked = classmethod(tuple.__new__)  # for values derived from checked ones
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -71,7 +72,7 @@ class _Frozen:
 
 
 class AngleShape(_Checked, namedtuple("AngleShape", "A B C")):
-    """Ordered angle triple (A, B, C) in radians."""
+    """Ordered angle triple (A, B, C) in radians; derived ones are unchecked (pi + ulp occurs)."""
 
     __slots__ = ()
 
@@ -130,13 +131,13 @@ def shape_from_edges(a: float, b: float, c: float) -> ShapeRecord:
 def _edges(state) -> EdgeLengths:
     # the edges 2 asinh(sqrt(p)) etc. of a state, not checked again: on a
     # valid sliver a + b - c can round to 0
-    return tuple.__new__(EdgeLengths, [2 * math.asinh(math.sqrt(x)) for x in state[:3]])
+    return EdgeLengths._unchecked([2 * math.asinh(math.sqrt(x)) for x in state[:3]])
 
 
 def _record(state, edges: EdgeLengths | None = None) -> ShapeRecord:
     # the record of a state (p, q, r, root), with its edges unless given; its
     # angles are not checked again: on a sliver the largest can round to pi
-    return ShapeRecord(tuple.__new__(AngleShape, hyptrig._angles(*state)),
+    return ShapeRecord(AngleShape._unchecked(hyptrig._angles(*state)),
                        edges or _edges(state), hyptrig._area(*state), state)
 
 
@@ -153,7 +154,7 @@ def shape_from_angles(A: float, B: float, C: float) -> ShapeRecord:
         return ShapeRecord(angles, None, 0.0)
     S = math.pi - A - B - C  # positive: the angles are not Euclidean
     edges, state = hyptrig._from_angles(A, B, C, S)
-    return ShapeRecord(angles, tuple.__new__(EdgeLengths, edges), S, state)
+    return ShapeRecord(angles, EdgeLengths._unchecked(edges), S, state)
 
 
 def metric_distance(s1: AngleShape, s2: AngleShape) -> float:
@@ -171,4 +172,4 @@ def project_euclidean(s: AngleShape) -> AngleShape:
     if s.is_euclidean:
         return s
     t = s.angle_sum()  # s was checked when built, so its scaled angles need no check
-    return tuple.__new__(AngleShape, (s.A * math.pi / t, s.B * math.pi / t, s.C * math.pi / t))
+    return AngleShape._unchecked((s.A * math.pi / t, s.B * math.pi / t, s.C * math.pi / t))

@@ -31,8 +31,8 @@ from ._fmt import csv_line
 ORBIT_CSV_COLUMNS = ("n", "letter", "A", "B", "C", "a", "b", "c", "S",
                      "ln_sin_A", "sinh_a2", "sinh_b2", "sinh_c2")
 _NONE3 = (None, None, None)  # the empty columns of a Euclidean entry
-# A step shrinks p + q + r at most about fourfold, so at the stop the largest
-# of the three is at least tol / 12; from this tol up it is never subnormal
+# A step shrinks p + q + r at most about fourfold, so from this tol up the largest
+# of the three at the stop is normal, unless the start's sum was below tol already
 MIN_TOL = 16 * sys.float_info.min
 
 
@@ -46,7 +46,7 @@ def child_edges(letter: str, e: EdgeLengths) -> EdgeLengths:
     The cell's edges need no root: a chain of derived edges, whose half-sums
     may have rounded to 0, passes through."""
     _check_letter(letter)
-    return _edges(hyptrig.STEPS[letter](*hyptrig._half_sinh_sq(e.a, e.b, e.c), 0.0))
+    return _edges(hyptrig.STEPS[letter](*hyptrig._normal(hyptrig._half_sinh_sq(*e)), 0.0))
 
 
 def apply(letter: str, s: ShapeRecord) -> ShapeRecord:
@@ -103,7 +103,7 @@ def orbit(word, s0: ShapeRecord) -> OrbitTrace:
         states = [_state_of(s0)]
         for letter in word:
             states.append((hyptrig.STEPS.get(letter) or _check_letter(letter))(*states[-1]))
-        # a step shrinks every entry at least fourfold (Lemma 2.1): the last is least
+        # a step shrinks every entry, root too, at least fourfold: the last is least
         hyptrig._normal(states[-1])
         records[1:] = map(_record, states[1:])
     return OrbitTrace(tuple(
@@ -128,11 +128,11 @@ def limit_shape_info(seq, s0: ShapeRecord, tol: float = 1e-13,
     Iterates the maps on bare states and stops after the first step whose
     residual, p + q + r = the sum of sinh^2(edge/2) over the three edges,
     is below tol; then scales its angles by pi/(A+B+C).  tol must be at
-    least MIN_TOL, below which the stopping state can be subnormal.  By the
-    paper's Cauchy lemma the residual bounds how far ln sin of any angle
-    can still drift along the exact orbit, before scaling; it does not
-    cover floating-point rounding.  seq is any iterable of letters; an
-    eventually periodic sequence object works directly.
+    least MIN_TOL, below which the stopping state can be subnormal; far
+    below the default a thin triangle's root can be, refused as too short.
+    By the paper's Cauchy lemma the residual bounds how far ln sin of any
+    angle can still drift along the exact orbit before scaling, rounding
+    aside.  seq is any iterable of letters, such as a sequence object.
     """
     if not MIN_TOL <= tol < math.inf:  # an infinite tol would stop at any residual
         raise ValueError(f"tol must be positive and finite, and at least {MIN_TOL!r}")
@@ -154,12 +154,12 @@ def _limit(letters, p: float, q: float, r: float, root: float, tol: float,
             raise ConvergenceError(f"no convergence within {max_iter} steps")
         residual = p + q + r
         if residual < tol:
-            # its angles, unchecked (a state from MIN_TOL up is normal), scaled by
-            # pi/(A+B+C): project_euclidean leaves a sum within EUCLIDEAN_ATOL of
-            # pi as it is, and with it the state's defect
-            A, B, C = hyptrig._angles(p, q, r, root)
+            # the normal state's angles (a long sliver's root can underflow),
+            # scaled by pi/(A+B+C): project_euclidean leaves a sum within
+            # EUCLIDEAN_ATOL of pi as it is, and with it the state's defect
+            A, B, C = hyptrig._angles(*hyptrig._normal((p, q, r, root)))
             k = math.pi / (A + B + C)
-            return LimitResult(tuple.__new__(AngleShape, (A * k, B * k, C * k)), n, residual)
+            return LimitResult(AngleShape._unchecked((A * k, B * k, C * k)), n, residual)
     raise ValueError("letter sequence ended before convergence")
 
 

@@ -103,7 +103,7 @@ def _sample_edges(rng: random.Random, spec: SampleSpec, small: bool) -> EdgeLeng
     while True:
         a, b, c = (rng.uniform(lo, hi) for _ in range(3))
         if a < b + c and b < c + a and c < a + b:
-            return tuple.__new__(EdgeLengths, (a, b, c))  # checked: they imply a, b, c > 0
+            return EdgeLengths._unchecked((a, b, c))  # checked: they imply a, b, c > 0
 
 
 def _run_seeded(suite: str, spec: SampleSpec, orbit, small=False, stats=()) -> Report:

@@ -289,6 +289,17 @@ class TestOrbitCommand:
         code, out, err = run(capsys, "orbit", "--edges", "1,1,1", "--word", "M" * steps)
         assert code == 1 and out == "" and "too short" in err
 
+    @pytest.mark.parametrize("steps", [410, 436])
+    def test_underflowing_root_is_too_short(self, capsys, steps):
+        # on a long sliver the root is ~1e-47 of p, q and r: from the 410th M
+        # it is subnormal, and at the 436th it is 0 and two angles with it,
+        # while p, q and r are ~1e-259; rows were read from it with exit 0,
+        # and 436 steps and more failed with "math domain error"
+        edges = "31.77404943599029,164.78423885792785,143.28611927012923"
+        assert run(capsys, "orbit", "--edges", edges, "--word", "M" * 409)[0] == 0
+        code, out, err = run(capsys, "orbit", "--edges", edges, "--word", "M" * steps)
+        assert code == 1 and out == "" and "root of their Heron form underflows" in err
+
 
 # Limit angles of (edges, sequence), from the step kernels with the root carried
 # and from the hyperboloid construction of bench/reference.py, both with mpmath
@@ -376,6 +387,15 @@ class TestLimitCommand:
         # the check of the derived angles refused it with "angle
         # C=3.141592653589793 must be in (0, pi)"
         self.assert_reference_limit(capsys, edges, seq)
+
+    @pytest.mark.parametrize("tol", ["1e-270", "1e-290"])
+    def test_underflowing_root_is_too_short(self, capsys, tol):
+        # a legal tol, but the stopping state's root is subnormal (1e-270) or 0
+        # (1e-290): limit printed angles from a few bits, or (0, 0, pi)
+        edges = "98.69021739931644,118.55789142489175,185.97895804438994"
+        assert run(capsys, "limit", "--edges", edges, "--seq", "|A", "--tol=1e-250")[0] == 0
+        code, out, err = run(capsys, "limit", "--edges", edges, "--seq", "|A", f"--tol={tol}")
+        assert code == 1 and out == "" and "root of their Heron form underflows" in err
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-13", "5e-324", "1e-310", "8.9e-308"])
     def test_bad_tolerance(self, capsys, tol):

@@ -13,7 +13,7 @@ from trisub.hyptrig import (DomainError, InconsistentInputError, TraceCoords,
                             defect_area, edges_from_angles, keogh_area,
                             law_of_sines_ratio, medial_data, trace_parent_area)
 from trisub import plane_model
-from trisub.shape import AngleShape, EdgeLengths, shape_from_edges
+from trisub.shape import AngleShape, EdgeLengths, shape_from_angles, shape_from_edges
 
 
 def sample_edges(rng, lo=0.01, hi=5.0):
@@ -291,6 +291,16 @@ class TestDerive:
         # the floor _check_edges also holds; no caller places a point there
         with pytest.raises(DomainError, match="too short"):
             hyptrig._start(0.0, 0.0, 0.0)
+
+    def test_underflowing_root_is_too_short(self):
+        # a tiny sliver's p, q and r are normal but its root is not: its angles
+        # were read from a few bits; the rule takes a _BigRoot, which is never small
+        for build in (shape_from_edges, hyptrig.angles_from_edges, hyptrig.area_from_edges):
+            with pytest.raises(DomainError, match="too short: the root of their Heron "
+                                                  "form underflows"):
+                build(3e-154, 3e-154, 5.99999e-154)
+        state = shape_from_angles(1e-150, 1e-150, 1e-150)._state
+        assert isinstance(state[3], hyptrig._BigRoot) and hyptrig._normal(state) is state
 
     @pytest.mark.parametrize("edges", [(1e-150, 1e-150, 1e-150), (1e-130, 2e-130, 1.5e-130),
                                        (3e-154, 4e-154, 5e-154), (1e-100, 1.5e-100, 2e-100)])

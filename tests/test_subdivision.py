@@ -88,6 +88,15 @@ class TestApply:
         with pytest.raises(hyptrig.DomainError, match="too short: the largest is subnormal"):
             apply("M", rec)
 
+    def test_underflowing_root_is_too_short(self):
+        # on a long sliver the root is subnormal from the 410th M, while p, q
+        # and r are ~1e-245: apply's records were read from a few bits
+        rec = shape_from_edges(31.77404943599029, 164.78423885792785, 143.28611927012923)
+        for _ in range(409):
+            rec = apply("M", rec)
+        with pytest.raises(hyptrig.DomainError, match="root of their Heron form underflows"):
+            apply("M", rec)
+
 
 class TestApplyOracle:
     def test_equilateral_medial_matches_closed_form(self):
