@@ -89,8 +89,9 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", required=True,
                     choices=list(verify.SUITE_NAMES) + ["all"])
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--samples", type=int, default=None)
+    fixed = " (noncontraction and surjectivity run fixed plans and ignore it)"
+    sp.add_argument("--seed", type=int, help="reseed the other seven suites" + fixed)
+    sp.add_argument("--samples", type=int, help="sample count of the other seven suites" + fixed)
 
     sp = sub.add_parser("sweep", help="limit shapes over a grid of start shapes")
     sp.add_argument("--seq", required=True, metavar="PREFIX|CYCLE")

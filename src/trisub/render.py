@@ -14,9 +14,9 @@ vertices' own cached texts; and the inner samples are formatted by one
 the other way.  One depth-first walk serves both models.  It stops one
 level above the leaves; each cell there yields the paths of its four
 children as one piece, and the document is never held whole.  In the
-Klein disk the edge midpoints of those leaf-parents, the last-level
-vertices, are kept only as text, from the first cell on their edge until
-the second takes them (those on the outline until the render ends).
+Klein disk one helper, last, formats the leaf-parents' edge midpoints,
+the last-level vertices, and keeps them only as text until the second
+cell on their edge takes them (those on the outline until the end).
 Output is fully deterministic (fixed element order and number
 formatting) so renders can be compared byte for byte.
 """
@@ -126,16 +126,21 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
         if not klein:
             add(k, plane_model.midpoint(points[ku], points[kv]))
             return k
-        # the operations of plane_model.midpoint and of add, in the same
-        # order, on plain tuples
+        # the operations of plane_model.midpoint, in the same order, on
+        # plain tuples
         u0, u1, u2 = points[ku]
         v0, v1, v2 = points[kv]
         x0, x1, x2 = u0 + v0, u1 + v1, u2 + v2
         s = sqrt(x0 * x0 - x1 * x1 - x2 * x2)
-        x0, x1, x2 = x0 / s, x1 / s, x2 / s
-        points[k] = x0, x1, x2
-        texts[k] = _POINT % (x1 / x0 + 0.0, 0.0 - x2 / x0)
+        add(k, (x0 / s, x1 / s, x2 / s))
         return k
+
+    def last(k, x0, x1, x2):
+        # the operations of mid and add on a last-level vertex, kept as text only
+        s = sqrt(x0 * x0 - x1 * x1 - x2 * x2)
+        x0 = x0 / s
+        text = pending[k] = _POINT % (x1 / s / x0 + 0.0, 0.0 - x2 / s / x0)
+        return text
 
     def poincare_edge(ku, kv):
         # the samples from u towards v, without the one at v.  All cells have
@@ -215,34 +220,18 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
         v0, v1, v2 = points[b]
         w0, w1, w2 = points[c]
         m_a, m_b, m_c = (b + c) >> 1, (c + a) >> 1, (a + b) >> 1
-        t_a = pop(m_a, None)
-        if t_a is None:
-            x0, x1, x2 = v0 + w0, v1 + w1, v2 + w2
-            s = sqrt(x0 * x0 - x1 * x1 - x2 * x2)
-            x0 = x0 / s
-            t_a = pending[m_a] = _POINT % (x1 / s / x0 + 0.0, 0.0 - x2 / s / x0)
-        t_b = pop(m_b, None)
-        if t_b is None:
-            x0, x1, x2 = w0 + u0, w1 + u1, w2 + u2
-            s = sqrt(x0 * x0 - x1 * x1 - x2 * x2)
-            x0 = x0 / s
-            t_b = pending[m_b] = _POINT % (x1 / s / x0 + 0.0, 0.0 - x2 / s / x0)
-        t_c = pop(m_c, None)
-        if t_c is None:
-            x0, x1, x2 = u0 + v0, u1 + v1, u2 + v2
-            s = sqrt(x0 * x0 - x1 * x1 - x2 * x2)
-            x0 = x0 / s
-            t_c = pending[m_c] = _POINT % (x1 / s / x0 + 0.0, 0.0 - x2 / s / x0)
+        t_a = pop(m_a, None) or last(m_a, v0 + w0, v1 + w1, v2 + w2)
+        t_b = pop(m_b, None) or last(m_b, w0 + u0, w1 + u1, w2 + u2)
+        t_c = pop(m_c, None) or last(m_c, u0 + v0, u1 + v1, u2 + v2)
         a, b, c = texts[a], texts[b], texts[c]
         yield join((head, a, sep, t_c, sep, t_b, tail_a, head, t_c, sep, b, sep, t_a, tail_b,
                     head, t_b, sep, t_a, sep, c, tail_c, head, t_a, sep, t_b, sep, t_c, tail_m))
     cell = root
     for i, letter in enumerate(spec.word or ()):  # no letters in depth mode
         cell = cell_children(cell, mid)[letter]
-        last = i == len(spec.word) - 1
-        fill = DEFAULT_PALETTE[letter] if last else "none"
-        extra = ' fill-opacity="0.25"' if last else ""
-        yield path(cell, _TAIL % (fill, DEFAULT_PALETTE[letter], extra))
+        colour = DEFAULT_PALETTE[letter]  # only the last cell is filled
+        yield path(cell, _LEAF_TAILS[letter] if i < len(spec.word) - 1
+                   else _TAIL % (colour, colour, ' fill-opacity="0.25"'))
     yield "</svg>\n"
 
 

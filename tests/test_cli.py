@@ -837,8 +837,11 @@ class TestRenderSharing:
          "4838313d2ec3f29ca36ce2cac3770eb38a460c16f8c0b2207f72c318fa32d39d"),
         (2, {"word": "MMABCA"}, (1.3, 0.7, 1.1),
          "a99d4d4bd6171d255a269db721d2f308371246651b6a01ffedc757f132ee83a7"),
+        # the depth of the CI digests and of the render-disk benchmark
+        (32, {"depth": 5}, (2, 2, 3),
+         "4ae083674f9cbd78f8fd86ff3218e10cfa44b0c575a2a064d1bb95530f66a0a2"),
     ], ids=[f"{n}-{name}" for n in (32, 12, 7, 2)
-            for name in ("depth3-2,2,3", "depth3-1.3,0.7,1.1", "MMABCA")])
+            for name in ("depth3-2,2,3", "depth3-1.3,0.7,1.1", "MMABCA")] + ["32-depth5-2,2,3"])
     def test_poincare_bytes_are_pinned(self, n, kw, edges, digest):
         spec = RenderSpec(model="poincare", samples_per_edge=n, **kw)
         svg = render_svg(spec, EdgeLengths(*edges))
@@ -856,7 +859,11 @@ class TestRenderSharing:
          "a4d41c3840db9882f4b86519ad9589be80cdfe7608cb7465f3b86c40410c7b07"),
         ({"word": "MMABCA"}, (1.3, 0.7, 1.1),
          "3d63a3e827608098c781ab4adaf9ec69675a7f497e6097f20d64637866a1e514"),
-    ], ids=["depth3-2,2,3", "depth3-1.3,0.7,1.1", "MMABCA-2,2,3", "MMABCA-1.3,0.7,1.1"])
+        # the depth guard, as in the CI digests and the render-disk benchmark
+        ({"depth": 8}, (2, 2, 3),
+         "b313bd272f2aa08ddd7008d3cc49484c9241e51a48f5fa7f51feb6d274946ccd"),
+    ], ids=["depth3-2,2,3", "depth3-1.3,0.7,1.1", "MMABCA-2,2,3", "MMABCA-1.3,0.7,1.1",
+            "depth8-2,2,3"])
     def test_klein_bytes_are_pinned(self, kw, edges, digest):
         svg = render_svg(RenderSpec(model="klein", **kw), EdgeLengths(*edges))
         assert hashlib.sha256(svg.encode()).hexdigest() == digest
