@@ -101,10 +101,14 @@ def orbit(word, s0: ShapeRecord) -> OrbitTrace:
             _check_letter(letter)
     else:
         states = [_state_of(s0)]
-        for letter in word:
-            states.append((hyptrig.STEPS.get(letter) or _check_letter(letter))(*states[-1]))
-        # a step shrinks every entry, root too, at least fourfold: the last is least
-        hyptrig._normal(states[-1])
+        try:
+            for letter in word:
+                states.append((hyptrig.STEPS.get(letter) or _check_letter(letter))(*states[-1]))
+            # a step shrinks every entry, root too, at least fourfold: the last is least
+            hyptrig._normal(states[-1])
+        except hyptrig.DomainError as exc:  # at the step that failed, or at the last
+            n = min(len(states), len(word))
+            raise type(exc)(f"step {n} ({word[n - 1]}): {exc}") from exc
         records[1:] = map(_record, states[1:])
     return OrbitTrace(tuple(
         OrbitStep(n, letter, s.angles, s.edges, s.area, _ln_sin_a(s.angles.A, st),
@@ -148,18 +152,21 @@ def _limit(letters, p: float, q: float, r: float, root: float, tol: float,
     # step (p, q, r, root) along the letters; stop at the first state,
     # counted from 1, whose residual is below tol
     steps = hyptrig.STEPS
-    for n, letter in enumerate(letters, start=1):
-        p, q, r, root = (steps.get(letter) or _check_letter(letter))(p, q, r, root)
-        if n > max_iter:
-            raise ConvergenceError(f"no convergence within {max_iter} steps")
-        residual = p + q + r
-        if residual < tol:
-            # the normal state's angles (a long sliver's root can underflow),
-            # scaled by pi/(A+B+C): project_euclidean leaves a sum within
-            # EUCLIDEAN_ATOL of pi as it is, and with it the state's defect
-            A, B, C = hyptrig._angles(*hyptrig._normal((p, q, r, root)))
-            k = math.pi / (A + B + C)
-            return LimitResult(AngleShape._unchecked((A * k, B * k, C * k)), n, residual)
+    try:  # around the loop, not in it: a step pays nothing for the error's context
+        for n, letter in enumerate(letters, start=1):
+            p, q, r, root = (steps.get(letter) or _check_letter(letter))(p, q, r, root)
+            if n > max_iter:
+                raise ConvergenceError(f"no convergence within {max_iter} steps")
+            residual = p + q + r
+            if residual < tol:
+                # the normal state's angles (a long sliver's root can underflow),
+                # scaled by pi/(A+B+C): project_euclidean leaves a sum within
+                # EUCLIDEAN_ATOL of pi as it is, and with it the state's defect
+                A, B, C = hyptrig._angles(*hyptrig._normal((p, q, r, root)))
+                k = math.pi / (A + B + C)
+                return LimitResult(AngleShape._unchecked((A * k, B * k, C * k)), n, residual)
+    except hyptrig.DomainError as exc:
+        raise type(exc)(f"step {n} ({letter}): {exc}") from exc
     raise ValueError("letter sequence ended before convergence")
 
 

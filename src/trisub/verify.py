@@ -16,8 +16,8 @@ import math
 import random
 from collections import namedtuple
 from functools import partial
-from itertools import accumulate, chain, compress, count, islice, repeat, starmap
-from operator import gt, lt, mul, sub, truediv
+from itertools import chain, compress, count, islice, repeat, starmap
+from operator import add, gt, lt, mul, sub, truediv
 
 from . import hyptrig, symbolic
 from .shape import AngleShape, EdgeLengths, ShapeRecord, _Checked, metric_distance, \
@@ -167,17 +167,20 @@ def run_lemma21(spec: SampleSpec, halving_factor: float = 0.5,
     sinh(x_n/2) > lower_const * 2^-n * sinh(x_0/2) for n up to max_steps.
     """
     worst_halving = worst_lower = math.inf
+    # lower_const * 2^-n for each slot of steps n = 1..max_steps after burn-in
+    scales = [lower_const * 2.0 ** (-n) for n in range(1, spec.max_steps + 1) for _ in range(3)]
 
     def orbit(report, rng, start):
         nonlocal worst_halving, worst_lower
         # burn-in segment: random letters until sinh(edge/2) < 1 on all edges
         hs, burn = _burn_in(start, _letters(rng), spec.max_steps)
         # series of slots, new[3(i-1) + slot] at step i, after[3(n-1) + slot] at i = burn + n
-        halves = [math.sqrt(x) for h in hs for x in h[:3]]
+        flat = list(chain.from_iterable(hs))
+        del flat[3::4]  # the roots
+        halves = list(map(math.sqrt, flat))
         old, new, after = halves[:-3], halves[3:], halves[3 * burn + 3:]
-        halving = [halving_factor * x for x in old]
-        lower = [lower_const * 2.0 ** (-n) * x for n in range(1, len(hs) - burn)
-                 for x in halves[3 * burn:3 * burn + 3]]
+        halving = list(map(mul, repeat(halving_factor), old))
+        lower = list(map(mul, scales, halves[3 * burn:3 * burn + 3] * spec.max_steps))
         worst_halving = min(worst_halving,
                             halving_factor - max(map(truediv, new, old), default=-math.inf))
         worst_lower = min(worst_lower, min(map(truediv, after, lower), default=math.inf))
@@ -205,15 +208,15 @@ def run_area_bounds(spec: SampleSpec, upper_scale: float = 1.0,
     """
     worst_hi = worst_lo = math.inf
     lo_scale = lower_scale * math.exp(-0.5)
+    # item n - 1 of each series is step n after burn-in
+    quarters = [4.0 ** (-n) for n in range(1, spec.max_steps + 1)]
+    his, los = [upper_scale * x for x in quarters], [lo_scale * x for x in quarters]
 
     def orbit(report, rng, start):
         nonlocal worst_hi, worst_lo
         hs, burn = _burn_in(start, repeat("M"), spec.max_steps)
         s0 = _sin_half_area(hs[burn])
-        # item n - 1 of each series is step n after burn-in
         ratios = [_sin_half_area(h) / s0 for h in hs[burn + 1:]]
-        quarters = [4.0 ** (-n) for n in range(1, len(ratios) + 1)]
-        his, los = [upper_scale * x for x in quarters], [lo_scale * x for x in quarters]
         worst_hi = min(worst_hi, min(map(truediv, map(sub, his, ratios), his), default=math.inf))
         worst_lo = min(worst_lo, min(map(truediv, map(sub, ratios, los), los), default=math.inf))
         for k in sorted({*report.flagged(ratios, his), *report.flagged(ratios, los, upper=False)}):
@@ -338,10 +341,13 @@ def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
     Every pair is covered through the suffix extrema of each slot: the
     largest drift from step n is max(hi - rho_n, rho_n - lo) over the
     steps m >= n, bit for bit, since rounded subtraction is monotone.
-    Only a step whose largest drift exceeds the bound is checked pair by
-    pair through Report.check, so failures come in all-pairs order.
+    One reverse pass over the orbit keeps each slot's running extrema;
+    the 2^-n factors depend on the plan alone and are built once.  Only
+    a step whose largest drift exceeds the bound is checked pair by pair
+    through Report.check, so failures come in all-pairs order.
     """
     worst, min_limit_angle = -math.inf, math.inf
+    halvings = [2.0 ** (-n) for n in range(spec.max_steps + 1)]
 
     def orbit(report, rng, start):
         nonlocal worst, min_limit_angle
@@ -349,17 +355,22 @@ def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
         hs, _ = _burn_in(start, iter(word), spec.max_steps)  # no burn-in
         # a fixed-order sum: sum() of floats is compensated from Python 3.12
         budget = (hs[0][0] + hs[0][1] + hs[0][2]) * bound_scale
-        rho = [[math.log(s) for s in hyptrig._sin_angles(*h)] for h in hs]
-        cols = list(zip(*rho))  # per slot, its largest rise and fall from each step on
-        ups = [map(sub, reversed(list(accumulate(reversed(c), max))), c) for c in cols]
-        downs = [map(sub, c, reversed(list(accumulate(reversed(c), min)))) for c in cols]
-        reach = list(map(max, *ups, *downs))
-        bounds = [2.0 ** (-n) * budget for n in range(len(rho))]
+        # item 3n + slot is ln sin of that slot's angle at step n
+        rho = list(map(math.log, chain.from_iterable(starmap(hyptrig._sin_angles, hs))))
+        # per step, its slots' largest rise and fall to any later step
+        ha, hb, hc = la, lb, lc = rho[-3:]
+        reach, back = [], reversed(rho)
+        for c, b, a in zip(back, back, back):
+            ha, hb, hc = a if a > ha else ha, b if b > hb else hb, c if c > hc else hc
+            la, lb, lc = a if a < la else la, b if b < lb else lb, c if c < lc else lc
+            reach.append(max(ha - a, hb - b, hc - c, a - la, b - lb, c - lc))
+        reach.reverse()
+        bounds = list(map(mul, halvings, repeat(budget)))
         worst = max(worst, *map(sub, reach, bounds))
         for n in report.flagged(reach, bounds):  # some pair breaks the bound
             # slot drifts from step n to each step n + k, k = 0, 1, ...
-            for k, there in enumerate(rho[n:]):
-                for x, y in zip(there, rho[n]):
+            for k, i in enumerate(range(3 * n, len(rho), 3)):
+                for x, y in zip(rho[i:i + 3], rho[3 * n:3 * n + 3]):
                     report.check(start, [n, k], abs(x - y), bounds[n])
         # from the start along word, then M forever: the walk stops at the
         # first state after the start with p + q + r below 1e-13, so it
@@ -384,7 +395,6 @@ def run_angle_ratio(spec: SampleSpec, lower_scale: float = 1.0,
     (x, y, z) cycles through the edge labels as X runs over the slots.
     """
     worst_lo = worst_hi = math.inf
-    cycled = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
     def orbit(report, rng, start):
         nonlocal worst_lo, worst_hi
@@ -393,9 +403,14 @@ def run_angle_ratio(spec: SampleSpec, lower_scale: float = 1.0,
         # slot series, three items per step: item 3(n-1)+i is slot i of step n
         sines = list(chain.from_iterable(starmap(hyptrig._sin_angles, hs)))
         ratios = list(map(truediv, sines[3:], sines[:-3]))
-        cosh_halves = [[math.sqrt(1 + x) for x in h[:3]] for h in hs[:-1]]
-        los = [lower_scale / x for ch in cosh_halves for x in ch]
-        his = [upper_scale * ch[j] * ch[k] for ch in cosh_halves for _, j, k in cycled]
+        flat = list(chain.from_iterable(hs[:-1]))
+        del flat[3::4]  # the roots
+        cosh_halves = list(map(math.sqrt, map(add, repeat(1), flat)))
+        los = list(map(truediv, repeat(lower_scale), cosh_halves))
+        # slot i takes the other two, i + 1 and i + 2 (mod 3), of its step
+        slots = cosh_halves[0::3], cosh_halves[1::3], cosh_halves[2::3]
+        ys, zs = (chain.from_iterable(zip(*slots[k:], *slots[:k])) for k in (1, 2))
+        his = list(map(mul, map(mul, repeat(upper_scale), ys), zs))
         worst_lo = min(worst_lo, min(map(sub, ratios, los), default=math.inf))
         worst_hi = min(worst_hi, min(map(sub, his, ratios), default=math.inf))
         flagged = {*report.flagged(ratios, los, upper=False), *report.flagged(ratios, his)}

@@ -172,6 +172,38 @@ class TestDomainFloor:
         assert all(err is None for err in found.values()), found
 
 
+class TestStepErrors:
+    """A walk refused after its start names the step and its letter."""
+
+    THIN = "27.80404362594891,3.8280664983479387,31.57665512025423"
+
+    def test_limit_names_its_step(self, capsys):
+        # far below the default tol the stopping state's root is subnormal
+        code, out, err = run(capsys, "limit", "--edges", self.THIN, "--seq", "|MC",
+                             "--tol", "1e-300")
+        assert code == 1 and out == ""
+        assert err.startswith("error: step 503 (M): edges with sinh^2(edge/2) = ")
+        assert "too short: the root of their Heron form underflows" in err
+
+    @pytest.mark.parametrize("steps", [499, 500, 501])
+    def test_orbit_names_its_last_step(self, capsys, steps):
+        # the last state is the least: its root first underflows at step 500
+        code, out, err = run(capsys, "orbit", "--edges", self.THIN,
+                             "--word", ("MC" * 251)[:steps])
+        if steps == 499:
+            assert code == 0 and out.count("\n") == 501
+        else:
+            assert code == 1 and out == ""
+            letter = "MC"[(steps - 1) % 2]
+            assert err.startswith(f"error: step {steps} ({letter}): edges with ")
+            assert "too short: the root of their Heron form underflows" in err
+
+    @pytest.mark.parametrize("command", [("limit", "--seq", "|M"), ("orbit", "--word", "M")])
+    def test_start_errors_name_no_step(self, capsys, command):
+        code, _, err = run(capsys, *command, "--edges", "800,800,800")
+        assert code == 1 and err.startswith("error: edges (800.0, 800.0, 800.0) are too long")
+
+
 class TestLongEdges:
     """Edges too long for binary64 end in an error message, not a traceback."""
 
@@ -508,7 +540,9 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("seed, digest", [
         (None, "aab52c310ae4f8cda7c3ac6c2c9db3bc94a79a0e8a46deb131ef60620f0f22c0"),
         ("3", "72470b92da65a3834512f0a1a2b5e1d299c357427384264eb3ffb9b27442ca29"),
-    ], ids=["default-seeds", "seed-3"])
+        ("11", "b2838ea1c0567485585b481639f7adefa1e668429397ff165dcb4c2012b68f43"),
+        ("42", "ef07d1f32b2a3e6b4e2b786d58c53be88f73e887c9da52d969c379b8d5261939"),
+    ], ids=["default-seeds", "seed-3", "seed-11", "seed-42"])
     def test_all_suites_bytes_are_pinned(self, capsys, seed, digest):
         code, out, _ = run(capsys, "verify", "--suite", "all",
                            *(("--seed", seed) if seed else ()))

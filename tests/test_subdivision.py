@@ -279,6 +279,27 @@ def outcome(limit, *args, **kwargs):
         return type(exc), str(exc)
 
 
+class TestStepErrors:
+    """A walk names the step it was refused at; its start names none."""
+
+    def test_big_root_too_long_to_step(self):
+        # from angles 1e-154 the edges are ~709.98: the start keeps its root
+        # as a _BigRoot, and the first kernel's factor overflows
+        s = shape_from_angles(1e-154, 1e-154, 1e-154)
+        assert isinstance(s._state[3], hyptrig._BigRoot)
+        with pytest.raises(hyptrig.DomainError,
+                           match=r"^step 1 \(B\): a state with cosh\(edge/2\) = .* too long to step$"):
+            limit_shape_info(iter("BM"), s)
+        with pytest.raises(hyptrig.DomainError, match=r"^step 1 \(A\): .* too long to step$"):
+            orbit("AMM", s)
+        assert orbit("", s).steps[0].angles == s.angles
+
+    def test_bad_letter_is_not_a_step_error(self):
+        # _check_letter's ValueError is not a DomainError: it passes unchanged
+        with pytest.raises(ValueError, match="^unknown letter"):
+            limit_shape_info(iter("MX"), shape_from_edges(1.0, 1.0, 1.0))
+
+
 class TestLimitLoop:
     """limit_shape_info steps and stops in one loop; it must match the
     reference walk bit for bit, errors included."""

@@ -387,6 +387,40 @@ class TestSeriesPass:
             assert ref.passed
 
 
+class TestShortPlans:
+    """Each suite builds its plan's bound factors once, from max_steps; on
+    the shortest orbits and on one sample its report is the plain one."""
+
+    SUITES = {**TestSeriesPass.SUITES,
+              "cauchy": (verify.run_cauchy_bound, None, {"bound_scale": 0.25})}
+
+    @pytest.mark.parametrize("tightened", [False, True], ids=["plain", "tightened"])
+    @pytest.mark.parametrize("samples", [1, 40])
+    @pytest.mark.parametrize("max_steps", [0, 1, 2])
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_same_report(self, name, max_steps, samples, tightened):
+        run, plain, constants = self.SUITES[name]
+        spec = small(name, samples=samples, max_steps=max_steps)
+        kwargs = constants if tightened else {}
+        got = run(spec, **kwargs)
+        if plain is None:
+            ref, worst = all_pairs_cauchy(spec, **kwargs)
+            assert got.stats["min_limit_angle"] > 0  # no limit failure to merge
+            assert got.stats["worst_excess"] == worst
+            assert got.passed == ref.passed and got.failures == ref.failures
+            assert got.stats["violations"] == ref.stats["violations"]
+        else:
+            ref = plain(spec, **kwargs)
+            assert got.to_json_dict() == ref.to_json_dict()
+            assert list(got.stats) == list(ref.stats)
+        # the tightened constants break every series that has a step; with
+        # max_steps 0 only lemma21's burn-in has one, and cauchy's quarter
+        # bound first breaks at max_steps 2, by 4 pairs of the 40 orbits
+        flagged = tightened and (name == "lemma21" or max_steps > 0) and \
+            (name != "cauchy" or (max_steps, samples) == (2, 40))
+        assert got.passed != flagged
+
+
 @pytest.mark.parametrize("max_steps", [40, 5])
 def test_cauchy_limits_match_fresh_walks(monkeypatch, max_steps):
     # the suite takes each limit along word + M^inf from the last state of its
@@ -623,6 +657,16 @@ class TestBurnIn:
         for _ in range(burn + 12):
             ref.choice(LETTERS)
         assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("small", [False, True])
+    def test_no_steps_keeps_burn_plus_one_states(self, small):
+        # the suites build their bound factors from max_steps alone on this
+        rng = random.Random(5)
+        spec = SampleSpec(seed=5, samples=1, edge_range=(0.5, 8.0))
+        for _ in range(20):
+            hs, burn = verify._burn_in(verify._sample_edges(rng, spec, small),
+                                       verify._letters(rng), 0)
+            assert len(hs) == burn + 1 and (burn == 0) == small
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_plain_loop(self, seed):
