@@ -11,16 +11,6 @@ def fg17(x: float) -> str:
 
 
 def _emit(obj) -> str:
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
     if isinstance(obj, float):
         return fg17(obj)
     if isinstance(obj, dict):
@@ -28,7 +18,7 @@ def _emit(obj) -> str:
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_emit(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    return json.dumps(obj)
 
 
 def dumps(obj) -> str:

@@ -9,11 +9,11 @@ slivers (W. Kahan's remedy for needle-like triangles).  STEPS holds one
 step kernel per subdivision map, a straight-line function from a state to
 its child's: every cell divides the root by a factor its kernel already
 builds, so no Heron form is evaluated again.  The angles, their sines and
-the area are formulas in a state.  _half_sinh_sq alone decides the
-domain of edges: it refuses edges whose sinh^2(edge/2) overflows or
-underflows, and edges whose Heron form's products overflow (too long).
-Derived values are unchecked: _normal alone refuses a state, given or
-walked to, once its largest entry or its root is subnormal (too short).
+the area are formulas in a state.  _half_sinh_sq makes every too-long
+refusal: of edges whose sinh^2(edge/2) overflows, or whose Heron form's
+products overflow.  Derived values are unchecked: _normal makes every
+too-short refusal, of a state given or walked to (edges below ~3.1e-162
+among them), once its largest entry or its root is subnormal.
 """
 
 import math
@@ -55,9 +55,7 @@ def _check_angles(**angles: float) -> None:
 def _clamp_unit(x: float, what: str) -> float:
     if x > 1.0 + CLAMP_TOL:
         raise InconsistentInputError(f"{what} = {x!r} exceeds 1")
-    if x < -1.0 - CLAMP_TOL:
-        raise InconsistentInputError(f"{what} = {x!r} is below -1")
-    return min(max(x, -1.0), 1.0)
+    return min(x, 1.0)
 
 
 def _normal(state):
@@ -74,15 +72,12 @@ def _normal(state):
 
 def _half_sinh_sq(a: float, b: float, c: float) -> tuple[float, float, float]:
     # the state (p, q, r) of an edge triple, p = sinh^2(a/2) etc., refused
-    # where it is too long or 0 for the step kernels; _normal does the rest
+    # where it is too long for the step kernels; _normal refuses it too short
     try:
         p, q, r = math.sinh(a / 2) ** 2, math.sinh(b / 2) ** 2, math.sinh(c / 2) ** 2
     except OverflowError:  # sinh^2(x/2) passes the largest binary64 above x ~ 710
         raise DomainError(f"edges ({a!r}, {b!r}, {c!r}) are too long: "
                           f"sinh^2(edge/2) overflows") from None
-    if not (p or q or r):  # edges below ~3.1e-162
-        raise DomainError(f"edges ({a!r}, {b!r}, {c!r}) are too short: "
-                          f"sinh^2(edge/2) underflows to 0")
     # the positive products of the Heron form: 4pqr overflows from three equal
     # edges of ~238; the angles need 2qr etc., and with these finite sinh of
     # the half-perimeter cannot overflow either

@@ -106,19 +106,20 @@ def _sample_edges(rng: random.Random, spec: SampleSpec, small: bool) -> EdgeLeng
             return EdgeLengths._unchecked((a, b, c))  # checked: they imply a, b, c > 0
 
 
-def _run_seeded(suite: str, spec: SampleSpec, orbit, small=False, stats=()) -> Report:
+def _run_seeded(suite: str, spec: SampleSpec, orbit, small=False, stats=()):
     """Run orbit(report, rng, start) from spec.samples seeded (small) starts;
-    a DomainError is raised again naming the suite and the start."""
-    report = Report(suite, spec.samples, stats=dict(stats))
+    returns the report and the rows the orbits return, in draw order.  A
+    DomainError is raised again naming the suite and the start."""
+    report, rows = Report(suite, spec.samples, stats=dict(stats)), []
     rng = random.Random(spec.seed)
     for _ in range(spec.samples):
         start = _sample_edges(rng, spec, small)
         try:
-            orbit(report, rng, start)
+            rows.append(orbit(report, rng, start))
         except hyptrig.DomainError as exc:
             raise type(exc)(f"{suite} orbit from {list(start)}: "
                             f"{exc}") from exc
-    return report
+    return report, rows
 
 
 def _sin_half_area(h) -> float:
@@ -166,12 +167,10 @@ def run_lemma21(spec: SampleSpec, halving_factor: float = 0.5,
     sinh(edge/2) drop below 1 (burn-in, rebased to n = 0),
     sinh(x_n/2) > lower_const * 2^-n * sinh(x_0/2) for n up to max_steps.
     """
-    worst_halving = worst_lower = math.inf
     # lower_const * 2^-n for each slot of steps n = 1..max_steps after burn-in
     scales = [lower_const * 2.0 ** (-n) for n in range(1, spec.max_steps + 1) for _ in range(3)]
 
     def orbit(report, rng, start):
-        nonlocal worst_halving, worst_lower
         # burn-in segment: random letters until sinh(edge/2) < 1 on all edges
         hs, burn = _burn_in(start, _letters(rng), spec.max_steps)
         # series of slots, new[3(i-1) + slot] at step i, after[3(n-1) + slot] at i = burn + n
@@ -181,9 +180,6 @@ def run_lemma21(spec: SampleSpec, halving_factor: float = 0.5,
         old, new, after = halves[:-3], halves[3:], halves[3 * burn + 3:]
         halving = list(map(mul, repeat(halving_factor), old))
         lower = list(map(mul, scales, halves[3 * burn:3 * burn + 3] * spec.max_steps))
-        worst_halving = min(worst_halving,
-                            halving_factor - max(map(truediv, new, old), default=-math.inf))
-        worst_lower = min(worst_lower, min(map(truediv, after, lower), default=math.inf))
         flagged = {k // 3 + 1 for k in report.flagged(new, halving)}
         flagged.update(k // 3 + 1 + burn for k in report.flagged(after, lower, upper=False))
         for i in sorted(flagged):
@@ -193,10 +189,14 @@ def run_lemma21(spec: SampleSpec, halving_factor: float = 0.5,
             for k in range(max(0, 3 * n - 3), 3 * n):
                 report.stats["lower_violations"] += report.check(start, n, after[k], lower[k],
                                                                  upper=False)
+        return (halving_factor - max(map(truediv, new, old), default=-math.inf),
+                min(map(truediv, after, lower), default=math.inf))
 
-    report = _run_seeded("lemma21", spec, orbit,
-                         stats={"halving_violations": 0, "lower_violations": 0})
-    return report.finish(worst_halving_margin=worst_halving, worst_lower_ratio=worst_lower)
+    report, rows = _run_seeded("lemma21", spec, orbit,
+                               stats={"halving_violations": 0, "lower_violations": 0})
+    margins, ratios = zip(*rows)
+    return report.finish(worst_halving_margin=min(math.inf, *margins),
+                         worst_lower_ratio=min(math.inf, *ratios))
 
 
 def run_area_bounds(spec: SampleSpec, upper_scale: float = 1.0,
@@ -206,25 +206,25 @@ def run_area_bounds(spec: SampleSpec, upper_scale: float = 1.0,
     After burn-in, exp(-1/2) * 4^-n <= sin(S_n/2)/sin(S_0/2) <= 4^-n
     for n up to max_steps.
     """
-    worst_hi = worst_lo = math.inf
     lo_scale = lower_scale * math.exp(-0.5)
     # item n - 1 of each series is step n after burn-in
     quarters = [4.0 ** (-n) for n in range(1, spec.max_steps + 1)]
     his, los = [upper_scale * x for x in quarters], [lo_scale * x for x in quarters]
 
     def orbit(report, rng, start):
-        nonlocal worst_hi, worst_lo
         hs, burn = _burn_in(start, repeat("M"), spec.max_steps)
         s0 = _sin_half_area(hs[burn])
         ratios = [_sin_half_area(h) / s0 for h in hs[burn + 1:]]
-        worst_hi = min(worst_hi, min(map(truediv, map(sub, his, ratios), his), default=math.inf))
-        worst_lo = min(worst_lo, min(map(truediv, map(sub, ratios, los), los), default=math.inf))
         for k in sorted({*report.flagged(ratios, his), *report.flagged(ratios, los, upper=False)}):
             report.check(start, k + 1, ratios[k], his[k])
             report.check(start, k + 1, ratios[k], los[k], upper=False)
+        return (min(map(truediv, map(sub, his, ratios), his), default=math.inf),
+                min(map(truediv, map(sub, ratios, los), los), default=math.inf))
 
-    report = _run_seeded("area", spec, orbit)
-    return report.finish(worst_upper_margin=worst_hi, worst_lower_margin=worst_lo)
+    report, rows = _run_seeded("area", spec, orbit)
+    hi, lo = zip(*rows)
+    return report.finish(worst_upper_margin=min(math.inf, *hi),
+                         worst_lower_margin=min(math.inf, *lo))
 
 
 def run_ratio_limit(spec: SampleSpec, interval: tuple[float, float] | None = None,
@@ -236,26 +236,25 @@ def run_ratio_limit(spec: SampleSpec, interval: tuple[float, float] | None = Non
     """
     if interval is None:
         interval = (math.exp(-0.5), math.exp(0.5))
-    r_lo, r_hi, worst_settle = math.inf, -math.inf, 0.0
     n_half, n_full = 40, 80
 
     def orbit(report, rng, start):
-        nonlocal r_lo, r_hi, worst_settle
         hs, burn = _burn_in(start, repeat("M"), n_full)
         s0 = _sin_half_area(hs[burn])
         r40, r80 = (4.0 ** n * _sin_half_area(hs[burn + n]) / s0
                     for n in (n_half, n_full))
         settle = abs(r80 - r40)
-        worst_settle = max(worst_settle, settle)
-        r_lo, r_hi = min(r_lo, r80), max(r_hi, r80)
         fail = partial(report.add_failure, input=list(start), step=n_full)
         if settle >= settle_tol:
             fail(observed=settle, bound=settle_tol)
         if not (interval[0] < r80 < interval[1]):
             fail(observed=r80, bound=list(interval))
+        return r80, settle
 
-    report = _run_seeded("ratiolimit", spec, orbit)
-    return report.finish(r80_min=r_lo, r80_max=r_hi, worst_settle=worst_settle)
+    report, rows = _run_seeded("ratiolimit", spec, orbit)
+    r80s, settles = zip(*rows)
+    return report.finish(r80_min=min(math.inf, *r80s), r80_max=max(-math.inf, *r80s),
+                         worst_settle=max(0.0, *settles))
 
 
 def run_noncontraction() -> Report:
@@ -307,19 +306,14 @@ def run_eq1_probe(spec: SampleSpec) -> Report:
     slope of log(delta) against log(area), None when fewer than two
     distinct areas give a positive delta; asserts nothing.
     """
-    deltas, points = [], []
-
     def orbit(report, rng, e):
         h = hyptrig._start(e.a, e.b, e.c)
         probed = hyptrig._angles(*hyptrig.STEPS["M"](*h))
-        delta = max(abs(x - y) for x, y in zip(hyptrig._angles(*h), probed))
-        area = hyptrig._area(*h)
-        deltas.append(delta)
-        if delta > 0 and area > 0:
-            points.append((math.log(area), math.log(delta)))
+        return max(abs(x - y) for x, y in zip(hyptrig._angles(*h), probed)), hyptrig._area(*h)
 
-    report = _run_seeded("eq1probe", spec, orbit)
-    deltas.sort()
+    report, rows = _run_seeded("eq1probe", spec, orbit)
+    deltas = sorted(delta for delta, _ in rows)
+    points = [(math.log(area), math.log(delta)) for delta, area in rows if delta > 0 and area > 0]
     slope = None
     if len({x for x, _ in points}) >= 2:
         # least squares with fsum sums in a fixed order, the same on every Python
@@ -346,11 +340,9 @@ def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
     a step whose largest drift exceeds the bound is checked pair by pair
     through Report.check, so failures come in all-pairs order.
     """
-    worst, min_limit_angle = -math.inf, math.inf
     halvings = [2.0 ** (-n) for n in range(spec.max_steps + 1)]
 
     def orbit(report, rng, start):
-        nonlocal worst, min_limit_angle
         word = list(islice(_letters(rng), spec.max_steps))
         hs, _ = _burn_in(start, iter(word), spec.max_steps)  # no burn-in
         # a fixed-order sum: sum() of floats is compensated from Python 3.12
@@ -366,7 +358,6 @@ def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
             reach.append(max(ha - a, hb - b, hc - c, a - la, b - lb, c - lc))
         reach.reverse()
         bounds = list(map(mul, halvings, repeat(budget)))
-        worst = max(worst, *map(sub, reach, bounds))
         for n in report.flagged(reach, bounds):  # some pair breaks the bound
             # slot drifts from step n to each step n + k, k = 0, 1, ...
             for k, i in enumerate(range(3 * n, len(rho), 3)):
@@ -378,13 +369,15 @@ def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
         k = next((i - 1 for i in range(1, len(hs)) if hs[i][0] + hs[i][1] + hs[i][2] < 1e-13),
                  len(hs) - 1)
         lim = _limit(chain(word[k:], repeat("M")), *hs[k], 1e-13).angles
-        min_limit_angle = min(min_limit_angle, min(lim))
         if not min(lim) > 0:
             report.add_failure(input=list(start), step=-1,
                                observed=min(lim), bound=0.0)
+        return max(map(sub, reach, bounds)), min(lim)
 
-    report = _run_seeded("cauchy", spec, orbit, small=True)
-    return report.finish(worst_excess=worst, min_limit_angle=min_limit_angle)
+    report, rows = _run_seeded("cauchy", spec, orbit, small=True)
+    excess, limit_angles = zip(*rows)
+    return report.finish(worst_excess=max(-math.inf, *excess),
+                         min_limit_angle=min(math.inf, *limit_angles))
 
 
 def run_angle_ratio(spec: SampleSpec, lower_scale: float = 1.0,
@@ -394,10 +387,7 @@ def run_angle_ratio(spec: SampleSpec, lower_scale: float = 1.0,
     1/cosh(x_n/2) < sin X_{n+1}/sin X_n < cosh(y_n/2) cosh(z_n/2) where
     (x, y, z) cycles through the edge labels as X runs over the slots.
     """
-    worst_lo = worst_hi = math.inf
-
     def orbit(report, rng, start):
-        nonlocal worst_lo, worst_hi
         # small starts need no burn-in
         hs, _ = _burn_in(start, _letters(rng), spec.max_steps)
         # slot series, three items per step: item 3(n-1)+i is slot i of step n
@@ -411,16 +401,18 @@ def run_angle_ratio(spec: SampleSpec, lower_scale: float = 1.0,
         slots = cosh_halves[0::3], cosh_halves[1::3], cosh_halves[2::3]
         ys, zs = (chain.from_iterable(zip(*slots[k:], *slots[:k])) for k in (1, 2))
         his = list(map(mul, map(mul, repeat(upper_scale), ys), zs))
-        worst_lo = min(worst_lo, min(map(sub, ratios, los), default=math.inf))
-        worst_hi = min(worst_hi, min(map(sub, his, ratios), default=math.inf))
         flagged = {*report.flagged(ratios, los, upper=False), *report.flagged(ratios, his)}
         for n in sorted({k // 3 + 1 for k in flagged}):
             for k in range(3 * n - 3, 3 * n):
                 report.check(start, n, ratios[k], los[k], upper=False)
                 report.check(start, n, ratios[k], his[k])
+        return (min(map(sub, ratios, los), default=math.inf),
+                min(map(sub, his, ratios), default=math.inf))
 
-    report = _run_seeded("angleratio", spec, orbit, small=True)
-    return report.finish(worst_lower_margin=worst_lo, worst_upper_margin=worst_hi)
+    report, rows = _run_seeded("angleratio", spec, orbit, small=True)
+    lo, hi = zip(*rows)
+    return report.finish(worst_lower_margin=min(math.inf, *lo),
+                         worst_upper_margin=min(math.inf, *hi))
 
 
 def _must_shrink(report: Report, inputs, values, final_bound) -> None:

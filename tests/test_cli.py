@@ -80,6 +80,14 @@ class TestShapeCommand:
         assert run(capsys, "frobnicate")[0] == 64
         assert run(capsys, "shape", "--edges", "1,1,1", "--bogus")[0] == 64
 
+    @pytest.mark.parametrize("edges, message", [
+        ("1,2", "expected three comma-separated numbers"),
+        ("1,x,2", "bad number"),
+    ])
+    def test_bad_triple_is_a_usage_error(self, capsys, edges, message):
+        code, out, err = run(capsys, "shape", "--edges", edges)
+        assert code == 64 and out == "" and message in err
+
     def test_usage_error_prints_usage(self, capsys):
         code, _, err = run(capsys, "shape", "--edges", "1,1,1", "--bogus")
         assert code == 64 and err.startswith("usage:")
@@ -599,6 +607,15 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     assert proc.stdout == "[]\n"
 
 
+def test_python_m_runs_the_cli(capsys):
+    # python -m trisub is cli.main with the process's arguments and exit code
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "trisub", "shape", "--edges", "4,4,7"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, "shape", "--edges", "4,4,7")
+
+
 class TestSweepCommand:
     def test_grid_rows(self, capsys):
         code, out, _ = run(capsys, "sweep", "--seq", "|M", "--grid", "2")
@@ -610,6 +627,10 @@ class TestSweepCommand:
             vals = [float(x) for x in ln.split(",")]
             assert sum(vals[:3]) < math.pi
             assert sum(vals[3:]) == pytest.approx(math.pi, abs=1e-12)
+
+    def test_grid_below_one_is_refused(self, capsys):
+        code, out, err = run(capsys, "sweep", "--seq", "|M", "--grid", "0")
+        assert code == 1 and out == "" and "grid must be at least 1" in err
 
 
 class TestRenderCommand:
@@ -932,6 +953,10 @@ class TestRenderSpecValidation:
     def test_bad_letters(self):
         with pytest.raises(ValueError):
             RenderSpec(word="MX")
+
+    def test_unknown_model(self):
+        with pytest.raises(ValueError, match="unknown disk model"):
+            RenderSpec(model="hyperbolic", depth=1)
 
     def test_sampling_floor(self):
         with pytest.raises(ValueError):

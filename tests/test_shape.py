@@ -176,6 +176,16 @@ def test_records_keep_their_state_out_of_sight():
             apply(letter, rec).angles.as_tuple(), rel=1e-13)
 
 
+@pytest.mark.parametrize("value, other", [
+    (shape_from_edges(1, 1, 1), (1.0, 1.0, 1.0)),
+    (SymbolSequence.parse("|M"), "|M"),
+], ids=["record-tuple", "sequence-text"])
+def test_records_are_unequal_to_other_types(value, other):
+    # a record compares by value with its own type only
+    assert value.__eq__(other) is NotImplemented
+    assert value != other and other != value
+
+
 def test_metric_distance_basics():
     s = shape_from_edges(1, 2, 2.5).angles
     t = shape_from_edges(0.5, 0.5, 0.7).angles

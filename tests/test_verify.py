@@ -36,6 +36,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="max_steps"):
             SampleSpec(seed=1, samples=2, max_steps=-3)
 
+    def test_surjectivity_needs_a_grid_of_two(self):
+        with pytest.raises(ValueError, match="grid must be at least 2x2"):
+            verify.run_surjectivity("|M", 1)
+
     @pytest.mark.parametrize("run", [verify.run_cauchy_bound, verify.run_angle_ratio])
     def test_small_start_needs_room_below_the_cap(self, run):
         # every draw from (2, 5) has sinh(edge/2) >= 1, so sampling small
@@ -257,7 +261,7 @@ def all_pairs_cauchy(spec, bound_scale=1.0):
                     worst = max(worst, abs(x - y) - bound)
                     report.check(start, [n, k], abs(x - y), bound)
 
-    report = verify._run_seeded("cauchy", spec, orbit, small=True)
+    report, _ = verify._run_seeded("cauchy", spec, orbit, small=True)
     return report.finish(), worst
 
 
@@ -304,8 +308,8 @@ def plain_lemma21(spec, halving_factor=0.5, lower_const=verify.LOWER_CONST):
                     if report.check(start, n, new[slot], bound, upper=False):
                         report.stats["lower_violations"] += 1
 
-    report = verify._run_seeded("lemma21", spec, orbit,
-                                stats={"halving_violations": 0, "lower_violations": 0})
+    report, _ = verify._run_seeded("lemma21", spec, orbit,
+                                   stats={"halving_violations": 0, "lower_violations": 0})
     return report.finish(worst_halving_margin=worst_halving, worst_lower_ratio=worst_lower)
 
 
@@ -327,7 +331,7 @@ def plain_area(spec, upper_scale=1.0, lower_scale=1.0):
             report.check(start, n, ratio, hi)
             report.check(start, n, ratio, lo, upper=False)
 
-    report = verify._run_seeded("area", spec, orbit)
+    report, _ = verify._run_seeded("area", spec, orbit)
     return report.finish(worst_upper_margin=worst_hi, worst_lower_margin=worst_lo)
 
 
@@ -351,7 +355,7 @@ def plain_angle_ratio(spec, lower_scale=1.0, upper_scale=1.0):
                 report.check(start, n, ratio, lo, upper=False)
                 report.check(start, n, ratio, hi)
 
-    report = verify._run_seeded("angleratio", spec, orbit, small=True)
+    report, _ = verify._run_seeded("angleratio", spec, orbit, small=True)
     return report.finish(worst_lower_margin=worst_lo, worst_upper_margin=worst_hi)
 
 
@@ -419,6 +423,56 @@ class TestShortPlans:
         flagged = tightened and (name == "lemma21" or max_steps > 0) and \
             (name != "cauchy" or (max_steps, samples) == (2, 40))
         assert got.passed != flagged
+
+
+class TestFold:
+    """_run_seeded returns one row per sample, in draw order, and a suite's
+    worst stats are a plain running fold over those rows, from the initial
+    values its running extrema had, bit for bit."""
+
+    # stat: (column of the row, two-argument fold, initial value)
+    SUITES = {
+        "lemma21": (verify.run_lemma21, {"halving_factor": 0.49, "lower_const": 1.0},
+                    {"worst_halving_margin": (0, min, math.inf),
+                     "worst_lower_ratio": (1, min, math.inf)}),
+        "area": (verify.run_area_bounds, {"upper_scale": 0.9, "lower_scale": 1.5},
+                 {"worst_upper_margin": (0, min, math.inf),
+                  "worst_lower_margin": (1, min, math.inf)}),
+        "ratiolimit": (verify.run_ratio_limit, {"interval": (1.0, 1.1)},
+                       {"r80_min": (0, min, math.inf), "r80_max": (0, max, -math.inf),
+                        "worst_settle": (1, max, 0.0)}),
+        "cauchy": (verify.run_cauchy_bound, {"bound_scale": 0.1},
+                   {"worst_excess": (0, max, -math.inf),
+                    "min_limit_angle": (1, min, math.inf)}),
+        "angleratio": (verify.run_angle_ratio, {"lower_scale": 1.2, "upper_scale": 0.9},
+                       {"worst_lower_margin": (0, min, math.inf),
+                        "worst_upper_margin": (1, min, math.inf)}),
+    }
+
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_worst_stats_fold_the_rows(self, monkeypatch, name):
+        run, constants, folds = self.SUITES[name]
+        returned, results = [], []
+        run_seeded = verify._run_seeded
+
+        def spy(suite, spec, orbit, **kw):
+            def recorded(report, rng, start):
+                results.append(orbit(report, rng, start))
+                return results[-1]
+
+            returned.append(run_seeded(suite, spec, recorded, **kw))
+            return returned[-1]
+
+        monkeypatch.setattr(verify, "_run_seeded", spy)
+        spec = small(name, samples=8, max_steps=6)
+        report = run(spec, **constants)
+        assert not report.passed  # the tightened constants flag some rows
+        [(_, rows)] = returned
+        assert len(rows) == spec.samples and rows == results
+        for stat, (column, fold, worst) in folds.items():
+            for row in rows:
+                worst = fold(worst, row[column])
+            assert report.stats[stat].hex() == worst.hex()
 
 
 @pytest.mark.parametrize("max_steps", [40, 5])
