@@ -1,19 +1,19 @@
 """Scalar hyperbolic trigonometry for triangles.
 
-A triangle's state is (p, q, r, root): p = sinh^2(a/2) etc., and root the
-square root of their Heron form H = 2(pq+qr+rp) - p^2 - q^2 - r^2 + 4pqr.
-_start takes a state from edges, the only place a root comes from edges:
-H = sinh s sinh x sinh y sinh z on the half-sums x = (b + c - a)/2 etc.
-and s = x + y + z, each rounded once by math.fsum, so nothing cancels on
-slivers (W. Kahan's remedy for needle-like triangles).  STEPS holds one
-step kernel per subdivision map, a straight-line function from a state to
-its child's: every cell divides the root by a factor its kernel already
-builds, so no Heron form is evaluated again.  The angles, their sines and
-the area are formulas in a state.  _half_sinh_sq makes every too-long
-refusal: of edges whose sinh^2(edge/2) overflows, or whose Heron form's
-products overflow.  Derived values are unchecked: _normal makes every
-too-short refusal, of a state given or walked to (edges below ~3.1e-162
-among them), once its largest entry or its root is subnormal.
+A triangle's state is (p, q, r, root, k): p = sinh^2(a/2) etc., and root
+times 2^-k the square root of their Heron form H = 2(pq+qr+rp) - p^2 - q^2
+- r^2 + 4pqr, k fixed where the state is made so that root starts below
+2^1000.  _start takes a state from edges: H = sinh s sinh x sinh y sinh z
+on the half-sums x = (b + c - a)/2 etc. and s = x + y + z, each rounded
+once by math.fsum, so nothing cancels on slivers (W. Kahan's remedy for
+needle-like triangles).  STEPS holds one step kernel per subdivision map,
+a straight-line function from (p, q, r, root) to its child's: every cell
+divides the root by a factor its kernel builds, exact in any power of two,
+so a walk keeps its k.  The angles, their sines and the area are formulas
+in a state, each a quotient taken before one power of two.  _half_sinh_sq
+and _from_angles make every too-long refusal.  Derived values are
+unchecked: _normal makes every too-short refusal, of a state given or
+walked to, once its largest entry or scaled root is subnormal.
 """
 
 import math
@@ -59,14 +59,14 @@ def _clamp_unit(x: float, what: str) -> float:
 
 
 def _normal(state):
-    # the one rule on a state (p, q, r[, root]), given or walked to: too short, with
-    # too few bits to read, once its largest entry or float root is subnormal
+    # the one rule on a state (p, q, r[, root, k]), given or walked to: too short,
+    # with too few bits to read, once its largest entry or scaled root is subnormal
     if max(state[:3]) < 2.0 ** -1022:
         raise DomainError(f"edges with sinh^2(edge/2) = {state[:3]!r} are "
                           f"too short: the largest is subnormal")
-    if state[3:] and not isinstance(state[3], _BigRoot) and state[3] < 2.0 ** -1022:
-        raise DomainError(f"edges with sinh^2(edge/2) = {state[:3]!r} are too short: "
-                          f"the root of their Heron form underflows ({state[3]!r})")
+    if state[3:] and state[3] < 2.0 ** -1022:
+        raise DomainError(f"edges with sinh^2(edge/2) = {state[:3]!r} are too short: the "
+                          f"root of their Heron form underflows ({state[3]!r} * 2^{-state[4]})")
     return state
 
 
@@ -87,13 +87,22 @@ def _half_sinh_sq(a: float, b: float, c: float) -> tuple[float, float, float]:
     return p, q, r
 
 
-def _start(a: float, b: float, c: float) -> tuple[float, float, float, float]:
-    # the normal state (p, q, r, root) of edges that passed _check_edges; root
-    # is a product of four square roots, subnormal only on tiny slivers
+def _sqrt_product(x: float, y: float) -> tuple[float, int]:
+    # sqrt(x y) as a pair (m, e), its exponent made even before the square root
+    (mx, ex), (my, ey) = math.frexp(x), math.frexp(y)
+    return math.sqrt(math.ldexp(mx * my, (ex + ey) & 1)), (ex + ey) >> 1
+
+
+def _start(a: float, b: float, c: float) -> tuple[float, float, float, float, int]:
+    # the normal state (p, q, r, root, k) of edges that passed _check_edges; the
+    # root is a product of four square roots, each from ~2^-283 (a half-sum is at
+    # least ~2^-55 of the largest edge) to ~2^257, taken in order with the first
+    # two's power of two held apart: it rounds as the plain product does
     p, q, r = _half_sinh_sq(a, b, c)
     x, y, z = math.fsum((b, c, -a)) / 2, math.fsum((c, a, -b)) / 2, math.fsum((a, b, -c)) / 2
-    return _normal((p, q, r, math.sqrt(math.sinh(x + y + z)) * math.sqrt(math.sinh(x))
-                    * math.sqrt(math.sinh(y)) * math.sqrt(math.sinh(z))))
+    m, e = math.frexp(math.sqrt(math.sinh(x + y + z)) * math.sqrt(math.sinh(x)))
+    m, j = math.frexp(m * math.sqrt(math.sinh(y)) * math.sqrt(math.sinh(z)))
+    return _normal((p, q, r, math.ldexp(m, 1000), 1000 - e - j))
 
 
 # Step kernels: a child's state from its parent's, with cp = cosh(a/2) etc.  A
@@ -131,10 +140,13 @@ def _step_m(p: float, q: float, r: float, root: float) -> tuple[float, float, fl
 STEPS = {"A": _step_a, "B": _step_b, "C": _step_c, "M": _step_m}
 
 
-def _angles(p: float, q: float, r: float, root: float) -> tuple[float, float, float]:
-    return (math.atan2(root, q + r - p + 2 * q * r),
-            math.atan2(root, r + p - q + 2 * r * p),
-            math.atan2(root, p + q - r + 2 * p * q))
+def _angles(p: float, q: float, r: float, root: float, k: int) -> tuple[float, float, float]:
+    # atan2 of the root and each cosine term, both times the one power of two
+    # that makes the root its mantissa m
+    m, j = math.frexp(root)
+    return (math.atan2(m, math.ldexp(q + r - p + 2 * q * r, k - j)),
+            math.atan2(m, math.ldexp(r + p - q + 2 * r * p, k - j)),
+            math.atan2(m, math.ldexp(p + q - r + 2 * p * q, k - j)))
 
 
 def angles_from_edges(a: float, b: float, c: float) -> tuple[float, float, float]:
@@ -164,9 +176,10 @@ def edges_from_angles(A: float, B: float, C: float) -> tuple[float, float, float
 
 
 def _from_angles(A: float, B: float, C: float, S: float):
-    # the edges and the state (p, q, r, root) of valid angles with defect
+    # the edges and the state (p, q, r, root, k) of valid angles with defect
     # S > 0, unchecked; the root is 2 sin A sqrt(q r (1+q)(1+r)), which has
-    # no cancellation, or a _BigRoot where it passes binary64
+    # no cancellation.  Refused where a kernel's factor 4 cq cr etc. overflows
+    # (edges from ~709.8), as the walk could not step it
     half = math.sin(S / 2)
 
     def one(A, B, C):
@@ -174,33 +187,14 @@ def _from_angles(A: float, B: float, C: float, S: float):
         return half * math.sin(A + S / 2) / den if den else math.inf
 
     p, q, r = one(A, B, C), one(B, C, A), one(C, A, B)
-    edges = tuple(2 * math.asinh(math.sqrt(x)) for x in (p, q, r))
-    if math.inf in edges:
-        raise DomainError(f"angles ({A!r}, {B!r}, {C!r}) are too small: "
-                          f"an edge overflows")
-    root = 2 * math.sin(A) * math.sqrt(q * r) * math.sqrt((1 + q) * (1 + r))
-    if root == math.inf:
-        root = _BigRoot(half, math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r))
-    return edges, (p, q, r, root)
-
-
-class _BigRoot:
-    """The root 2 sin(S/2) cp cq cr of a state from angles so small that it
-    passes binary64 (edges from ~474), with cp = cosh(a/2) etc.  A step
-    kernel only divides it, by a factor holding cq cr, cr cp or cp cq, and
-    that quotient is a float again: the walk from such a start needs no
-    other form of its root."""
-
-    __slots__ = ("half", "cp", "cq", "cr")
-
-    def __init__(self, half: float, cp: float, cq: float, cr: float):
-        self.half, self.cp, self.cq, self.cr = half, cp, cq, cr
-
-    def __truediv__(self, k: float) -> float:
-        if k == math.inf:  # edges from ~709.8: the kernel's factor overflows
-            raise DomainError(f"a state with cosh(edge/2) = ({self.cp!r}, {self.cq!r}, "
-                              f"{self.cr!r}) is too long to step")
-        return 2 * self.half * self.cp * (self.cq / k) * self.cr
+    cp, cq, cr = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
+    if math.inf in (4 * cq * cr, 4 * cr * cp, 4 * cp * cq):  # or in p, q, r
+        raise DomainError(f"angles ({A!r}, {B!r}, {C!r}) are too small: a state with "
+                          f"cosh(edge/2) = ({cp!r}, {cq!r}, {cr!r}) is too long to step")
+    (m1, e1), (m2, e2) = _sqrt_product(q, r), _sqrt_product(1 + q, 1 + r)
+    m, e = math.frexp(2 * math.sin(A) * m1 * m2)
+    return (tuple(2 * math.asinh(math.sqrt(x)) for x in (p, q, r)),
+            (p, q, r, math.ldexp(m, 1000), 1000 - e - e1 - e2))
 
 
 def defect_area(A: float, B: float, C: float) -> float:
@@ -274,11 +268,12 @@ def medial_data(a: float, b: float, c: float) -> MedialData:
     sinh l_x = cosh(x/2) sin(S/2) / sinh m_x with sin(S/2) = sqrt(H)/K.
     """
     _check_edges(a, b, c)
-    p, q, r, root = h = _start(a, b, c)
+    p, q, r, root, k = _start(a, b, c)
     ch = cp, cq, cr = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
-    ms = [2 * math.asinh(math.sqrt(x)) for x in _step_m(*h)[:3]]
+    ms = [2 * math.asinh(math.sqrt(x)) for x in _step_m(p, q, r, root)[:3]]
     K = 2 * cp * cq * cr
-    ls = [math.asinh(x * root / (K * math.sinh(m))) for x, m in zip(ch, ms)]
+    m, j = math.frexp(root)
+    ls = [math.asinh(math.ldexp(x * m / (K * math.sinh(y)), j - k)) for x, y in zip(ch, ms)]
     return MedialData((2 + p + q + r) / K, *ms, *ls)
 
 
@@ -313,22 +308,24 @@ def trace_parent_area(tc: TraceCoords) -> float:
     return 2 * math.asin(_clamp_unit(s, "sin(S/2)"))
 
 
-def _sin_angles(p: float, q: float, r: float, root: float) -> tuple[float, float, float]:
+def _sin_angles(p: float, q: float, r: float, root: float, k: int) -> tuple[float, float, float]:
     # sin A = sqrt(H) / (2 sqrt(q r (1+q)(1+r))) in the variables of
-    # angles_from_edges, with full relative accuracy for sliver angles; a state
-    # below 2^-400 is scaled by a power of two, which is exact, so that q r does
-    # not underflow (its 1 + q etc. are exactly 1)
+    # angles_from_edges, with full relative accuracy for sliver angles, from the
+    # root's mantissa m; a state below 2^-400 is scaled by a power of two, which
+    # is exact, so that q r does not underflow (its 1 + q etc. are exactly 1)
     cp, cq, cr = 1 + p, 1 + q, 1 + r
+    m, j = math.frexp(root)
     if p < 2.0 ** -400 and q < 2.0 ** -400 and r < 2.0 ** -400:
-        s = 2.0 ** math.frexp(max(p, q, r))[1]
-        p, q, r, root = p / s, q / s, r / s, root / s
-    return (root / (2 * math.sqrt(q * r * cq * cr)),
-            root / (2 * math.sqrt(r * p * cr * cp)),
-            root / (2 * math.sqrt(p * q * cp * cq)))
+        e = math.frexp(max(p, q, r))[1]
+        p, q, r, j = math.ldexp(p, -e), math.ldexp(q, -e), math.ldexp(r, -e), j - e
+    m, j = m / 2, j - k
+    return (math.ldexp(m / math.sqrt(q * r * cq * cr), j),
+            math.ldexp(m / math.sqrt(r * p * cr * cp), j),
+            math.ldexp(m / math.sqrt(p * q * cp * cq), j))
 
 
-def _area(p: float, q: float, r: float, root: float) -> float:
-    return 2 * math.atan(root / (2 + p + q + r))
+def _area(p: float, q: float, r: float, root: float, k: int) -> float:
+    return 2 * math.atan(math.ldexp(root / (2 + p + q + r), -k))
 
 
 def area_from_edges(a: float, b: float, c: float) -> float:

@@ -99,7 +99,7 @@ class EdgeLengths(_Checked, namedtuple("EdgeLengths", "a b c")):
 class ShapeRecord(_Frozen):
     """A shape with consistent angles, edges (hyperbolic only) and area.
 
-    A record the library builds also keeps the state (p, q, r, root) of
+    A record the library builds also keeps the state (p, q, r, root, k) of
     hyptrig it came from, so that the maps step that state; one built
     without it takes its state from its edges.
     """
@@ -135,7 +135,7 @@ def _edges(state) -> EdgeLengths:
 
 
 def _record(state, edges: EdgeLengths | None = None) -> ShapeRecord:
-    # the record of a state (p, q, r, root), with its edges unless given; its
+    # the record of a state (p, q, r, root, k), with its edges unless given; its
     # angles are not checked again: on a sliver the largest can round to pi
     return ShapeRecord(AngleShape._unchecked(hyptrig._angles(*state)),
                        edges or _edges(state), hyptrig._area(*state), state)

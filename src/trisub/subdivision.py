@@ -14,9 +14,9 @@ order: the corner cell at A has edges (m_a, b/2, c/2), and the medial
 cell has the three midlines (m_a, m_b, m_c).  Every step, in orbit,
 limit_shape_info, apply and the verify suites, is the kernel of its letter
 in hyptrig.STEPS on a bare state (p, q, r, root), with p = sinh^2(a/2) etc.
-and root the square root of their Heron form; a kernel validates nothing.
-A walk takes its start's state once, from the record that keeps it or
-from its edges, and edges appear only in records.
+and root 2^k times the square root of their Heron form; a kernel validates
+nothing.  A walk takes its start's state and k once, from the record that
+keeps them or from its edges, and edges appear only in records.
 """
 
 import math
@@ -58,7 +58,8 @@ def apply(letter: str, s: ShapeRecord) -> ShapeRecord:
     _check_letter(letter)
     if s.is_euclidean:
         return s
-    return _record(hyptrig._normal(hyptrig.STEPS[letter](*_state_of(s))))
+    *h, k = _state_of(s)
+    return _record(hyptrig._normal((*hyptrig.STEPS[letter](*h), k)))
 
 
 def apply_oracle(letter: str, e: EdgeLengths) -> EdgeLengths:
@@ -100,18 +101,17 @@ def orbit(word, s0: ShapeRecord) -> OrbitTrace:
         for letter in word:
             _check_letter(letter)
     else:
-        states = [_state_of(s0)]
-        try:
-            for letter in word:
-                states.append((hyptrig.STEPS.get(letter) or _check_letter(letter))(*states[-1]))
-            # a step shrinks every entry, root too, at least fourfold: the last is least
-            hyptrig._normal(states[-1])
-        except hyptrig.DomainError as exc:  # at the step that failed, or at the last
-            n = min(len(states), len(word))
-            raise type(exc)(f"step {n} ({word[n - 1]}): {exc}") from exc
-        records[1:] = map(_record, states[1:])
+        *h, k = _state_of(s0)
+        states = [h]
+        for letter in word:
+            states.append((hyptrig.STEPS.get(letter) or _check_letter(letter))(*states[-1]))
+        try:  # a step shrinks every entry, root too, at least fourfold: the last is least
+            hyptrig._normal((*states[-1], k))
+        except hyptrig.DomainError as exc:
+            raise type(exc)(f"step {len(word)} ({word[-1]}): {exc}") from exc
+        records[1:] = (_record((*st, k)) for st in states[1:])
     return OrbitTrace(tuple(
-        OrbitStep(n, letter, s.angles, s.edges, s.area, _ln_sin_a(s.angles.A, st),
+        OrbitStep(n, letter, s.angles, s.edges, s.area, _ln_sin_a(s.angles.A, st and (*st, k)),
                   st and tuple(map(math.sqrt, st[:3])))
         for n, (letter, s, st) in enumerate(zip([None, *word], records, states))))
 
@@ -132,11 +132,10 @@ def limit_shape_info(seq, s0: ShapeRecord, tol: float = 1e-13,
     Iterates the maps on bare states and stops after the first step whose
     residual, p + q + r = the sum of sinh^2(edge/2) over the three edges,
     is below tol; then scales its angles by pi/(A+B+C).  tol must be at
-    least MIN_TOL, below which the stopping state can be subnormal; far
-    below the default a thin triangle's root can be, refused as too short.
-    By the paper's Cauchy lemma the residual bounds how far ln sin of any
-    angle can still drift along the exact orbit before scaling, rounding
-    aside.  seq is any iterable of letters, such as a sequence object.
+    least MIN_TOL, below which the stopping state can be subnormal.  By the
+    paper's Cauchy lemma the residual bounds how far ln sin of any angle can
+    still drift along the exact orbit before scaling, rounding aside.  seq
+    is any iterable of letters, such as a sequence object.
     """
     if not MIN_TOL <= tol < math.inf:  # an infinite tol would stop at any residual
         raise ValueError(f"tol must be positive and finite, and at least {MIN_TOL!r}")
@@ -147,10 +146,10 @@ def limit_shape_info(seq, s0: ShapeRecord, tol: float = 1e-13,
     return _limit(seq, *_state_of(s0), tol, max_iter)
 
 
-def _limit(letters, p: float, q: float, r: float, root: float, tol: float,
+def _limit(letters, p: float, q: float, r: float, root: float, k: int, tol: float,
            max_iter: int = 10_000) -> LimitResult:
-    # step (p, q, r, root) along the letters; stop at the first state,
-    # counted from 1, whose residual is below tol
+    # step (p, q, r, root) along the letters, k aside; stop at the first
+    # state, counted from 1, whose residual is below tol
     steps = hyptrig.STEPS
     try:  # around the loop, not in it: a step pays nothing for the error's context
         for n, letter in enumerate(letters, start=1):
@@ -159,12 +158,12 @@ def _limit(letters, p: float, q: float, r: float, root: float, tol: float,
                 raise ConvergenceError(f"no convergence within {max_iter} steps")
             residual = p + q + r
             if residual < tol:
-                # the normal state's angles (a long sliver's root can underflow),
-                # scaled by pi/(A+B+C): project_euclidean leaves a sum within
-                # EUCLIDEAN_ATOL of pi as it is, and with it the state's defect
-                A, B, C = hyptrig._angles(*hyptrig._normal((p, q, r, root)))
-                k = math.pi / (A + B + C)
-                return LimitResult(AngleShape._unchecked((A * k, B * k, C * k)), n, residual)
+                # the normal state's angles, scaled by pi/(A+B+C): project_euclidean
+                # leaves a sum within EUCLIDEAN_ATOL of pi as it is, and with it
+                # the state's defect
+                A, B, C = hyptrig._angles(*hyptrig._normal((p, q, r, root, k)))
+                t = math.pi / (A + B + C)
+                return LimitResult(AngleShape._unchecked((A * t, B * t, C * t)), n, residual)
     except hyptrig.DomainError as exc:
         raise type(exc)(f"step {n} ({letter}): {exc}") from exc
     raise ValueError("letter sequence ended before convergence")

@@ -8,6 +8,7 @@ defaults, so the whole gate is deterministic.
 import itertools
 import math
 import random
+from decimal import Decimal, getcontext, localcontext
 
 from trisub import hyptrig, plane_model, verify
 from trisub.cli import main
@@ -16,6 +17,8 @@ from trisub.shape import EdgeLengths, shape_from_edges
 from trisub.subdivision import LETTERS, apply, apply_oracle
 from trisub.symbolic import (SymbolSequence, address_approx, address_exact,
                              match_prop31, REFERENCE_DIAMETER)
+
+from test_hyptrig import decimal_state, decimal_walk
 
 
 def report(number, ok, detail):
@@ -71,6 +74,48 @@ def test_criterion_5_noncontraction_witness():
     report(5, ok,
            f"(4,4,7) medial step: apex +{margins[0]:.3f}, bases -{margins[1]:.4f}, "
            f"distance to fixed point +{margins[3]:.3f}")
+
+
+def decimal_atan(x):
+    # arctan of a Decimal at the context's precision: the argument is halved by
+    # atan x = 2 atan(x / (1 + sqrt(1 + x^2))) until below 0.1, then summed
+    halvings = 0
+    while abs(x) > Decimal("0.1"):
+        x, halvings = x / (1 + (1 + x * x).sqrt()), halvings + 1
+    total = power = x
+    n, small = 1, Decimal(10) ** -(getcontext().prec + 2)
+    while abs(power) > small:
+        power *= -x * x
+        total += power / (2 * n + 1)
+        n += 1
+    return total * 2 ** halvings
+
+
+def angles_at_precision(p, q, r, root):
+    # the angles atan2(root, cosine term) of a Decimal state, all in (0, pi)
+    pi = 4 * decimal_atan(Decimal(1))
+    terms = q + r - p + 2 * q * r, r + p - q + 2 * r * p, p + q - r + 2 * p * q
+    return [pi / 2 if not t else decimal_atan(root / t) + (pi if t < 0 else 0)
+            for t in terms], pi
+
+
+def test_criterion_5_certified_in_decimal():
+    # the paper's headline claim, certified: the four margins of the (4, 4, 7)
+    # witness at 60 digits, from its state and its medial child's
+    with localcontext() as ctx:
+        ctx.prec = 60
+        (A0, B0, C0), pi = angles_at_precision(*decimal_state(4.0, 4.0, 7.0))
+        (A1, B1, C1), _ = angles_at_precision(*decimal_walk((4.0, 4.0, 7.0), "M"))
+        third = pi / 3
+        d0, d1 = (((A - third) ** 2 + (B - third) ** 2 + (C - third) ** 2).sqrt()
+                  for A, B, C in ((A0, B0, C0), (A1, B1, C1)))
+        margins = C1 - C0, A0 - A1, B0 - B1, d1 - d0
+    assert all(m > 0 for m in margins), margins
+    # and the float suite's margins are these, to rounding
+    stats = verify.run_noncontraction().stats
+    floats = (stats["apex_increases"], stats["base_A_decreases"],
+              stats["base_B_decreases"], stats["distance_increases"])
+    assert all(abs(x - float(m)) < 1e-12 for x, m in zip(floats, margins))
 
 
 def test_criterion_6_oracle_equivalence():

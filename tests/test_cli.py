@@ -16,7 +16,9 @@ from trisub import cli, hyptrig, plane_model, render
 from trisub.cli import main
 from trisub.render import RenderSpec, cell_children, render_svg, svg_lines
 from trisub.shape import EdgeLengths
-from trisub.subdivision import apply_oracle
+from trisub.subdivision import MIN_TOL, apply_oracle
+
+from test_hyptrig import decimal_state_angles, decimal_walk
 
 
 def run(capsys, *argv):
@@ -186,17 +188,20 @@ class TestStepErrors:
     THIN = "27.80404362594891,3.8280664983479387,31.57665512025423"
 
     def test_limit_names_its_step(self, capsys):
-        # far below the default tol the stopping state's root is subnormal
-        code, out, err = run(capsys, "limit", "--edges", self.THIN, "--seq", "|MC",
-                             "--tol", "1e-300")
+        # a long sliver along |M: at the least tol the stopping root is ~2^-2022
+        # of the start's, past what one power of two per walk can hold
+        code, out, err = run(capsys, "limit", "--edges",
+                             "232.50559386298264,123.72750777220271,356.2331016351428",
+                             "--seq", "|M", "--tol", repr(MIN_TOL))
         assert code == 1 and out == ""
-        assert err.startswith("error: step 503 (M): edges with sinh^2(edge/2) = ")
+        assert err.startswith("error: step 517 (M): edges with sinh^2(edge/2) = ")
         assert "too short: the root of their Heron form underflows" in err
 
     @pytest.mark.parametrize("steps", [499, 500, 501])
     def test_orbit_names_its_last_step(self, capsys, steps):
-        # the last state is the least: its root first underflows at step 500
-        code, out, err = run(capsys, "orbit", "--edges", self.THIN,
+        # the last state is the least: its largest entry is first subnormal at
+        # step 500
+        code, out, err = run(capsys, "orbit", "--edges", "0.0006,0.0006,0.0006",
                              "--word", ("MC" * 251)[:steps])
         if steps == 499:
             assert code == 0 and out.count("\n") == 501
@@ -204,7 +209,17 @@ class TestStepErrors:
             assert code == 1 and out == ""
             letter = "MC"[(steps - 1) % 2]
             assert err.startswith(f"error: step {steps} ({letter}): edges with ")
-            assert "too short: the root of their Heron form underflows" in err
+            assert "too short: the largest is subnormal" in err
+
+    def test_thin_walks_keep_their_root(self, capsys):
+        # the root of the thin start's stopping state at tol 1e-300 is subnormal,
+        # as is its 500th state's: both were refused as too short
+        code, out, err = run(capsys, "limit", "--edges", self.THIN, "--seq", "|MC",
+                             "--tol", "1e-300")
+        assert code == 0, err
+        want = LIMIT_REFERENCES[self.THIN, "|MC"]
+        assert max(abs(x - y) / y for x, y in zip(json.loads(out)["angles"], want)) < 1e-12
+        assert_last_row(capsys, self.THIN, "MC" * 250)
 
     @pytest.mark.parametrize("command", [("limit", "--seq", "|M"), ("orbit", "--word", "M")])
     def test_start_errors_name_no_step(self, capsys, command):
@@ -330,15 +345,22 @@ class TestOrbitCommand:
         assert code == 1 and out == "" and "too short" in err
 
     @pytest.mark.parametrize("steps", [410, 436])
-    def test_underflowing_root_is_too_short(self, capsys, steps):
+    def test_underflowing_root_is_scaled(self, capsys, steps):
         # on a long sliver the root is ~1e-47 of p, q and r: from the 410th M
-        # it is subnormal, and at the 436th it is 0 and two angles with it,
-        # while p, q and r are ~1e-259; rows were read from it with exit 0,
-        # and 436 steps and more failed with "math domain error"
-        edges = "31.77404943599029,164.78423885792785,143.28611927012923"
-        assert run(capsys, "orbit", "--edges", edges, "--word", "M" * 409)[0] == 0
-        code, out, err = run(capsys, "orbit", "--edges", edges, "--word", "M" * steps)
-        assert code == 1 and out == "" and "root of their Heron form underflows" in err
+        # the plain root is subnormal, and at the 436th it is 0, while p, q
+        # and r are ~1e-259; such walks were refused as too short.  Scaled
+        # by 2^k, the last row keeps the angles of a walk at 80 digits
+        assert_last_row(capsys, "31.77404943599029,164.78423885792785,143.28611927012923",
+                        "M" * steps)
+
+
+def assert_last_row(capsys, edges, word):
+    # the angles of orbit's last row against the kernels' walk at 80 digits
+    code, out, err = run(capsys, "orbit", "--edges", edges, "--word", word)
+    assert code == 0, err
+    got = [float(x) for x in out.strip().split("\n")[-1].split(",")[2:5]]
+    want = decimal_state_angles(*decimal_walk([float(x) for x in edges.split(",")], word))
+    assert max(abs(x - y) / y for x, y in zip(got, want)) < 1e-13
 
 
 # Limit angles of (edges, sequence), from the step kernels with the root carried
@@ -359,6 +381,8 @@ LIMIT_REFERENCES = {
         (3.999463912684795e-45, 7.032935432390907e-45, 3.141592653589793),
     ("31.77404943599029,164.78423885792785,143.28611927012923", "|MC"):
         (8.920641921190746e-48, 3.141592653589793, 5.519256076631485e-47),
+    ("27.80404362594891,3.8280664983479387,31.57665512025423", "|MC"):
+        (2.8853987579072118e-09, 3.922555097680463e-10, 3.141592650312139),
 }
 
 
@@ -429,13 +453,15 @@ class TestLimitCommand:
         self.assert_reference_limit(capsys, edges, seq)
 
     @pytest.mark.parametrize("tol", ["1e-270", "1e-290"])
-    def test_underflowing_root_is_too_short(self, capsys, tol):
-        # a legal tol, but the stopping state's root is subnormal (1e-270) or 0
-        # (1e-290): limit printed angles from a few bits, or (0, 0, pi)
+    def test_underflowing_root_is_scaled(self, capsys, tol):
+        # a legal tol, but the stopping state's plain root is subnormal (1e-270)
+        # or 0 (1e-290): limit printed angles from a few bits, or (0, 0, pi),
+        # and then refused it as too short
         edges = "98.69021739931644,118.55789142489175,185.97895804438994"
-        assert run(capsys, "limit", "--edges", edges, "--seq", "|A", "--tol=1e-250")[0] == 0
         code, out, err = run(capsys, "limit", "--edges", edges, "--seq", "|A", f"--tol={tol}")
-        assert code == 1 and out == "" and "root of their Heron form underflows" in err
+        assert code == 0, err
+        want = LIMIT_REFERENCES[edges, "|A"]
+        assert max(abs(x - y) / y for x, y in zip(json.loads(out)["angles"], want)) < 1e-12
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-13", "5e-324", "1e-310", "8.9e-308"])
     def test_bad_tolerance(self, capsys, tol):

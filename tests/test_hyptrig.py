@@ -297,6 +297,40 @@ def rel(x, ref):
     return abs(x - float(ref)) / float(ref)
 
 
+def plain_root(state):
+    # the root of a state (p, q, r, root, k): its scaled root times 2^-k
+    return math.ldexp(state[3], -state[4])
+
+
+def decimal_walk(edges, word):
+    """The state (p, q, r, root) after word from float edges, each step the
+    kernels' formulas at 80 digits: no entry under- or overflows."""
+    p, q, r, root = decimal_state(*edges)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        for letter in word:
+            cp, cq, cr = (1 + p).sqrt(), (1 + q).sqrt(), (1 + r).sqrt()
+            kept = "ABC".find(letter)  # the corner a cell keeps, -1 for M
+            mids = [(x + ((y - z) / (cy + cz)) ** 2) / (4 * cy * cz)
+                    for x, y, z, cy, cz in ((p, q, r, cq, cr), (q, r, p, cr, cp),
+                                            (r, p, q, cp, cq))]
+            halves = [x / (2 + 2 * cx) for x, cx in ((p, cp), (q, cq), (r, cr))]
+            root /= 4 * cp * cq * cr / ((cp, cq, cr)[kept] if kept >= 0 else 1)
+            p, q, r = mids if kept < 0 else [mids[i] if i == kept else halves[i]
+                                             for i in range(3)]
+    return p, q, r, root
+
+
+def decimal_state_angles(p, q, r, root):
+    # the angles of a Decimal state, each atan2 of its root and cosine term
+    # over the larger of the two, so neither underflows in the float
+    with localcontext() as ctx:
+        ctx.prec = 80
+        terms = q + r - p + 2 * q * r, r + p - q + 2 * r * p, p + q - r + 2 * p * q
+        return tuple(math.atan2(float(root / m), float(t / m))
+                     for t in terms for m in [max(root, abs(t))])
+
+
 class TestDerive:
     """_start derives a state (p, q, r, root) from edges, the one place a
     state comes from edges, and decides the domain."""
@@ -306,15 +340,24 @@ class TestDerive:
         with pytest.raises(DomainError, match="too short"):
             hyptrig._start(0.0, 0.0, 0.0)
 
-    def test_underflowing_root_is_too_short(self):
-        # a tiny sliver's p, q and r are normal but its root is not: its angles
-        # were read from a few bits; the rule takes a _BigRoot, which is never small
-        for build in (shape_from_edges, hyptrig.angles_from_edges, hyptrig.area_from_edges):
-            with pytest.raises(DomainError, match="too short: the root of their Heron "
-                                                  "form underflows"):
-                build(3e-154, 3e-154, 5.99999e-154)
-        state = shape_from_angles(1e-150, 1e-150, 1e-150)._state
-        assert isinstance(state[3], hyptrig._BigRoot) and hyptrig._normal(state) is state
+    def test_underflowing_root_is_scaled(self):
+        # a tiny sliver's p, q and r are normal but its root is not: it was
+        # refused as too short.  Scaled by 2^k, its angles and area keep their bits
+        edges = (3e-154, 3e-154, 5.99999e-154)
+        state = hyptrig._start(*edges)
+        assert plain_root(state) < 2.0 ** -1022 < state[3]
+        want = decimal_state_angles(*decimal_state(*edges))
+        assert max(map(rel, angles_from_edges(*edges), want)) < 1e-15
+        assert shape_from_edges(*edges).angles == angles_from_edges(*edges)
+        # the area, 2 atan(root / (2 + p + q + r)), is the root to within its
+        # subnormal spacing
+        assert abs(area_from_edges(*edges) - float(decimal_state(*edges)[3])) <= 5e-324
+        # from angles 1e-150 the root (~1e449) passes binary64; the one form holds it
+        p, q, r, root, k = shape_from_angles(1e-150, 1e-150, 1e-150)._state
+        with localcontext() as ctx:
+            ctx.prec = 60
+            want = decimal_heron_root(Decimal(p), Decimal(q), Decimal(r))
+            assert abs(Decimal(root) * Decimal(2) ** -k / want - 1) < Decimal("1e-14")
 
     @pytest.mark.parametrize("edges", [(1e-150, 1e-150, 1e-150), (1e-130, 2e-130, 1.5e-130),
                                        (3e-154, 4e-154, 5e-154), (1e-100, 1.5e-100, 2e-100)])
@@ -322,9 +365,9 @@ class TestDerive:
         # below ~1e-8 sinh(x) rounds to x, so the root of edges scaled by 2^100
         # is the root scaled by 2^200, bit for bit: its four square roots keep
         # it normal down to the floor (~3e-154), and it is right there too
-        root = hyptrig._start(*edges)[3]
+        root = plain_root(hyptrig._start(*edges))
         assert 2.0 ** -1022 < root < math.inf
-        assert root == hyptrig._start(*(x * 2.0 ** 100 for x in edges))[3] * 2.0 ** -200
+        assert root == plain_root(hyptrig._start(*(x * 2.0 ** 100 for x in edges))) * 2.0 ** -200
         assert rel(root, decimal_state(*edges)[3]) < 1e-15
 
     @pytest.mark.parametrize("t", [238.0, 500.0, 709.0])
@@ -340,9 +383,9 @@ class TestDerive:
         for (lo, hi), tol in (((1e-6, 1e-3), 1e-15), ((0.01, 5.0), 1e-15), ((0.01, 40.0), 1e-14)):
             for _ in range(300):
                 edges = sample_edges(rng, lo, hi)
-                p, q, r, root = hyptrig._start(*edges)
-                assert (p, q, r) == tuple(math.sinh(x / 2) ** 2 for x in edges)
-                assert rel(root, decimal_state(*edges)[3]) < tol
+                state = hyptrig._start(*edges)
+                assert state[:3] == tuple(math.sinh(x / 2) ** 2 for x in edges)
+                assert rel(plain_root(state), decimal_state(*edges)[3]) < tol
 
     @pytest.mark.parametrize("public", [angles_from_edges, area_from_edges, medial_data,
                                         shape_from_edges])
@@ -372,10 +415,11 @@ class TestDerive:
 @pytest.mark.parametrize("edges", [(1e-65, 1e-65, 1e-65), (1e-70, 1.5e-70, 2e-70),
                                    (1e-100, 1.5e-100, 2e-100)])
 def test_sin_angles_of_tiny_states(edges):
-    # below 2^-400 the state and its root are scaled by 2^k, which is exact:
+    # below 2^-400 the state is scaled by a power of two, which is exact:
     # where the plain products stay normal (edges above ~2.4e-77) the sines
     # keep their bits, and below it they stay finite and match the angles
-    p, q, r, root = h = hyptrig._start(*edges)
+    h = hyptrig._start(*edges)
+    p, q, r, root = *h[:3], plain_root(h)
     assert max(p, q, r) < 2.0 ** -400
     sines = hyptrig._sin_angles(*h)
     if q * r > 2.0 ** -1022:
@@ -535,7 +579,7 @@ states = st.one_of(
     st.tuples(*[st.floats(1e-300, 1e200)] * 4),  # any positive state and root
     st.tuples(*[st.floats(1e-300, 1e-12)] * 4),  # tiny states
     sliver_edges().filter(lambda e: e[0] < e[1] + e[2] and e[1] < e[2] + e[0]
-                          and e[2] < e[0] + e[1]).map(lambda e: hyptrig._start(*e)),
+                          and e[2] < e[0] + e[1]).map(lambda e: hyptrig._start(*e)[:4]),
 )
 
 
@@ -566,7 +610,9 @@ class TestStepKernels:
             if min(angles_from_edges(*edges)) < 0.1:
                 continue
             for letter in "ABCM":
-                p, q, r, root = hyptrig.STEPS[letter](*hyptrig._start(*edges))
+                *h, k = hyptrig._start(*edges)
+                p, q, r, root = hyptrig.STEPS[letter](*h)
+                root = math.ldexp(root, -k)
                 assert rel(root, decimal_heron_root(Decimal(p), Decimal(q), Decimal(r))) < 1e-14
 
     @settings(max_examples=300, deadline=None)
@@ -578,7 +624,7 @@ class TestStepKernels:
             md = medial_data(a, b, c)
         except DomainError:  # the Heron form overflows
             assume(False)
-        p, q, r, _ = hyptrig._start(a, b, c)
+        p, q, r, *_ = hyptrig._start(a, b, c)
         cp, cq, cr = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
         args = (p, q, r, cq, cr), (q, r, p, cr, cp), (r, p, q, cp, cq)
         assert md.midlines == tuple(2 * math.asinh(math.sqrt(reference_midline_sinh_sq(*x)))

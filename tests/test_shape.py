@@ -162,9 +162,9 @@ def test_records_keep_their_state_out_of_sight():
     # a library record keeps the state it came from; equality, hash, repr and
     # JSON are on its public fields, and a copy keeps the state too
     rec = shape_from_angles(1.0, 0.5, 0.25)
-    p, q, r, root = rec._state
+    p, q, r, root, k = rec._state
     assert rec.edges.as_tuple() == tuple(2 * math.asinh(math.sqrt(x)) for x in (p, q, r))
-    assert root == pytest.approx(2 * math.sin(1.0) * math.sqrt(q * r * (1 + q) * (1 + r)),
+    assert math.ldexp(root, -k) == pytest.approx(2 * math.sin(1.0) * math.sqrt(q * r * (1 + q) * (1 + r)),
                                  rel=1e-15)
     bare = ShapeRecord(rec.angles, rec.edges, rec.area)
     assert bare._state is None and bare == rec and hash(bare) == hash(rec)

@@ -16,6 +16,7 @@ from trisub.subdivision import (ConvergenceError, LETTERS, ORBIT_CSV_COLUMNS,
                                 limit_shape, limit_shape_info, orbit)
 from trisub.symbolic import SymbolSequence, _check_letter
 
+from test_hyptrig import decimal_state_angles, decimal_walk
 from test_symbolic import enumerate_sequences
 
 
@@ -88,14 +89,16 @@ class TestApply:
         with pytest.raises(hyptrig.DomainError, match="too short: the largest is subnormal"):
             apply("M", rec)
 
-    def test_underflowing_root_is_too_short(self):
-        # on a long sliver the root is subnormal from the 410th M, while p, q
-        # and r are ~1e-245: apply's records were read from a few bits
-        rec = shape_from_edges(31.77404943599029, 164.78423885792785, 143.28611927012923)
-        for _ in range(409):
+    def test_underflowing_root_is_scaled(self):
+        # on a long sliver the plain root is subnormal from the 410th M, while
+        # p, q and r are ~1e-245: apply refused it as too short.  Scaled by 2^k
+        # it keeps its bits, and the angles match a walk at 80 digits
+        edges = (31.77404943599029, 164.78423885792785, 143.28611927012923)
+        rec = shape_from_edges(*edges)
+        for _ in range(436):
             rec = apply("M", rec)
-        with pytest.raises(hyptrig.DomainError, match="root of their Heron form underflows"):
-            apply("M", rec)
+        want = decimal_state_angles(*decimal_walk(edges, "M" * 436))
+        assert rel_err(rec.angles.as_tuple(), want) < 1e-13
 
 
 class TestApplyOracle:
@@ -220,15 +223,15 @@ class TestPlainLoop:
         word = "".join(rng.sample(LETTERS * 8, 32))
         trace = orbit(word, shape_from_edges(*e.as_tuple()))
         assert [st.letter for st in trace.steps] == [None, *word]
-        state = hyptrig._start(*e.as_tuple())
+        *state, k = hyptrig._start(*e.as_tuple())
         for st in trace.steps:
             if st.letter is not None:
                 e = child_edges(st.letter, e)
                 state = hyptrig.STEPS[st.letter](*state)
                 assert st.edges.as_tuple() == tuple(2 * math.asinh(math.sqrt(x))
                                                     for x in state[:3])
-                assert st.angles.as_tuple() == hyptrig._angles(*state)
-                assert st.area == hyptrig._area(*state)
+                assert st.angles.as_tuple() == hyptrig._angles(*state, k)
+                assert st.area == hyptrig._area(*state, k)
             assert st.sinh_half_edges == tuple(math.sqrt(x) for x in state[:3])
             assert rel_err(st.edges.as_tuple(), e.as_tuple()) < 1e-13
 
@@ -238,14 +241,14 @@ class TestPlainLoop:
         e = sample_edges(rng)
         letters = rng.sample(LETTERS * 50, 200)
         res = limit_shape_info(iter(letters), shape_from_edges(*e.as_tuple()))
-        state = hyptrig._start(*e.as_tuple())
+        *state, k = hyptrig._start(*e.as_tuple())
         for n, letter in enumerate(letters, start=1):
             e = child_edges(letter, e)
             state = hyptrig.STEPS[letter](*state)
             if state[0] + state[1] + state[2] < 1e-13:
                 break
         assert (res.iterations, res.residual) == (n, state[0] + state[1] + state[2])
-        A, B, C = hyptrig._angles(*state)
+        A, B, C = hyptrig._angles(*state, k)
         assert res.angles.as_tuple() == tuple(x * (math.pi / (A + B + C)) for x in (A, B, C))
         by_edges = project_euclidean(AngleShape(*hyptrig.angles_from_edges(*e.as_tuple())))
         assert rel_err(res.angles.as_tuple(), by_edges.as_tuple()) < 1e-13
@@ -259,13 +262,13 @@ def reference_limit(seq, s0, tol=1e-13, max_iter=10_000):
             state = (hyptrig.STEPS.get(letter) or _check_letter(letter))(*state)
             yield state
 
-    states = walk(seq, s0._state or hyptrig._start(*s0.edges.as_tuple()))
-    for n, (p, q, r, root) in enumerate(states, start=1):
+    *start, k = s0._state or hyptrig._start(*s0.edges.as_tuple())
+    for n, (p, q, r, root) in enumerate(walk(seq, start), start=1):
         if n > max_iter:
             raise ConvergenceError(f"no convergence within {max_iter} steps")
         residual = p + q + r
         if residual < tol:
-            A, B, C = hyptrig._angles(p, q, r, root)
+            A, B, C = hyptrig._angles(p, q, r, root, k)
             k = math.pi / (A + B + C)
             return LimitResult(AngleShape(A * k, B * k, C * k), n, residual)
     raise ValueError("letter sequence ended before convergence")
@@ -283,16 +286,21 @@ class TestStepErrors:
     """A walk names the step it was refused at; its start names none."""
 
     def test_big_root_too_long_to_step(self):
-        # from angles 1e-154 the edges are ~709.98: the start keeps its root
-        # as a _BigRoot, and the first kernel's factor overflows
-        s = shape_from_angles(1e-154, 1e-154, 1e-154)
-        assert isinstance(s._state[3], hyptrig._BigRoot)
-        with pytest.raises(hyptrig.DomainError,
-                           match=r"^step 1 \(B\): a state with cosh\(edge/2\) = .* too long to step$"):
-            limit_shape_info(iter("BM"), s)
-        with pytest.raises(hyptrig.DomainError, match=r"^step 1 \(A\): .* too long to step$"):
-            orbit("AMM", s)
-        assert orbit("", s).steps[0].angles == s.angles
+        # from angles 1e-154 the edges are ~709.98 and every kernel's factor
+        # overflows: the first step refused it, and now the start does
+        with pytest.raises(hyptrig.DomainError, match=r"^angles \(1e-154, 1e-154, 1e-154\) "
+                           r"are too small: a state with cosh\(edge/2\) = .* too long to step$"):
+            shape_from_angles(1e-154, 1e-154, 1e-154)
+
+    def test_limit_names_its_step(self):
+        # along |A the angle 1e-100 stays, so the root falls ~1e-100 below the
+        # residual: at the least tol its scaled root is 0 when the walk stops
+        s = shape_from_angles(1e-100, 1e-100, 1e-100)
+        with pytest.raises(hyptrig.DomainError, match=r"^step 518 \(A\): edges with .* too "
+                           r"short: the root of their Heron form underflows"):
+            limit_shape_info(itertools.repeat("A"), s, tol=MIN_TOL)
+        A = limit_shape_info(itertools.repeat("A"), s).angles.A
+        assert A == pytest.approx(1e-100, rel=1e-15, abs=0)
 
     def test_bad_letter_is_not_a_step_error(self):
         # _check_letter's ValueError is not a DomainError: it passes unchanged
@@ -512,6 +520,71 @@ def sliver_starts(n, rho_exponents, seed=3):
         if c < a + b:
             starts.append((a, b, c))
     return starts
+
+
+def tiny_tol_starts():
+    """(edges, sequence) of the thin start (27.8, 3.83, 31.6) along |MC and of
+    200 slivers c = (a + b)(1 - 1e-8 U(0.5, 1)), a and b uniform in
+    [0.01, 30] from random.Random(5), along |M, |MC, |A and AB|CM in turn:
+    limit at tol 1e-300 refused 166 of them, their root underflowing."""
+    rng, starts = random.Random(5), [((27.80404362594891, 3.8280664983479387,
+                                       31.57665512025423), "|MC")]
+    while len(starts) < 201:
+        a, b = rng.uniform(0.01, 30.0), rng.uniform(0.01, 30.0)
+        c = (a + b) * (1 - 1e-8 * rng.uniform(0.5, 1.0))
+        if c < a + b:
+            starts.append(((a, b, c), ("|M", "|MC", "|A", "AB|CM")[(len(starts) - 1) % 4]))
+    return starts
+
+
+def test_tiny_tol_limits_keep_their_root():
+    # each limit at tol 1e-300 lands within 1e-12 of its limit at the default
+    for edges, seq in tiny_tol_starts():
+        s0, seq = shape_from_edges(*edges), SymbolSequence.parse(seq)
+        deep, plain = limit_shape_info(seq, s0, tol=1e-300), limit_shape_info(seq, s0)
+        assert deep.residual < 1e-300 and rel_err(deep.angles, plain.angles) < 1e-12
+
+
+def domain_sweep_starts(n, seed=17):
+    """n seeded starts of each kind: edges in [0.01, 40] and in [15, 237],
+    slivers with slack 10^U(-15, -1), equal-ish tiny edges from 3e-154, and
+    angles log-uniform down to 1e-150; a start refused as too long or too
+    small comes as its DomainError."""
+    rng = random.Random(seed)
+
+    def build(make, *args):
+        try:
+            return make(*args)
+        except hyptrig.DomainError as exc:
+            return exc
+
+    for _ in range(n):
+        yield build(shape_from_edges, *sample_edges(rng, 0.01, 40.0).as_tuple())
+        yield build(shape_from_edges, *sample_edges(rng, 15.0, 237.0).as_tuple())
+        a, b = rng.uniform(0.01, 30.0), rng.uniform(0.01, 30.0)
+        c = (a + b) * (1 - 10 ** rng.uniform(-15, -1) * rng.uniform(0.5, 1.0))
+        yield build(shape_from_edges, *rng.sample((a, b, c), 3))
+        t = 3e-154 * 10 ** rng.uniform(0, 4)
+        yield build(shape_from_edges, t, t * rng.uniform(0.6, 1.0), t * rng.uniform(0.6, 1.0))
+        A, B = 10 ** rng.uniform(-150, 0), 10 ** rng.uniform(-150, 0)
+        yield build(shape_from_angles, A, B, (math.pi - A - B) * rng.uniform(0, 0.99))
+
+
+def test_domain_sweep_refuses_only_by_domain_error():
+    # limit at the default tol and at MIN_TOL, and orbit along words of up to
+    # 700 letters, raise nothing but a DomainError on any of these starts
+    rng = random.Random(19)
+    for i, s0 in enumerate(domain_sweep_starts(60)):
+        if isinstance(s0, hyptrig.DomainError):
+            continue
+        calls = [lambda tol=tol: limit_shape_info(SymbolSequence.parse(BAND_SEQS[i % 6]), s0,
+                                                  tol=tol) for tol in (1e-13, MIN_TOL)]
+        word = "".join(rng.choices(LETTERS, k=rng.randint(1, 700)))
+        for call in (*calls, lambda: orbit(word, s0)):
+            try:
+                call()
+            except hyptrig.DomainError:
+                pass
 
 
 @pytest.mark.parametrize("starts", [

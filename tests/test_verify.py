@@ -8,9 +8,9 @@ import pytest
 
 from trisub import hyptrig, subdivision, verify
 from trisub.hyptrig import DomainError, _sin_angles
-from trisub.shape import shape_from_angles, shape_from_edges
+from trisub.shape import AngleShape, shape_from_angles, shape_from_edges
 from trisub.subdivision import child_edges
-from trisub.symbolic import LETTERS
+from trisub.symbolic import LETTERS, SymbolSequence
 from trisub.verify import Report, SampleSpec
 
 
@@ -146,6 +146,61 @@ class TestSuitesPass:
         assert 1 <= evals <= 800
 
 
+class TestFailureBranches:
+    """Each failure branch of the suites, driven by a plan that fails on purpose."""
+
+    def test_burn_in_cap(self, monkeypatch):
+        # a stub kernel that never shrinks the state: the burn-in gives up
+        for letter in LETTERS:
+            monkeypatch.setitem(hyptrig.STEPS, letter, lambda *h: h)
+        with pytest.raises(RuntimeError, match="burn-in did not terminate"):
+            verify._burn_in(shape_from_edges(3, 3, 3).edges, repeat("M"), 0)
+
+    def test_noncontraction_failure(self, monkeypatch):
+        # a medial map that moves nothing: no margin is above 1e-12
+        monkeypatch.setattr(verify, "apply", lambda letter, s: s)
+        r = verify.run_noncontraction()
+        assert not r.passed and r.stats["violations"] == 4
+        assert all(f["input"] == [4.0, 4.0, 7.0] and f["observed"] == 0.0
+                   and f["bound"] == 1e-12 for f in r.failures)
+
+    def test_cauchy_limit_not_above_zero(self, monkeypatch):
+        flat = subdivision.LimitResult(AngleShape._unchecked((0.0, 0.0, math.pi)), 1, 0.0)
+        monkeypatch.setattr(verify, "_limit", lambda *args: flat)
+        r = verify.run_cauchy_bound(small("cauchy", samples=3))
+        assert not r.passed and r.stats["min_limit_angle"] == 0.0
+        assert [f["step"] for f in r.failures] == [-1] * 3
+
+    def test_continuity_growth_and_skips(self, monkeypatch):
+        # a deviation that grows with every limit taken breaks the shrinking
+        # modulus at each radius and depth; at radius 3 every perturbed start
+        # leaves the domain, and is skipped
+        growing = iter(range(1, 10 ** 6))
+        monkeypatch.setattr(verify, "metric_distance", lambda a, b: next(growing) * 1e-3)
+        r = verify.run_continuity("|M", shape_from_edges(1, 1, 1), [1e-2, 1e-3, 3.0],
+                                  samples=4, depths=(2, 4))
+        assert r.stats["sup_deviation"][2] == 0.0
+        steps = [(f["step"], f["bound"]) for f in r.failures]
+        assert steps[0] == (1, r.stats["sup_deviation"][0])
+        assert (1, r.stats["truncation_envelopes"][0]) in steps
+
+    def test_invert_limit_leaves_the_slice(self):
+        # the target's third angle sits 5e-8 inside the slice, closer than the
+        # Newton probe's 1e-7: the search stops at its first evaluation
+        scale = (math.pi - 0.2) / math.pi
+        C = 5e-8 / scale
+        target = AngleShape((math.pi - C) / 2, (math.pi - C) / 2, C)
+        assert verify._invert_limit(SymbolSequence.parse("|M"), target, 0.2, 800)[1] == 1
+
+    def test_invert_limit_singular_jacobian(self, monkeypatch):
+        # a limit map that ignores its start has a zero Jacobian
+        fixed = AngleShape(1.0, 1.0, math.pi - 2.0)
+        monkeypatch.setattr(verify, "limit_shape", lambda seq, s: fixed)
+        target = AngleShape(1.2, 1.0, math.pi - 2.2)
+        residual, evals = verify._invert_limit("|M", target, 0.2, 800)
+        assert evals == 3 and residual == verify.metric_distance(fixed, target)
+
+
 class TestSelfTestChannels:
     """Tightened constants must produce failures: the harness can see."""
 
@@ -250,10 +305,12 @@ def all_pairs_cauchy(spec, bound_scale=1.0):
     def orbit(report, rng, start):
         nonlocal worst
         halves = [math.sinh(x / 2) for x in start.as_tuple()]
-        budget = sum(s * s for s in halves) * bound_scale
+        # the suite's fixed-order sum: sum() of floats is compensated from Python 3.12
+        budget = (halves[0] * halves[0] + halves[1] * halves[1] + halves[2] * halves[2]) \
+            * bound_scale
         word = [rng.choice(LETTERS) for _ in range(spec.max_steps)]
-        hs, _ = verify._burn_in(start, iter(word), spec.max_steps)
-        rho = [[math.log(s) for s in _sin_angles(*h)] for h in hs]
+        hs, _, k = verify._burn_in(start, iter(word), spec.max_steps)
+        rho = [[math.log(s) for s in _sin_angles(*h, k)] for h in hs]
         for n, here in enumerate(rho):
             bound = 2.0 ** (-n) * budget
             for k, there in enumerate(rho[n:]):
@@ -293,7 +350,7 @@ def plain_lemma21(spec, halving_factor=0.5, lower_const=verify.LOWER_CONST):
 
     def orbit(report, rng, start):
         nonlocal worst_halving, worst_lower
-        hs, burn = verify._burn_in(start, map(rng.choice, repeat(LETTERS)), spec.max_steps)
+        hs, burn, _ = verify._burn_in(start, map(rng.choice, repeat(LETTERS)), spec.max_steps)
         halves = [(math.sqrt(p), math.sqrt(q), math.sqrt(r)) for p, q, r, _ in hs]
         for i, (old, new) in enumerate(zip(halves, halves[1:]), start=1):
             for slot in range(3):
@@ -320,10 +377,10 @@ def plain_area(spec, upper_scale=1.0, lower_scale=1.0):
 
     def orbit(report, rng, start):
         nonlocal worst_hi, worst_lo
-        hs, burn = verify._burn_in(start, repeat("M"), spec.max_steps)
-        s0 = verify._sin_half_area(hs[burn])
+        hs, burn, k = verify._burn_in(start, repeat("M"), spec.max_steps)
+        s0 = verify._sin_half_area(hs[burn], k)
         for n, h in enumerate(hs[burn + 1:], start=1):
-            ratio = verify._sin_half_area(h) / s0
+            ratio = verify._sin_half_area(h, k) / s0
             quarter = 4.0 ** (-n)
             hi, lo = upper_scale * quarter, lo_scale * quarter
             worst_hi = min(worst_hi, (hi - ratio) / hi)
@@ -341,8 +398,8 @@ def plain_angle_ratio(spec, lower_scale=1.0, upper_scale=1.0):
 
     def orbit(report, rng, start):
         nonlocal worst_lo, worst_hi
-        hs, _ = verify._burn_in(start, map(rng.choice, repeat(LETTERS)), spec.max_steps)
-        sines = [_sin_angles(*h) for h in hs]
+        hs, _, k = verify._burn_in(start, map(rng.choice, repeat(LETTERS)), spec.max_steps)
+        sines = [_sin_angles(*h, k) for h in hs]
         for n in range(1, spec.max_steps + 1):
             p, q, r, _ = hs[n - 1]
             cosh_halves = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
@@ -483,8 +540,8 @@ def test_cauchy_limits_match_fresh_walks(monkeypatch, max_steps):
     # either way it is the limit of a fresh walk along word + M^inf, bit for bit
     limits = []
 
-    def spy(letters, p, q, r, root, tol, max_iter=10_000):
-        limits.append(subdivision._limit(letters, p, q, r, root, tol, max_iter))
+    def spy(letters, p, q, r, root, k, tol, max_iter=10_000):
+        limits.append(subdivision._limit(letters, p, q, r, root, k, tol, max_iter))
         return limits[-1]
 
     monkeypatch.setattr(verify, "_limit", spy)
@@ -629,8 +686,8 @@ class TestErrorContext:
             verify.run_eq1_probe(spec)
         rng = random.Random(spec.seed)
         starts = [verify._sample_edges(rng, spec, False) for _ in range(3)]
-        # the walk steps states (p, q, r, root), not edges
-        assert calls == [hyptrig._start(*e.as_tuple()) for e in starts]
+        # the walk steps states (p, q, r, root), not edges, and leaves k aside
+        assert calls == [hyptrig._start(*e.as_tuple())[:4] for e in starts]
         assert str(list(starts[2].as_tuple())) in str(info.value)
 
     @pytest.mark.parametrize("name, run", [("lemma21", verify.run_lemma21),
@@ -706,7 +763,7 @@ class TestBurnIn:
         start = verify._sample_edges(rng, spec, small)
         ref = random.Random()
         ref.setstate(rng.getstate())
-        hs, burn = verify._burn_in(start, verify._letters(rng), 12)
+        hs, burn, _ = verify._burn_in(start, verify._letters(rng), 12)
         assert len(hs) == burn + 13 and (burn == 0) == small
         for _ in range(burn + 12):
             ref.choice(LETTERS)
@@ -718,8 +775,8 @@ class TestBurnIn:
         rng = random.Random(5)
         spec = SampleSpec(seed=5, samples=1, edge_range=(0.5, 8.0))
         for _ in range(20):
-            hs, burn = verify._burn_in(verify._sample_edges(rng, spec, small),
-                                       verify._letters(rng), 0)
+            hs, burn, _ = verify._burn_in(verify._sample_edges(rng, spec, small),
+                                          verify._letters(rng), 0)
             assert len(hs) == burn + 1 and (burn == 0) == small
 
     @pytest.mark.parametrize("seed", range(6))
@@ -729,9 +786,10 @@ class TestBurnIn:
         start = verify._sample_edges(rng, spec, False)
         word = "".join(rng.sample(LETTERS * 12, 48))
         letters = iter(word)
-        hs, burn = verify._burn_in(start, letters, 12)
+        hs, burn, k = verify._burn_in(start, letters, 12)
 
-        plain, plain_letters = [hyptrig._start(*start.as_tuple())], iter(word)
+        *h, plain_k = hyptrig._start(*start.as_tuple())
+        plain, plain_letters = [tuple(h)], iter(word)
         edges = [start]
         while max(plain[-1][:3]) >= 1.0:
             letter = next(plain_letters)
@@ -744,7 +802,7 @@ class TestBurnIn:
             edges.append(child_edges(letter, edges[-1]))
 
         assert burn == plain_burn > 0
-        assert list(hs) == plain
+        assert list(hs) == plain and k == plain_k
         for h, e in zip(hs, edges):
             halves = [math.sinh(x / 2) for x in e.as_tuple()]
             assert max(abs(math.sqrt(x) - y) / y for x, y in zip(h[:3], halves)) < 1e-13
