@@ -7,12 +7,12 @@ times 2^-k the square root of their Heron form H = 2(pq+qr+rp) - p^2 - q^2
 on the half-sums x = (b + c - a)/2 etc. and s = x + y + z, each rounded
 once by math.fsum, so nothing cancels on slivers (W. Kahan's remedy for
 needle-like triangles).  STEPS holds one step kernel per subdivision map,
-a straight-line function from (p, q, r, root) to its child's: every cell
-divides the root by a factor its kernel builds, exact in any power of two,
-so a walk keeps its k.  The angles, their sines and the area are formulas
-in a state, each a quotient taken before one power of two.  _half_sinh_sq
-and _from_angles make every too-long refusal.  Derived values are
-unchecked: _normal makes every too-short refusal, of a state given or
+a straight-line function from a state to its child's, k as it came: every
+cell divides the root by a factor its kernel builds, exact in any power of
+two.  Only this module reads k: the angles, their sines and the area are
+formulas in a state, each a quotient taken before one power of two.
+_half_sinh_sq and _from_angles make every too-long refusal.  Derived values
+are unchecked: _normal makes every too-short refusal, of a state given or
 walked to, once its largest entry or scaled root is subnormal.
 """
 
@@ -26,6 +26,8 @@ CLAMP_TOL = 1e-9
 # Angle sums this close to pi count as Euclidean (shape classification
 # uses the same threshold); no finite edge lengths exist there.
 EUCLIDEAN_SUM_ATOL = 1e-12
+
+State = tuple[float, float, float, float, int]  # (p, q, r, root, k)
 
 
 class DomainError(ValueError):
@@ -59,8 +61,8 @@ def _clamp_unit(x: float, what: str) -> float:
 
 
 def _normal(state):
-    # the one rule on a state (p, q, r[, root, k]), given or walked to: too short,
-    # with too few bits to read, once its largest entry or scaled root is subnormal
+    # the one rule on a state (p, q, r, root, k), or on the (p, q, r) of edges: too
+    # short, with too few bits to read, once its largest entry or scaled root is subnormal
     if max(state[:3]) < 2.0 ** -1022:
         raise DomainError(f"edges with sinh^2(edge/2) = {state[:3]!r} are "
                           f"too short: the largest is subnormal")
@@ -93,7 +95,7 @@ def _sqrt_product(x: float, y: float) -> tuple[float, int]:
     return math.sqrt(math.ldexp(mx * my, (ex + ey) & 1)), (ex + ey) >> 1
 
 
-def _start(a: float, b: float, c: float) -> tuple[float, float, float, float, int]:
+def _start(a: float, b: float, c: float) -> State:
     # the normal state (p, q, r, root, k) of edges that passed _check_edges; the
     # root is a product of four square roots, each from ~2^-283 (a half-sum is at
     # least ~2^-55 of the largest edge) to ~2^257, taken in order with the first
@@ -105,36 +107,37 @@ def _start(a: float, b: float, c: float) -> tuple[float, float, float, float, in
     return _normal((p, q, r, math.ldexp(m, 1000), 1000 - e - j))
 
 
-# Step kernels: a child's state from its parent's, with cp = cosh(a/2) etc.  A
-# halved edge has sinh^2(b/4) = q / (2 + 2 cq); midlines are as in medial_data.
+# Step kernels: a child's state, k kept, from its parent's, with cp = cosh(a/2)
+# etc.  A halved edge has sinh^2(b/4) = q / (2 + 2 cq); midlines as in medial_data.
 # A corner cell keeps its parent's angle at the kept vertex, and
 # sin A = root / (2 sqrt(q r (1+q)(1+r))) with q = 4q'(1+q'), so its root is
 # root / (4 cq cr); the medial cell's is root / (4 cp cq cr), since
 # sin(S/2) = root / (2 cp cq cr) and Keogh's sin(S/2) = sinh m_b sinh m_c
 # sin alpha (keogh_area): the paper's area decay, at least fourfold per step.
-def _step_a(p: float, q: float, r: float, root: float) -> tuple[float, float, float, float]:
+def _step_a(p: float, q: float, r: float, root: float, k: int) -> State:
     cq, cr = math.sqrt(1 + q), math.sqrt(1 + r)
-    d, k = (q - r) / (cq + cr), 4 * cq * cr
-    return (p + d * d) / k, q / (2 + 2 * cq), r / (2 + 2 * cr), root / k
+    d, t = (q - r) / (cq + cr), 4 * cq * cr
+    return (p + d * d) / t, q / (2 + 2 * cq), r / (2 + 2 * cr), root / t, k
 
 
-def _step_b(p: float, q: float, r: float, root: float) -> tuple[float, float, float, float]:
+def _step_b(p: float, q: float, r: float, root: float, k: int) -> State:
     cp, cr = math.sqrt(1 + p), math.sqrt(1 + r)
-    d, k = (r - p) / (cr + cp), 4 * cr * cp
-    return p / (2 + 2 * cp), (q + d * d) / k, r / (2 + 2 * cr), root / k
+    d, t = (r - p) / (cr + cp), 4 * cr * cp
+    return p / (2 + 2 * cp), (q + d * d) / t, r / (2 + 2 * cr), root / t, k
 
 
-def _step_c(p: float, q: float, r: float, root: float) -> tuple[float, float, float, float]:
+def _step_c(p: float, q: float, r: float, root: float, k: int) -> State:
     cp, cq = math.sqrt(1 + p), math.sqrt(1 + q)
-    d, k = (p - q) / (cp + cq), 4 * cp * cq
-    return p / (2 + 2 * cp), q / (2 + 2 * cq), (r + d * d) / k, root / k
+    d, t = (p - q) / (cp + cq), 4 * cp * cq
+    return p / (2 + 2 * cp), q / (2 + 2 * cq), (r + d * d) / t, root / t, k
 
 
-def _step_m(p: float, q: float, r: float, root: float) -> tuple[float, float, float, float]:
+def _step_m(p: float, q: float, r: float, root: float, k: int) -> State:
     cp, cq, cr = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
     d, e, f = (q - r) / (cq + cr), (r - p) / (cr + cp), (p - q) / (cp + cq)
-    k = 4 * cq * cr  # then cp: 4 cp cq cr overflows from edges of ~474
-    return (p + d * d) / k, (q + e * e) / (4 * cr * cp), (r + f * f) / (4 * cp * cq), root / k / cp
+    t = 4 * cq * cr  # then cp: 4 cp cq cr overflows from edges of ~474
+    return ((p + d * d) / t, (q + e * e) / (4 * cr * cp), (r + f * f) / (4 * cp * cq),
+            root / t / cp, k)
 
 
 STEPS = {"A": _step_a, "B": _step_b, "C": _step_c, "M": _step_m}
@@ -270,7 +273,7 @@ def medial_data(a: float, b: float, c: float) -> MedialData:
     _check_edges(a, b, c)
     p, q, r, root, k = _start(a, b, c)
     ch = cp, cq, cr = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
-    ms = [2 * math.asinh(math.sqrt(x)) for x in _step_m(p, q, r, root)[:3]]
+    ms = [2 * math.asinh(math.sqrt(x)) for x in _step_m(p, q, r, root, k)[:3]]
     K = 2 * cp * cq * cr
     m, j = math.frexp(root)
     ls = [math.asinh(math.ldexp(x * m / (K * math.sinh(y)), j - k)) for x, y in zip(ch, ms)]

@@ -13,10 +13,10 @@ where M_x is the midpoint of edge x.  Child edges follow from the slot
 order: the corner cell at A has edges (m_a, b/2, c/2), and the medial
 cell has the three midlines (m_a, m_b, m_c).  Every step, in orbit,
 limit_shape_info, apply and the verify suites, is the kernel of its letter
-in hyptrig.STEPS on a bare state (p, q, r, root), with p = sinh^2(a/2) etc.
+in hyptrig.STEPS on a bare state (p, q, r, root, k), p = sinh^2(a/2) etc.
 and root 2^k times the square root of their Heron form; a kernel validates
-nothing.  A walk takes its start's state and k once, from the record that
-keeps them or from its edges, and edges appear only in records.
+nothing and returns k as it came.  A walk takes its start's state once, from
+the record that keeps it or from its edges; edges appear only in records.
 """
 
 import math
@@ -46,7 +46,7 @@ def child_edges(letter: str, e: EdgeLengths) -> EdgeLengths:
     The cell's edges need no root: a chain of derived edges, whose half-sums
     may have rounded to 0, passes through."""
     _check_letter(letter)
-    return _edges(hyptrig.STEPS[letter](*hyptrig._normal(hyptrig._half_sinh_sq(*e)), 0.0))
+    return _edges(hyptrig.STEPS[letter](*hyptrig._normal(hyptrig._half_sinh_sq(*e)), 0.0, 0))
 
 
 def apply(letter: str, s: ShapeRecord) -> ShapeRecord:
@@ -58,8 +58,7 @@ def apply(letter: str, s: ShapeRecord) -> ShapeRecord:
     _check_letter(letter)
     if s.is_euclidean:
         return s
-    *h, k = _state_of(s)
-    return _record(hyptrig._normal((*hyptrig.STEPS[letter](*h), k)))
+    return _record(hyptrig._normal(hyptrig.STEPS[letter](*_state_of(s))))
 
 
 def apply_oracle(letter: str, e: EdgeLengths) -> EdgeLengths:
@@ -101,17 +100,16 @@ def orbit(word, s0: ShapeRecord) -> OrbitTrace:
         for letter in word:
             _check_letter(letter)
     else:
-        *h, k = _state_of(s0)
-        states = [h]
+        states = [_state_of(s0)]
         for letter in word:
             states.append((hyptrig.STEPS.get(letter) or _check_letter(letter))(*states[-1]))
         try:  # a step shrinks every entry, root too, at least fourfold: the last is least
-            hyptrig._normal((*states[-1], k))
+            hyptrig._normal(states[-1])
         except hyptrig.DomainError as exc:
             raise type(exc)(f"step {len(word)} ({word[-1]}): {exc}") from exc
-        records[1:] = (_record((*st, k)) for st in states[1:])
+        records[1:] = map(_record, states[1:])
     return OrbitTrace(tuple(
-        OrbitStep(n, letter, s.angles, s.edges, s.area, _ln_sin_a(s.angles.A, st and (*st, k)),
+        OrbitStep(n, letter, s.angles, s.edges, s.area, _ln_sin_a(s.angles.A, st),
                   st and tuple(map(math.sqrt, st[:3])))
         for n, (letter, s, st) in enumerate(zip([None, *word], records, states))))
 
@@ -148,12 +146,12 @@ def limit_shape_info(seq, s0: ShapeRecord, tol: float = 1e-13,
 
 def _limit(letters, p: float, q: float, r: float, root: float, k: int, tol: float,
            max_iter: int = 10_000) -> LimitResult:
-    # step (p, q, r, root) along the letters, k aside; stop at the first
+    # step the state (p, q, r, root, k) along the letters; stop at the first
     # state, counted from 1, whose residual is below tol
     steps = hyptrig.STEPS
     try:  # around the loop, not in it: a step pays nothing for the error's context
         for n, letter in enumerate(letters, start=1):
-            p, q, r, root = (steps.get(letter) or _check_letter(letter))(p, q, r, root)
+            p, q, r, root, k = (steps.get(letter) or _check_letter(letter))(p, q, r, root, k)
             if n > max_iter:
                 raise ConvergenceError(f"no convergence within {max_iter} steps")
             residual = p + q + r

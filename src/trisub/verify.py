@@ -16,7 +16,7 @@ import math
 import random
 from collections import namedtuple
 from functools import partial
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat, starmap
 from operator import add, gt, lt, mul, sub, truediv
 
 from . import hyptrig, symbolic
@@ -122,8 +122,8 @@ def _run_seeded(suite: str, spec: SampleSpec, orbit, small=False, stats=()):
     return report, rows
 
 
-def _sin_half_area(h, scale: int) -> float:
-    return math.sin(hyptrig._area(*h, scale) / 2)
+def _sin_half_area(h) -> float:
+    return math.sin(hyptrig._area(*h) / 2)
 
 
 def _letters(rng: random.Random):
@@ -140,11 +140,10 @@ def _letters(rng: random.Random):
 def _burn_in(e: EdgeLengths, letters, steps: int):
     """The orbit of e under the letter iterator, e first: burn-in until
     p, q, r = sinh^2(edge/2) are all below 1, then steps more.  Returns the
-    states (p, q, r, root) from hyptrig._start and the step kernels, the
-    burn-in length and the start's k; no letter is taken beyond the last."""
+    states (p, q, r, root, k) from hyptrig._start and the step kernels, and
+    the burn-in length; no letter is taken beyond the last."""
     kernels = hyptrig.STEPS
-    p, q, r, root, k = hyptrig._start(e.a, e.b, e.c)
-    h = p, q, r, root
+    h = hyptrig._start(e.a, e.b, e.c)
     path = [h]
     while max(h[0], h[1], h[2]) >= 1.0:
         if len(path) > 500:
@@ -156,7 +155,7 @@ def _burn_in(e: EdgeLengths, letters, steps: int):
     for letter in islice(letters, steps):
         h = (kernels.get(letter) or _check_letter(letter))(*h)
         path.append(h)
-    return tuple(path), burn, k
+    return tuple(path), burn
 
 
 def run_lemma21(spec: SampleSpec, halving_factor: float = 0.5,
@@ -173,11 +172,9 @@ def run_lemma21(spec: SampleSpec, halving_factor: float = 0.5,
 
     def orbit(report, rng, start):
         # burn-in segment: random letters until sinh(edge/2) < 1 on all edges
-        hs, burn, _ = _burn_in(start, _letters(rng), spec.max_steps)
+        hs, burn = _burn_in(start, _letters(rng), spec.max_steps)
         # series of slots, new[3(i-1) + slot] at step i, after[3(n-1) + slot] at i = burn + n
-        flat = list(chain.from_iterable(hs))
-        del flat[3::4]  # the roots
-        halves = list(map(math.sqrt, flat))
+        halves = list(map(math.sqrt, chain.from_iterable(h[:3] for h in hs)))
         old, new, after = halves[:-3], halves[3:], halves[3 * burn + 3:]
         halving = list(map(mul, repeat(halving_factor), old))
         lower = list(map(mul, scales, halves[3 * burn:3 * burn + 3] * spec.max_steps))
@@ -213,9 +210,9 @@ def run_area_bounds(spec: SampleSpec, upper_scale: float = 1.0,
     his, los = [upper_scale * x for x in quarters], [lo_scale * x for x in quarters]
 
     def orbit(report, rng, start):
-        hs, burn, scale = _burn_in(start, repeat("M"), spec.max_steps)
-        s0 = _sin_half_area(hs[burn], scale)
-        ratios = [_sin_half_area(h, scale) / s0 for h in hs[burn + 1:]]
+        hs, burn = _burn_in(start, repeat("M"), spec.max_steps)
+        s0 = _sin_half_area(hs[burn])
+        ratios = [_sin_half_area(h) / s0 for h in hs[burn + 1:]]
         for k in sorted({*report.flagged(ratios, his), *report.flagged(ratios, los, upper=False)}):
             report.check(start, k + 1, ratios[k], his[k])
             report.check(start, k + 1, ratios[k], los[k], upper=False)
@@ -240,9 +237,9 @@ def run_ratio_limit(spec: SampleSpec, interval: tuple[float, float] | None = Non
     n_half, n_full = 40, 80
 
     def orbit(report, rng, start):
-        hs, burn, scale = _burn_in(start, repeat("M"), n_full)
-        s0 = _sin_half_area(hs[burn], scale)
-        r40, r80 = (4.0 ** n * _sin_half_area(hs[burn + n], scale) / s0
+        hs, burn = _burn_in(start, repeat("M"), n_full)
+        s0 = _sin_half_area(hs[burn])
+        r40, r80 = (4.0 ** n * _sin_half_area(hs[burn + n]) / s0
                     for n in (n_half, n_full))
         settle = abs(r80 - r40)
         fail = partial(report.add_failure, input=list(start), step=n_full)
@@ -309,7 +306,7 @@ def run_eq1_probe(spec: SampleSpec) -> Report:
     """
     def orbit(report, rng, e):
         h = hyptrig._start(e.a, e.b, e.c)
-        probed = hyptrig._angles(*hyptrig.STEPS["M"](*h[:4]), h[4])
+        probed = hyptrig._angles(*hyptrig.STEPS["M"](*h))
         return max(abs(x - y) for x, y in zip(hyptrig._angles(*h), probed)), hyptrig._area(*h)
 
     report, rows = _run_seeded("eq1probe", spec, orbit)
@@ -345,12 +342,11 @@ def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
 
     def orbit(report, rng, start):
         word = list(islice(_letters(rng), spec.max_steps))
-        hs, _, scale = _burn_in(start, iter(word), spec.max_steps)  # no burn-in
+        hs, _ = _burn_in(start, iter(word), spec.max_steps)  # no burn-in
         # a fixed-order sum: sum() of floats is compensated from Python 3.12
         budget = (hs[0][0] + hs[0][1] + hs[0][2]) * bound_scale
         # item 3n + slot is ln sin of that slot's angle at step n
-        rho = list(map(math.log, chain.from_iterable(map(hyptrig._sin_angles, *zip(*hs),
-                                                         repeat(scale)))))
+        rho = list(map(math.log, chain.from_iterable(starmap(hyptrig._sin_angles, hs))))
         # per step, its slots' largest rise and fall to any later step
         ha, hb, hc = la, lb, lc = rho[-3:]
         reach, back = [], reversed(rho)
@@ -370,7 +366,7 @@ def run_cauchy_bound(spec: SampleSpec, bound_scale: float = 1.0) -> Report:
         # resumes from the state of hs before that one, or from the last
         k = next((i - 1 for i in range(1, len(hs)) if hs[i][0] + hs[i][1] + hs[i][2] < 1e-13),
                  len(hs) - 1)
-        lim = _limit(chain(word[k:], repeat("M")), *hs[k], scale, 1e-13).angles
+        lim = _limit(chain(word[k:], repeat("M")), *hs[k], 1e-13).angles
         if not min(lim) > 0:
             report.add_failure(input=list(start), step=-1,
                                observed=min(lim), bound=0.0)
@@ -391,12 +387,11 @@ def run_angle_ratio(spec: SampleSpec, lower_scale: float = 1.0,
     """
     def orbit(report, rng, start):
         # small starts need no burn-in
-        hs, _, scale = _burn_in(start, _letters(rng), spec.max_steps)
+        hs, _ = _burn_in(start, _letters(rng), spec.max_steps)
         # slot series, three items per step: item 3(n-1)+i is slot i of step n
-        sines = list(chain.from_iterable(map(hyptrig._sin_angles, *zip(*hs), repeat(scale))))
+        sines = list(chain.from_iterable(starmap(hyptrig._sin_angles, hs)))
         ratios = list(map(truediv, sines[3:], sines[:-3]))
-        flat = list(chain.from_iterable(hs[:-1]))
-        del flat[3::4]  # the roots
+        flat = chain.from_iterable(h[:3] for h in hs[:-1])
         cosh_halves = list(map(math.sqrt, map(add, repeat(1), flat)))
         los = list(map(truediv, repeat(lower_scale), cosh_halves))
         # slot i takes the other two, i + 1 and i + 2 (mod 3), of its step

@@ -332,7 +332,7 @@ def decimal_state_angles(p, q, r, root):
 
 
 class TestDerive:
-    """_start derives a state (p, q, r, root) from edges, the one place a
+    """_start derives a state (p, q, r, root, k) from edges, the one place a
     state comes from edges, and decides the domain."""
 
     def test_zero_state_is_too_short(self):
@@ -575,12 +575,13 @@ def sliver_edges(draw):
     return draw(st.permutations([(b + c) * (1 - slack), b, c]))
 
 
-states = st.one_of(
+# states (p, q, r, root, k), k over about the range _start and _from_angles make
+states = st.builds(lambda h, k: (*h, k), st.one_of(
     st.tuples(*[st.floats(1e-300, 1e200)] * 4),  # any positive state and root
     st.tuples(*[st.floats(1e-300, 1e-12)] * 4),  # tiny states
     sliver_edges().filter(lambda e: e[0] < e[1] + e[2] and e[1] < e[2] + e[0]
                           and e[2] < e[0] + e[1]).map(lambda e: hyptrig._start(*e)[:4]),
-)
+), st.integers(-1100, 2100))
 
 
 def bits(xs):
@@ -589,7 +590,7 @@ def bits(xs):
 
 class TestStepKernels:
     """The straight-line kernels of STEPS against a letter dispatch over one
-    midline function, bit for bit."""
+    midline function, bit for bit, k returned as it came."""
 
     def test_one_kernel_per_letter(self):
         assert tuple(hyptrig.STEPS) == ("A", "B", "C", "M")
@@ -597,8 +598,11 @@ class TestStepKernels:
     @settings(max_examples=500, deadline=None)
     @given(states)
     def test_kernels_match_reference(self, state):
+        *h, k = state
         for letter in "ABCM":
-            assert bits(hyptrig.STEPS[letter](*state)) == bits(reference_child(letter, *state))
+            *child, child_k = hyptrig.STEPS[letter](*state)
+            assert child_k == k
+            assert bits(child) == bits(reference_child(letter, *h))
 
     def test_carried_root_is_the_heron_root(self):
         # each cell's root is its parent's over a factor its kernel builds; from
@@ -610,8 +614,7 @@ class TestStepKernels:
             if min(angles_from_edges(*edges)) < 0.1:
                 continue
             for letter in "ABCM":
-                *h, k = hyptrig._start(*edges)
-                p, q, r, root = hyptrig.STEPS[letter](*h)
+                p, q, r, root, k = hyptrig.STEPS[letter](*hyptrig._start(*edges))
                 root = math.ldexp(root, -k)
                 assert rel(root, decimal_heron_root(Decimal(p), Decimal(q), Decimal(r))) < 1e-14
 

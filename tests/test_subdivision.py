@@ -214,7 +214,7 @@ class TestOrbit:
 
 class TestPlainLoop:
     """orbit and limit_shape_info match a plain step-kernel loop on the state
-    (p, q, r, root) bit for bit, and a plain child_edges loop to 1e-13."""
+    (p, q, r, root, k) bit for bit, and a plain child_edges loop to 1e-13."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_orbit(self, seed):
@@ -223,15 +223,15 @@ class TestPlainLoop:
         word = "".join(rng.sample(LETTERS * 8, 32))
         trace = orbit(word, shape_from_edges(*e.as_tuple()))
         assert [st.letter for st in trace.steps] == [None, *word]
-        *state, k = hyptrig._start(*e.as_tuple())
+        state = hyptrig._start(*e.as_tuple())
         for st in trace.steps:
             if st.letter is not None:
                 e = child_edges(st.letter, e)
                 state = hyptrig.STEPS[st.letter](*state)
                 assert st.edges.as_tuple() == tuple(2 * math.asinh(math.sqrt(x))
                                                     for x in state[:3])
-                assert st.angles.as_tuple() == hyptrig._angles(*state, k)
-                assert st.area == hyptrig._area(*state, k)
+                assert st.angles.as_tuple() == hyptrig._angles(*state)
+                assert st.area == hyptrig._area(*state)
             assert st.sinh_half_edges == tuple(math.sqrt(x) for x in state[:3])
             assert rel_err(st.edges.as_tuple(), e.as_tuple()) < 1e-13
 
@@ -241,14 +241,14 @@ class TestPlainLoop:
         e = sample_edges(rng)
         letters = rng.sample(LETTERS * 50, 200)
         res = limit_shape_info(iter(letters), shape_from_edges(*e.as_tuple()))
-        *state, k = hyptrig._start(*e.as_tuple())
+        state = hyptrig._start(*e.as_tuple())
         for n, letter in enumerate(letters, start=1):
             e = child_edges(letter, e)
             state = hyptrig.STEPS[letter](*state)
             if state[0] + state[1] + state[2] < 1e-13:
                 break
         assert (res.iterations, res.residual) == (n, state[0] + state[1] + state[2])
-        A, B, C = hyptrig._angles(*state, k)
+        A, B, C = hyptrig._angles(*state)
         assert res.angles.as_tuple() == tuple(x * (math.pi / (A + B + C)) for x in (A, B, C))
         by_edges = project_euclidean(AngleShape(*hyptrig.angles_from_edges(*e.as_tuple())))
         assert rel_err(res.angles.as_tuple(), by_edges.as_tuple()) < 1e-13
@@ -262,8 +262,8 @@ def reference_limit(seq, s0, tol=1e-13, max_iter=10_000):
             state = (hyptrig.STEPS.get(letter) or _check_letter(letter))(*state)
             yield state
 
-    *start, k = s0._state or hyptrig._start(*s0.edges.as_tuple())
-    for n, (p, q, r, root) in enumerate(walk(seq, start), start=1):
+    start = s0._state or hyptrig._start(*s0.edges.as_tuple())
+    for n, (p, q, r, root, k) in enumerate(walk(seq, start), start=1):
         if n > max_iter:
             raise ConvergenceError(f"no convergence within {max_iter} steps")
         residual = p + q + r
@@ -368,8 +368,8 @@ def test_relabelling_permutes_child_slots(state, letter):
     # three cosh values from the medial cell
     p, q, r, root = state
     relabel = {"A": "B", "B": "C", "C": "A", "M": "M"}
-    x, y, z, w = hyptrig.STEPS[letter](p, q, r, root)
-    *slots, v = hyptrig.STEPS[relabel[letter]](r, p, q, root)
+    x, y, z, w, _ = hyptrig.STEPS[letter](p, q, r, root, 0)
+    *slots, v, _ = hyptrig.STEPS[relabel[letter]](r, p, q, root, 0)
     assert slots == [z, x, y]
     assert v == w if letter != "M" else v == pytest.approx(w, rel=1e-15, abs=0)
 

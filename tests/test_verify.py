@@ -309,8 +309,8 @@ def all_pairs_cauchy(spec, bound_scale=1.0):
         budget = (halves[0] * halves[0] + halves[1] * halves[1] + halves[2] * halves[2]) \
             * bound_scale
         word = [rng.choice(LETTERS) for _ in range(spec.max_steps)]
-        hs, _, k = verify._burn_in(start, iter(word), spec.max_steps)
-        rho = [[math.log(s) for s in _sin_angles(*h, k)] for h in hs]
+        hs, _ = verify._burn_in(start, iter(word), spec.max_steps)
+        rho = [[math.log(s) for s in _sin_angles(*h)] for h in hs]
         for n, here in enumerate(rho):
             bound = 2.0 ** (-n) * budget
             for k, there in enumerate(rho[n:]):
@@ -350,8 +350,8 @@ def plain_lemma21(spec, halving_factor=0.5, lower_const=verify.LOWER_CONST):
 
     def orbit(report, rng, start):
         nonlocal worst_halving, worst_lower
-        hs, burn, _ = verify._burn_in(start, map(rng.choice, repeat(LETTERS)), spec.max_steps)
-        halves = [(math.sqrt(p), math.sqrt(q), math.sqrt(r)) for p, q, r, _ in hs]
+        hs, burn = verify._burn_in(start, map(rng.choice, repeat(LETTERS)), spec.max_steps)
+        halves = [(math.sqrt(p), math.sqrt(q), math.sqrt(r)) for p, q, r, _, _ in hs]
         for i, (old, new) in enumerate(zip(halves, halves[1:]), start=1):
             for slot in range(3):
                 worst_halving = min(worst_halving, halving_factor - new[slot] / old[slot])
@@ -377,10 +377,10 @@ def plain_area(spec, upper_scale=1.0, lower_scale=1.0):
 
     def orbit(report, rng, start):
         nonlocal worst_hi, worst_lo
-        hs, burn, k = verify._burn_in(start, repeat("M"), spec.max_steps)
-        s0 = verify._sin_half_area(hs[burn], k)
+        hs, burn = verify._burn_in(start, repeat("M"), spec.max_steps)
+        s0 = verify._sin_half_area(hs[burn])
         for n, h in enumerate(hs[burn + 1:], start=1):
-            ratio = verify._sin_half_area(h, k) / s0
+            ratio = verify._sin_half_area(h) / s0
             quarter = 4.0 ** (-n)
             hi, lo = upper_scale * quarter, lo_scale * quarter
             worst_hi = min(worst_hi, (hi - ratio) / hi)
@@ -398,10 +398,10 @@ def plain_angle_ratio(spec, lower_scale=1.0, upper_scale=1.0):
 
     def orbit(report, rng, start):
         nonlocal worst_lo, worst_hi
-        hs, _, k = verify._burn_in(start, map(rng.choice, repeat(LETTERS)), spec.max_steps)
-        sines = [_sin_angles(*h, k) for h in hs]
+        hs, _ = verify._burn_in(start, map(rng.choice, repeat(LETTERS)), spec.max_steps)
+        sines = [_sin_angles(*h) for h in hs]
         for n in range(1, spec.max_steps + 1):
-            p, q, r, _ = hs[n - 1]
+            p, q, r, _, _ = hs[n - 1]
             cosh_halves = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
             for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
                 ratio = sines[n][i] / sines[n - 1][i]
@@ -686,8 +686,8 @@ class TestErrorContext:
             verify.run_eq1_probe(spec)
         rng = random.Random(spec.seed)
         starts = [verify._sample_edges(rng, spec, False) for _ in range(3)]
-        # the walk steps states (p, q, r, root), not edges, and leaves k aside
-        assert calls == [hyptrig._start(*e.as_tuple())[:4] for e in starts]
+        # the walk steps states (p, q, r, root, k), not edges
+        assert calls == [hyptrig._start(*e.as_tuple()) for e in starts]
         assert str(list(starts[2].as_tuple())) in str(info.value)
 
     @pytest.mark.parametrize("name, run", [("lemma21", verify.run_lemma21),
@@ -751,7 +751,7 @@ def test_letters_are_choice_draws(seed):
 
 
 class TestBurnIn:
-    """_burn_in matches a plain step-kernel loop on the state (p, q, r, root)
+    """_burn_in matches a plain step-kernel loop on the state (p, q, r, root, k)
     bit for bit, and a plain child_edges loop to 1e-13."""
 
     @pytest.mark.parametrize("small", [False, True])
@@ -763,7 +763,7 @@ class TestBurnIn:
         start = verify._sample_edges(rng, spec, small)
         ref = random.Random()
         ref.setstate(rng.getstate())
-        hs, burn, _ = verify._burn_in(start, verify._letters(rng), 12)
+        hs, burn = verify._burn_in(start, verify._letters(rng), 12)
         assert len(hs) == burn + 13 and (burn == 0) == small
         for _ in range(burn + 12):
             ref.choice(LETTERS)
@@ -775,8 +775,8 @@ class TestBurnIn:
         rng = random.Random(5)
         spec = SampleSpec(seed=5, samples=1, edge_range=(0.5, 8.0))
         for _ in range(20):
-            hs, burn, _ = verify._burn_in(verify._sample_edges(rng, spec, small),
-                                          verify._letters(rng), 0)
+            hs, burn = verify._burn_in(verify._sample_edges(rng, spec, small),
+                                       verify._letters(rng), 0)
             assert len(hs) == burn + 1 and (burn == 0) == small
 
     @pytest.mark.parametrize("seed", range(6))
@@ -786,10 +786,11 @@ class TestBurnIn:
         start = verify._sample_edges(rng, spec, False)
         word = "".join(rng.sample(LETTERS * 12, 48))
         letters = iter(word)
-        hs, burn, k = verify._burn_in(start, letters, 12)
+        hs, burn = verify._burn_in(start, letters, 12)
+        k = hs[-1][4]  # the walk's k, carried to its last state
 
-        *h, plain_k = hyptrig._start(*start.as_tuple())
-        plain, plain_letters = [tuple(h)], iter(word)
+        h = hyptrig._start(*start.as_tuple())
+        plain, plain_letters, plain_k = [h], iter(word), h[4]
         edges = [start]
         while max(plain[-1][:3]) >= 1.0:
             letter = next(plain_letters)
