@@ -175,14 +175,15 @@ def edges_from_angles(A: float, B: float, C: float) -> tuple[float, float, float
     S = math.pi - A - B - C
     if S <= EUCLIDEAN_SUM_ATOL:
         raise DomainError(f"angle sum {A + B + C!r} is not hyperbolic")
-    return _from_angles(A, B, C, S)[0]
+    return tuple(2 * math.asinh(math.sqrt(x)) for x in _from_angles(A, B, C, S)[:3])
 
 
-def _from_angles(A: float, B: float, C: float, S: float):
-    # the edges and the state (p, q, r, root, k) of valid angles with defect
-    # S > 0, unchecked; the root is 2 sin A sqrt(q r (1+q)(1+r)), which has
-    # no cancellation.  Refused where a kernel's factor 4 cq cr etc. overflows
-    # (edges from ~709.8), as the walk could not step it
+def _from_angles(A: float, B: float, C: float, S: float) -> State:
+    # the state (p, q, r, root, k) of valid angles with defect S > 0, unchecked;
+    # a walk steps it as it is, and edges are taken from it only where asked.
+    # The root is 2 sin A sqrt(q r (1+q)(1+r)), which has no cancellation.
+    # Refused where a kernel's factor 4 cq cr etc. overflows (edges from
+    # ~709.8), as the walk could not step it
     half = math.sin(S / 2)
 
     def one(A, B, C):
@@ -196,8 +197,7 @@ def _from_angles(A: float, B: float, C: float, S: float):
                           f"cosh(edge/2) = ({cp!r}, {cq!r}, {cr!r}) is too long to step")
     (m1, e1), (m2, e2) = _sqrt_product(q, r), _sqrt_product(1 + q, 1 + r)
     m, e = math.frexp(2 * math.sin(A) * m1 * m2)
-    return (tuple(2 * math.asinh(math.sqrt(x)) for x in (p, q, r)),
-            (p, q, r, math.ldexp(m, 1000), 1000 - e - e1 - e2))
+    return p, q, r, math.ldexp(m, 1000), 1000 - e - e1 - e2
 
 
 def defect_area(A: float, B: float, C: float) -> float:

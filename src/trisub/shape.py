@@ -153,8 +153,8 @@ def shape_from_angles(A: float, B: float, C: float) -> ShapeRecord:
     if angles.is_euclidean:
         return ShapeRecord(angles, None, 0.0)
     S = math.pi - A - B - C  # positive: the angles are not Euclidean
-    edges, state = hyptrig._from_angles(A, B, C, S)
-    return ShapeRecord(angles, EdgeLengths._unchecked(edges), S, state)
+    state = hyptrig._from_angles(A, B, C, S)
+    return ShapeRecord(angles, _edges(state), S, state)
 
 
 def metric_distance(s1: AngleShape, s2: AngleShape) -> float:

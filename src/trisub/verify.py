@@ -20,9 +20,9 @@ from itertools import chain, compress, count, islice, repeat, starmap
 from operator import add, gt, lt, mul, sub, truediv
 
 from . import hyptrig, symbolic
-from .shape import AngleShape, EdgeLengths, ShapeRecord, _Checked, metric_distance, \
-    shape_from_angles, shape_from_edges
-from .subdivision import _limit, apply, limit_shape
+from .shape import AngleShape, EdgeLengths, ShapeRecord, _Checked, _state_of, \
+    metric_distance, shape_from_edges
+from .subdivision import _limit, apply
 from .symbolic import LETTERS, _check_letter
 
 RESOLUTION = 1e-11
@@ -442,8 +442,8 @@ def run_continuity(seq, base: ShapeRecord, radii,
     radii = list(radii)
     report = Report("continuity", samples)
     rng = random.Random(seed)
-    base_angles = base.angles
-    ref = limit_shape(iter(seq), base)
+    start = _state_of(base)
+    ref = _limit(iter(seq), *start, 1e-13).angles
 
     dirs = []
     for _ in range(samples):
@@ -458,11 +458,11 @@ def run_continuity(seq, base: ShapeRecord, radii,
     for r in radii:
         sup = 0.0
         for d in dirs:
-            ang = [b + r * x for b, x in zip(base_angles, d)]
-            if min(ang) <= 0 or ang[0] + ang[1] + ang[2] >= math.pi - 1e-9:
+            A, B, C = (b + r * x for b, x in zip(base.angles, d))
+            if min(A, B, C) <= 0 or A + B + C >= math.pi - 1e-9:
                 continue
-            out = limit_shape(iter(seq), shape_from_angles(*ang))
-            sup = max(sup, metric_distance(out, ref))
+            out = _limit(iter(seq), *hyptrig._from_angles(A, B, C, math.pi - A - B - C), 1e-13)
+            sup = max(sup, metric_distance(out.angles, ref))
         sups.append(sup)
     report.stats.update(radii=radii, sup_deviation=sups)
     # decay to zero, operationalized as a bounded modulus at the finest
@@ -472,7 +472,7 @@ def run_continuity(seq, base: ShapeRecord, radii,
     envelopes = []
     for depth in depths:
         truncated = (chain(islice(seq, depth), repeat(tail)) for tail in LETTERS)
-        envelopes.append(max(metric_distance(limit_shape(t, base), ref)
+        envelopes.append(max(metric_distance(_limit(t, *start, 1e-13).angles, ref)
                              for t in truncated))
     irrational = symbolic.classify(seq) == "irrational"
     report.stats.update(truncation_depths=list(depths), truncation_envelopes=envelopes,
@@ -489,15 +489,20 @@ def _invert_limit(seq, target: AngleShape, slice_defect: float, maxfev: int):
     target, from its angles scaled onto the slice.  A step that does not
     lower the residual is halved, down to 1/64.  Stops when no step helps,
     the Jacobian is singular, a probe leaves the slice or maxfev limit
-    evaluations are spent; returns the residual and the evaluations."""
-    evals, h = 0, 1e-7
+    evaluations are requested; returns the residual and that count.  Each
+    point is walked once, from its bare state: one requested again, as a
+    halved step that rounds to the current point is, counts but is not walked."""
+    evals, h, walked = 0, 1e-7, {}
 
     def limit(A, B):  # None off the slice
         nonlocal evals
         C = math.pi - slice_defect - A - B
         if min(A, B, C) > 1e-9:
             evals += 1
-            return limit_shape(iter(seq), shape_from_angles(A, B, C))
+            if (A, B) not in walked:
+                state = hyptrig._from_angles(A, B, C, math.pi - A - B - C)
+                walked[A, B] = _limit(iter(seq), *state, 1e-13).angles
+            return walked[A, B]
 
     scale = (math.pi - slice_defect) / math.pi
     A, B = target.A * scale, target.B * scale

@@ -302,13 +302,13 @@ def plain_root(state):
     return math.ldexp(state[3], -state[4])
 
 
-def decimal_walk(edges, word):
-    """The state (p, q, r, root) after word from float edges, each step the
-    kernels' formulas at 80 digits: no entry under- or overflows."""
-    p, q, r, root = decimal_state(*edges)
-    with localcontext() as ctx:
-        ctx.prec = 80
-        for letter in word:
+def decimal_steps(state, letters):
+    """Each Decimal state (p, q, r, root) along letters from state, each step
+    the kernels' formulas at 80 digits: no entry under- or overflows."""
+    p, q, r, root = state
+    for letter in letters:
+        with localcontext() as ctx:  # not held across the yield
+            ctx.prec = 80
             cp, cq, cr = (1 + p).sqrt(), (1 + q).sqrt(), (1 + r).sqrt()
             kept = "ABC".find(letter)  # the corner a cell keeps, -1 for M
             mids = [(x + ((y - z) / (cy + cz)) ** 2) / (4 * cy * cz)
@@ -318,7 +318,15 @@ def decimal_walk(edges, word):
             root /= 4 * cp * cq * cr / ((cp, cq, cr)[kept] if kept >= 0 else 1)
             p, q, r = mids if kept < 0 else [mids[i] if i == kept else halves[i]
                                              for i in range(3)]
-    return p, q, r, root
+        yield p, q, r, root
+
+
+def decimal_walk(edges, word):
+    """The state (p, q, r, root) after word from float edges, by decimal_steps."""
+    state = decimal_state(*edges)
+    for state in decimal_steps(state, word):
+        pass
+    return state
 
 
 def decimal_state_angles(p, q, r, root):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies
@@ -16,7 +17,7 @@ from trisub.subdivision import (ConvergenceError, LETTERS, ORBIT_CSV_COLUMNS,
                                 limit_shape, limit_shape_info, orbit)
 from trisub.symbolic import SymbolSequence, _check_letter
 
-from test_hyptrig import decimal_state_angles, decimal_walk
+from test_hyptrig import decimal_state, decimal_state_angles, decimal_steps, decimal_walk
 from test_symbolic import enumerate_sequences
 
 
@@ -609,6 +610,57 @@ def test_long_edges_and_slivers_walk_without_refusal(starts):
         cell = EdgeLengths(*e)
         for letter in BAND_WORD:
             cell = child_edges(letter, cell)
+
+
+# the two starts whose limits are off their reference by ~10x the residual
+FOUND_STARTS = (((13.98396012075822, 0.010559507950435731, 13.994519628698262), "|AB"),
+                ((94.12527857098607, 87.60124743871104, 26.119667519879954), "AB|CM"))
+
+
+def decimal_limit(edges, seq):
+    """The Euclidean limit angles of float edges along seq at 80 digits:
+    decimal_steps until p + q + r < 1e-30, past which by the Cauchy lemma ln
+    sin of no angle drifts by more, then decimal_state_angles scaled by
+    pi/(A+B+C)."""
+    for p, q, r, root in decimal_steps(decimal_state(*edges), iter(seq)):
+        if p + q + r < Decimal("1e-30"):
+            A, B, C = decimal_state_angles(p, q, r, root)
+            t = math.pi / (A + B + C)
+            return A * t, B * t, C * t
+
+
+def accuracy_starts():
+    """(edges, sequence) of the accuracy gate by group: 24 starts per band from
+    one random.Random(11); 8 slivers c = (a + b)(1 - rho U(0.5, 1)), a and b
+    uniform in [0.01, hi], per (hi, rho) cell from random.Random(2); the
+    sequences of BAND_SEQS in turn over both; and FOUND_STARTS."""
+    rng, bands = random.Random(11), []
+    for lo, hi in ((0.01, 5.0), (0.01, 15.0), (0.01, 40.0), (15.0, 200.0)):
+        bands += [sample_edges(rng, lo, hi).as_tuple() for _ in range(24)]
+    rng, slivers = random.Random(2), []
+    for hi, rho in itertools.product((5.0, 15.0), (1e-4, 1e-8, 1e-12)):
+        cell = []
+        while len(cell) < 8:
+            a, b = rng.uniform(0.01, hi), rng.uniform(0.01, hi)
+            c = (a + b) * (1 - rho * rng.uniform(0.5, 1.0))
+            if c < a + b:
+                cell.append((a, b, c))
+        slivers += cell
+    seqs = itertools.cycle(BAND_SEQS)
+    return {"bands": list(zip(bands, seqs)), "slivers": list(zip(slivers, seqs)),
+            "found": list(FOUND_STARTS)}
+
+
+@pytest.mark.parametrize("group, bound", [("bands", 5e-13), ("slivers", 5e-13),
+                                          ("found", 2e-12)])
+def test_limit_angles_match_the_decimal_reference(group, bound):
+    # every limit angle within bound relative of decimal_limit: the worst read
+    # 1.1e-13 in the bands (in [15, 200]), 2.7e-14 on the slivers, and 1.07e-12
+    # and 1.13e-12 on the FOUND starts, whose float walks are ill-conditioned
+    for edges, seq in accuracy_starts()[group]:
+        got = limit_shape_info(SymbolSequence.parse(seq), shape_from_edges(*edges)).angles
+        assert rel_err(got, decimal_limit(edges, SymbolSequence.parse(seq))) < bound, \
+            (edges, seq)
 
 
 def test_cauchy_drift_bound_sampled():

@@ -8,7 +8,7 @@ import pytest
 
 from trisub import hyptrig, subdivision, verify
 from trisub.hyptrig import DomainError, _sin_angles
-from trisub.shape import AngleShape, shape_from_angles, shape_from_edges
+from trisub.shape import AngleShape, ShapeRecord, shape_from_angles, shape_from_edges
 from trisub.subdivision import child_edges
 from trisub.symbolic import LETTERS, SymbolSequence
 from trisub.verify import Report, SampleSpec
@@ -195,7 +195,8 @@ class TestFailureBranches:
     def test_invert_limit_singular_jacobian(self, monkeypatch):
         # a limit map that ignores its start has a zero Jacobian
         fixed = AngleShape(1.0, 1.0, math.pi - 2.0)
-        monkeypatch.setattr(verify, "limit_shape", lambda seq, s: fixed)
+        limit = subdivision.LimitResult(fixed, 1, 0.0)
+        monkeypatch.setattr(verify, "_limit", lambda *args: limit)
         target = AngleShape(1.2, 1.0, math.pi - 2.2)
         residual, evals = verify._invert_limit("|M", target, 0.2, 800)
         assert evals == 3 and residual == verify.metric_distance(fixed, target)
@@ -809,3 +810,94 @@ class TestBurnIn:
             assert max(abs(math.sqrt(x) - y) / y for x, y in zip(h[:3], halves)) < 1e-13
         # no letter is drawn beyond the last state
         assert list(letters) == list(plain_letters)
+
+
+def plain_invert_limit(seq, target, slice_defect, maxfev):
+    """verify._invert_limit as it was before its cache: every evaluation builds
+    a record through shape_from_angles and walks it by limit_shape."""
+    evals, h = 0, 1e-7
+
+    def limit(A, B):  # None off the slice
+        nonlocal evals
+        C = math.pi - slice_defect - A - B
+        if min(A, B, C) > 1e-9:
+            evals += 1
+            return subdivision.limit_shape(iter(seq), shape_from_angles(A, B, C))
+
+    scale = (math.pi - slice_defect) / math.pi
+    A, B = target.A * scale, target.B * scale
+    out = limit(A, B)
+    res = verify.metric_distance(out, target)
+    while evals + 3 <= maxfev:
+        pa, pb = limit(A + h, B), limit(A, B + h)
+        if pa is None or pb is None:
+            break
+        j11, j12, j21, j22 = ((pa.A - out.A) / h, (pb.A - out.A) / h,
+                              (pa.B - out.B) / h, (pb.B - out.B) / h)
+        det = j11 * j22 - j12 * j21
+        if not det:
+            break
+        fa, fb = out.A - target.A, out.B - target.B
+        da, db = (j22 * fa - j12 * fb) / det, (j11 * fb - j21 * fa) / det
+        for k in range(min(7, maxfev - evals)):
+            trial = limit(A - da / 2 ** k, B - db / 2 ** k)
+            if trial is not None and (r := verify.metric_distance(trial, target)) < res:
+                A, B, out, res = A - da / 2 ** k, B - db / 2 ** k, trial, r
+                break
+        else:
+            break
+    return res, evals
+
+
+def surjectivity_targets(grid_n):
+    # the Euclidean targets of run_surjectivity, in its order
+    return [AngleShape(alpha, beta, math.pi - alpha - beta)
+            for alpha in (math.pi * i / (grid_n + 1) for i in range(1, grid_n + 1))
+            for beta in ((math.pi - alpha) * j / (grid_n + 1) for j in range(1, grid_n + 1))]
+
+
+class TestInvertLimit:
+    """The Newton search walks each point once, from a bare state, and finds
+    what the plain search of records finds."""
+
+    @pytest.mark.parametrize("maxfev", [1, 2, 3, 4, 10, 800])
+    def test_matches_plain_search(self, maxfev):
+        # the same residual, bit for bit, after the same count of evaluations
+        # requested, so the maxfev budget and a failure's step stay as they were
+        seq = SymbolSequence.parse("|M")
+        for target in surjectivity_targets(5):
+            got = verify._invert_limit(seq, target, 0.2, maxfev)
+            want = plain_invert_limit(seq, target, 0.2, maxfev)
+            assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
+
+    def test_walks_each_point_once(self, monkeypatch):
+        # 601 evaluations are requested over the 25 default targets; 148 of
+        # them are points the same search walked before, most the current
+        # point once a halved step rounds to it
+        walks = []
+
+        def spy(*args, real=subdivision._limit):
+            walks.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, "_limit", spy)
+        report = verify.run_surjectivity("|M", 5)
+        assert report.passed and len(walks) == 453
+        seq = SymbolSequence.parse("|M")
+        assert sum(plain_invert_limit(seq, t, 0.2, 800)[1]
+                   for t in surjectivity_targets(5)) == 601
+
+    def test_no_record_built(self, monkeypatch):
+        # surjectivity and continuity walk bare states: no ShapeRecord per limit
+        base = shape_from_edges(1.0, 1.0, 1.0)
+        built = []
+        real = ShapeRecord.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ShapeRecord, "__init__", spy)
+        assert verify.run_surjectivity("|M", 5).passed
+        assert verify.run_continuity("|M", base, [10.0 ** (-k) for k in range(1, 7)]).passed
+        assert built == []
