@@ -3,13 +3,14 @@
 Subcommands: shape, orbit, limit, address, equiv, verify, sweep, render.
 JSON and CSV go to stdout with fixed 17-significant-digit formatting, so
 identical invocations produce byte-identical output.  Exit codes: 0 on
-success, 1 on a domain error, 2 when an asserting verify suite fails,
-64 for usage errors.
+success, 1 on a domain error or a failed read or write, 2 when an
+asserting verify suite fails, 64 for usage errors.
 """
 
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 
@@ -24,12 +25,6 @@ from .symbolic import SymbolSequence, address_approx, address_exact, \
 USAGE_EXIT = 64
 
 
-class UsageError(Exception):
-    def __init__(self, message, usage):
-        super().__init__(message)
-        self.usage = usage
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -39,7 +34,8 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}", self.format_usage())
+        self.print_usage(sys.stderr)
+        self.exit(USAGE_EXIT, f"{self.prog}: {message}\n")
 
 
 def _triple(text: str) -> tuple[float, float, float]:
@@ -163,13 +159,12 @@ def _cmd_equiv(args) -> int:
 def _cmd_verify(args) -> int:
     if args.suite == "all":
         reports = verify.run_all(seed=args.seed, samples=args.samples)
-        ok = all(r.passed for r in reports)
-        out = {"pass": ok, "suites": [r.to_json_dict() for r in reports]}
-        sys.stdout.write(dumps(out) + "\n")
-        return 0 if ok else 2
-    report = verify.run_suite(args.suite, seed=args.seed, samples=args.samples)
-    sys.stdout.write(dumps(report.to_json_dict()) + "\n")
-    return 0 if report.passed else 2
+        out = {"pass": all(r.passed for r in reports),
+               "suites": [r.to_json_dict() for r in reports]}
+    else:
+        out = verify.run_suite(args.suite, seed=args.seed, samples=args.samples).to_json_dict()
+    sys.stdout.write(dumps(out) + "\n")
+    return 0 if out["pass"] else 2
 
 
 def _cmd_sweep(args) -> int:
@@ -199,23 +194,18 @@ def _cmd_render(args) -> int:
     # the spec, the edges and their placement are checked before the file
     # is opened, so that bad input leaves no empty file behind
     lines = svg_lines(spec, EdgeLengths(*args.edges))
+    # a Klein depth-8 render is 10.9 MB: 256 KiB buffers write it in ~40
+    # calls, where the default 8 KiB took ~1,300
+    fh = open(args.out, "w", encoding="utf-8", buffering=256 * 1024)
     try:
-        # a Klein depth-8 render is 10.9 MB: 256 KiB buffers write it in ~40
-        # calls, where the default 8 KiB took ~1,300
-        fh = open(args.out, "w", encoding="utf-8", buffering=256 * 1024)
-        try:
-            with fh:
-                fh.writelines(lines)
-        except BaseException:
-            import os
-            # no truncated SVG either; but never remove what is not a plain
-            # file, such as /dev/stdout
-            if os.path.isfile(args.out) and not os.path.islink(args.out):
-                os.remove(args.out)
-            raise
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        with fh:
+            fh.writelines(lines)
+    except BaseException:
+        # no truncated SVG either; but never remove what is not a plain
+        # file, such as /dev/stdout
+        if os.path.isfile(args.out) and not os.path.islink(args.out):
+            os.remove(args.out)
+        raise
     return 0
 
 
@@ -235,16 +225,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        sys.stderr.write(exc.usage)
-        sys.stderr.write(str(exc) + "\n")
-        return USAGE_EXIT
-    except SystemExit as exc:  # --help paths
+    except SystemExit as exc:  # usage errors and --help
         return int(exc.code or 0)
+    # print(flush=True) flushes stdout, and does nothing where it is None
     try:
-        return _HANDLERS[args.command](args)
-    except ValueError as exc:
+        code = _HANDLERS[args.command](args)
+        print(end="", flush=True)  # a buffered write fails here, not at exit
+        return code
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        try:
+            print(end="", flush=True)
+        except OSError:  # Python flushes stdout again at exit: let that succeed
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
 
 

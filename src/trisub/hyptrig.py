@@ -184,19 +184,17 @@ def _from_angles(A: float, B: float, C: float, S: float) -> State:
     # The root is 2 sin A sqrt(q r (1+q)(1+r)), which has no cancellation.
     # Refused where a kernel's factor 4 cq cr etc. overflows (edges from
     # ~709.8), as the walk could not step it
-    half = math.sin(S / 2)
-
-    def one(A, B, C):
-        den = math.sin(B) * math.sin(C)  # 0 once the product underflows
-        return half * math.sin(A + S / 2) / den if den else math.inf
-
-    p, q, r = one(A, B, C), one(B, C, A), one(C, A, B)
+    half, sa, sb, sc = math.sin(S / 2), math.sin(A), math.sin(B), math.sin(C)
+    dp, dq, dr = sb * sc, sc * sa, sa * sb  # 0 once a product underflows
+    p = half * math.sin(A + S / 2) / dp if dp else math.inf
+    q = half * math.sin(B + S / 2) / dq if dq else math.inf
+    r = half * math.sin(C + S / 2) / dr if dr else math.inf
     cp, cq, cr = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
     if math.inf in (4 * cq * cr, 4 * cr * cp, 4 * cp * cq):  # or in p, q, r
         raise DomainError(f"angles ({A!r}, {B!r}, {C!r}) are too small: a state with "
                           f"cosh(edge/2) = ({cp!r}, {cq!r}, {cr!r}) is too long to step")
     (m1, e1), (m2, e2) = _sqrt_product(q, r), _sqrt_product(1 + q, 1 + r)
-    m, e = math.frexp(2 * math.sin(A) * m1 * m2)
+    m, e = math.frexp(2 * sa * m1 * m2)
     return p, q, r, math.ldexp(m, 1000), 1000 - e - e1 - e2
 
 

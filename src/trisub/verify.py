@@ -225,15 +225,14 @@ def run_area_bounds(spec: SampleSpec, upper_scale: float = 1.0,
                          worst_lower_margin=min(math.inf, *lo))
 
 
-def run_ratio_limit(spec: SampleSpec, interval: tuple[float, float] | None = None,
+def run_ratio_limit(spec: SampleSpec,
+                    interval: tuple[float, float] = (math.exp(-0.5), math.exp(0.5)),
                     settle_tol: float = 1e-10) -> Report:
     """Convergence of r_n = 4^n sin(S_n/2)/sin(S_0/2) along medial orbits.
 
     Checks |r_80 - r_40| < settle_tol and that r_80 lands inside the open
     interval (exp(-1/2), exp(1/2)) after burn-in.
     """
-    if interval is None:
-        interval = (math.exp(-0.5), math.exp(0.5))
     n_half, n_full = 40, 80
 
     def orbit(report, rng, start):
@@ -575,9 +574,8 @@ SUITE_NAMES = ("lemma21", "area", "ratiolimit", "cauchy", "angleratio",
 def run_suite(name: str, seed: int | None = None,
               samples: int | None = None) -> Report:
     """Run one named suite with its default plan, optionally reseeded."""
+    overrides = {k: v for k, v in (("seed", seed), ("samples", samples)) if v is not None}
     if name in DEFAULT_SPECS:
-        overrides = {k: v for k, v in (("seed", seed), ("samples", samples))
-                     if v is not None}
         spec = DEFAULT_SPECS[name]._replace(**overrides)
         return {"lemma21": run_lemma21, "area": run_area_bounds,
                 "ratiolimit": run_ratio_limit, "cauchy": run_cauchy_bound,
@@ -586,9 +584,7 @@ def run_suite(name: str, seed: int | None = None,
         return run_noncontraction()
     if name == "continuity":
         return run_continuity("|M", shape_from_edges(1.0, 1.0, 1.0),
-                              [10.0 ** (-k) for k in range(1, 7)],
-                              samples=samples if samples is not None else 24,
-                              seed=seed if seed is not None else 7)
+                              [10.0 ** (-k) for k in range(1, 7)], **overrides)
     if name == "surjectivity":
         return run_surjectivity("|M", 5)
     raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and SVG rendering."""
 
+import argparse
 import gc
 import hashlib
 import json
@@ -134,6 +135,84 @@ class TestShapeCommand:
             fresh.append(run(capsys, *argv))
         assert shared == fresh
         assert [code for code, _, _ in shared] == [0, 0, 64, 0]
+
+
+def subparser(name):
+    action, = [a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return action.choices[name]
+
+
+class DiskFull:
+    """A stdout on a full disk.  Unbuffered, each write fails; buffered, the
+    writes are taken and the flush fails, as it would again at exit."""
+
+    def __init__(self, buffered, fd=None):
+        self.buffered, self.fd = buffered, fd
+
+    def write(self, text):
+        if text and not self.buffered:
+            raise OSError(28, "No space left on device")
+        return len(text)
+
+    def flush(self):
+        if self.buffered:
+            raise OSError(28, "No space left on device")
+
+    def fileno(self):
+        return self.fd
+
+
+WRITING_COMMANDS = [("shape", "--edges", "4,4,7"), ("sweep", "--seq", "|M", "--grid", "2"),
+                    ("verify", "--suite", "noncontraction")]
+
+
+class TestWaysOut:
+    """Usage errors leave through argparse, with the usage and one line;
+    domain errors and failed reads and writes through main's one handler."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("frobnicate",), "argument command: invalid choice: "),
+        (("limit", "--edges", "4,4,7", "--seq", "|M", "--tol"),
+         "argument --tol: expected one argument"),
+    ])
+    def test_usage_then_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        parser = cli.build_parser() if len(argv) == 1 else subparser(argv[0])
+        usage, prog = parser.format_usage(), parser.prog
+        assert code == 64 and out == ""
+        assert err.startswith(usage + f"{prog}: {message}")
+        assert err.endswith("\n") and err[len(usage):].count("\n") == 1
+
+    @pytest.mark.parametrize("argv", WRITING_COMMANDS)
+    def test_failed_write_to_stdout(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdout", DiskFull(buffered=False))
+        code = main(list(argv))
+        assert (code, capsys.readouterr().err) == (1, "error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("argv", WRITING_COMMANDS)
+    def test_failed_flush_of_stdout(self, capsys, monkeypatch, tmp_path, argv):
+        # the exit's flush of stdout must not fail again: its descriptor is
+        # left on os.devnull
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", DiskFull(buffered=True, fd=fd))
+            code = main(list(argv))
+            assert (code, capsys.readouterr().err) == (1, "error: [Errno 28] No space left on device\n")
+            os.write(fd, b"dropped")
+        finally:
+            os.close(fd)
+        assert (tmp_path / "stdout").read_bytes() == b""
+
+    def test_no_stdout(self, capsys, monkeypatch, tmp_path):
+        # a process started with its stdout closed has sys.stdout None: render
+        # writes only its file, and an error is still reported
+        monkeypatch.setattr(sys, "stdout", None)
+        out_file = tmp_path / "t.svg"
+        assert main(["render", "--edges", "1,1,1", "--depth", "1", "-o", str(out_file)]) == 0
+        assert out_file.read_text().startswith("<svg")
+        assert main(["shape", "--edges", "1,2,5"]) == 1
+        assert capsys.readouterr().err.startswith("error: edge c=5.0 violates")
 
 
 class TestDomainFloor:

@@ -119,6 +119,53 @@ class TestEdgesFromAngles:
             assert abs(x - y) <= 1e-10 * max(1.0, abs(x))
 
 
+def per_denominator_from_angles(A, B, C, S):
+    # _from_angles as it was when each denominator took its own two sines,
+    # verbatim: taking each sine once must keep every bit
+    half = math.sin(S / 2)
+
+    def one(A, B, C):
+        den = math.sin(B) * math.sin(C)  # 0 once the product underflows
+        return half * math.sin(A + S / 2) / den if den else math.inf
+
+    p, q, r = one(A, B, C), one(B, C, A), one(C, A, B)
+    cp, cq, cr = math.sqrt(1 + p), math.sqrt(1 + q), math.sqrt(1 + r)
+    if math.inf in (4 * cq * cr, 4 * cr * cp, 4 * cp * cq):  # or in p, q, r
+        raise DomainError(f"angles ({A!r}, {B!r}, {C!r}) are too small: a state with "
+                          f"cosh(edge/2) = ({cp!r}, {cq!r}, {cr!r}) is too long to step")
+    (m1, e1), (m2, e2) = hyptrig._sqrt_product(q, r), hyptrig._sqrt_product(1 + q, 1 + r)
+    m, e = math.frexp(2 * math.sin(A) * m1 * m2)
+    return p, q, r, math.ldexp(m, 1000), 1000 - e - e1 - e2
+
+
+def test_from_angles_matches_per_denominator_sines():
+    # seeded triples, each angle uniform in (0, 1.5) or log-uniform down to
+    # 1e-320: some give states, some are refused as too small, and some of
+    # those because a product of two sines underflows to 0
+    rng = random.Random(53)
+    outcomes = {"state": 0, "too small": 0, "zero product": 0}
+    while sum(outcomes.values()) < 4000:
+        A, B, C = (rng.uniform(0, 1.5) if rng.random() < 0.5 else 10 ** rng.uniform(-320, -1)
+                   for _ in range(3))
+        S = math.pi - A - B - C
+        if not (min(A, B, C) > 0 and S > hyptrig.EUCLIDEAN_SUM_ATOL):
+            continue
+        try:
+            want = per_denominator_from_angles(A, B, C, S)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                hyptrig._from_angles(A, B, C, S)
+            assert str(got.value) == str(exc) and "too small" in str(exc)
+            sines = [math.sin(x) for x in (A, B, C)]
+            zero = 0 in (sines[1] * sines[2], sines[2] * sines[0], sines[0] * sines[1])
+            outcomes["zero product" if zero else "too small"] += 1
+            continue
+        got = hyptrig._from_angles(A, B, C, S)
+        assert bits(got[:4]) == bits(want[:4]) and got[4] == want[4]
+        outcomes["state"] += 1
+    assert min(outcomes.values()) > 100, outcomes  # 2750, 166 and 1084
+
+
 class TestAreas:
     def test_defect_direct(self):
         assert abs(defect_area(math.pi / 6, math.pi / 6, math.pi / 6) - math.pi / 2) < 1e-15
