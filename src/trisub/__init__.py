@@ -23,6 +23,11 @@ from .symbolic import (Bary, SymbolSequence, address_approx, address_exact,
 
 __version__ = "0.1.0"
 
+# verify's suites in the order run_all runs them; defined here so that the
+# CLI lists them without loading verify
+SUITE_NAMES = ("lemma21", "area", "ratiolimit", "cauchy", "angleratio",
+               "noncontraction", "eq1probe", "continuity", "surjectivity")
+
 __all__ = [
     "DomainError", "InconsistentInputError", "MedialData", "TraceCoords",
     "angles_from_edges", "area_from_edges", "cagnoli_area", "defect_area",
@@ -34,5 +39,5 @@ __all__ = [
     "child_edges", "limit_shape", "limit_shape_info", "orbit",
     "Bary", "SymbolSequence", "address_approx", "address_exact", "classify",
     "equivalent", "letter_map", "match_prop31",
-    "__version__",
+    "SUITE_NAMES", "__version__",
 ]

@@ -23,7 +23,7 @@ import math
 import sys
 from collections import namedtuple
 
-from . import hyptrig, plane_model
+from . import hyptrig
 from .shape import AngleShape, EdgeLengths, ShapeRecord, _edges, _record, _state_of
 from .symbolic import LETTERS, _check_letter  # LETTERS stays public here
 from ._fmt import csv_line
@@ -68,6 +68,7 @@ def apply_oracle(letter: str, e: EdgeLengths) -> EdgeLengths:
     midpoints are taken, and child edges measured with the model metric;
     an independent route that must agree with child_edges.
     """
+    from . import plane_model  # the hyperboloid model loads only where it runs
     _check_letter(letter)
     v_a, v_b, v_c = plane_model.cell_children(plane_model.place(e))[letter]
     return EdgeLengths(plane_model.dist(v_b, v_c),

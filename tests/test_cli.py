@@ -13,7 +13,7 @@ import tracemalloc
 
 import pytest
 
-from trisub import cli, hyptrig, plane_model, render
+from trisub import cli, hyptrig, plane_model, render, verify
 from trisub.cli import main
 from trisub.render import RenderSpec, cell_children, render_svg, svg_lines
 from trisub.shape import EdgeLengths
@@ -163,8 +163,13 @@ class DiskFull:
         return self.fd
 
 
+# every command that writes stdout
 WRITING_COMMANDS = [("shape", "--edges", "4,4,7"), ("sweep", "--seq", "|M", "--grid", "2"),
-                    ("verify", "--suite", "noncontraction")]
+                    ("verify", "--suite", "noncontraction"),
+                    ("orbit", "--edges", "2,2,3", "--word", "MA"),
+                    ("limit", "--edges", "4,4,7", "--seq", "|M"),
+                    ("address", "--seq", "MAB|BMA", "--exact"),
+                    ("equiv", "--s", "AB|C", "--t", "AC|B")]
 
 
 class TestWaysOut:
@@ -205,9 +210,12 @@ class TestWaysOut:
         assert (tmp_path / "stdout").read_bytes() == b""
 
     def test_no_stdout(self, capsys, monkeypatch, tmp_path):
-        # a process started with its stdout closed has sys.stdout None: render
-        # writes only its file, and an error is still reported
+        # a process started with its stdout closed has sys.stdout None: each
+        # command that writes stdout writes nothing, render writes only its
+        # file, and an error is still reported
         monkeypatch.setattr(sys, "stdout", None)
+        for argv in WRITING_COMMANDS:
+            assert (main(list(argv)), capsys.readouterr().err) == (0, ""), argv
         out_file = tmp_path / "t.svg"
         assert main(["render", "--edges", "1,1,1", "--depth", "1", "-o", str(out_file)]) == 0
         assert out_file.read_text().startswith("<svg")
@@ -697,19 +705,46 @@ class TestVerifyCommand:
         assert json.loads(proc.stdout)["pass"] is True
 
 
-def test_import_loads_no_dataclasses_inspect_or_typing():
-    # the value records are named tuples and slotted classes; dataclasses
-    # alone would pull in inspect, ast, dis and tokenize at every CLI start
+def bare_python(code):
+    """stdout of code run by python -S with only this checkout's trisub on the path."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = ("import sys\n"
-            f"sys.path.insert(0, {src!r})\n"
-            "import trisub, trisub.cli\n"
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    code = f"import sys\nsys.path.insert(0, {src!r})\n{code}"
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # the value records are named tuples and slotted classes; dataclasses
+    # alone would pull in inspect, ast, dis and tokenize at every CLI start
+    code = ("import trisub, trisub.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n")
+    assert bare_python(code) == "[]\n"
+
+
+def test_each_entry_point_loads_only_what_it_runs():
+    # the package loads no hyperboloid model and no suites, a command other
+    # than verify no suites and no random, and verify its suites
+    code = ("import contextlib, io\n"
+            "def loaded(*names):\n"
+            "    return [name for name in names if name in sys.modules]\n"
+            "import trisub\n"
+            "found = [loaded('trisub.plane_model', 'trisub.verify')]\n"
+            "import trisub.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    found.append(trisub.cli.main(['shape', '--edges', '4,4,7']))\n"
+            "    found.append(loaded('trisub.verify', 'random'))\n"
+            "    found.append(trisub.cli.main(['verify', '--suite', 'noncontraction']))\n"
+            "found.append(loaded('trisub.verify'))\n"
+            "print(found)\n")
+    assert bare_python(code) == "[[], 0, [], 0, ['trisub.verify']]\n"
+
+
+def test_suite_choices_are_verifys_suites():
+    action, = [a for a in subparser("verify")._actions if a.dest == "suite"]
+    assert tuple(action.choices) == (*verify.SUITE_NAMES, "all")
 
 
 def test_python_m_runs_the_cli(capsys):
