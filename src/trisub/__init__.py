@@ -9,10 +9,9 @@ quantitative decay bounds, and a CLI.
 """
 
 from .hyptrig import (DomainError, InconsistentInputError, MedialData,
-                      TraceCoords, angles_from_edges, area_from_edges,
-                      cagnoli_area, defect_area, edges_from_angles,
-                      keogh_area, law_of_sines_ratio, medial_data,
-                      trace_parent_area)
+                      angles_from_edges, area_from_edges, cagnoli_area,
+                      defect_area, edges_from_angles, keogh_area,
+                      law_of_sines_ratio, medial_data, trace_parent_area)
 from .shape import (AngleShape, EdgeLengths, ShapeRecord, metric_distance,
                     project_euclidean, shape_from_angles, shape_from_edges)
 from .subdivision import (LETTERS, ConvergenceError, OrbitTrace, apply,
@@ -23,13 +22,13 @@ from .symbolic import (Bary, SymbolSequence, address_approx, address_exact,
 
 __version__ = "0.1.0"
 
-# verify's suites in the order run_all runs them; defined here so that the
-# CLI lists them without loading verify
+# verify's suites in the order that verify --suite all runs them; defined
+# here so that the CLI lists them without loading verify
 SUITE_NAMES = ("lemma21", "area", "ratiolimit", "cauchy", "angleratio",
                "noncontraction", "eq1probe", "continuity", "surjectivity")
 
 __all__ = [
-    "DomainError", "InconsistentInputError", "MedialData", "TraceCoords",
+    "DomainError", "InconsistentInputError", "MedialData",
     "angles_from_edges", "area_from_edges", "cagnoli_area", "defect_area",
     "edges_from_angles", "keogh_area", "law_of_sines_ratio", "medial_data",
     "trace_parent_area",

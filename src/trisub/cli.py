@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: shape, orbit, limit, address, equiv, verify, sweep, render.
-JSON and CSV go to stdout with fixed 17-significant-digit formatting, so
-identical invocations produce byte-identical output.  Exit codes: 0 on
-success, 1 on a domain error or a failed read or write, 2 when an
-asserting verify suite fails, 64 for usage errors.
+Each command returns its JSON or CSV text, in fixed 17-significant-digit
+formatting, and main writes it to stdout once, so identical invocations
+produce byte-identical output.  Exit codes: 0 on success, 1 on a domain
+error or a failed read or write, 2 when an asserting verify suite fails,
+64 for usage errors.
 """
 
 import argparse
@@ -106,34 +107,29 @@ def build_parser() -> _Parser:
     return p
 
 
-def _cmd_shape(args) -> int:
+def _cmd_shape(args) -> tuple[str, int]:
     if args.edges is not None:
         rec = shape_from_edges(*args.edges)
     else:
         rec = shape_from_angles(*args.angles)
-    print(dumps(rec.to_json_dict()))
-    return 0
+    return dumps(rec.to_json_dict()) + "\n", 0
 
 
-def _cmd_orbit(args) -> int:
-    rec = shape_from_edges(*args.edges)
-    trace = orbit(args.word, rec)
-    print(trace.to_csv(), end="")
-    return 0
+def _cmd_orbit(args) -> tuple[str, int]:
+    return orbit(args.word, shape_from_edges(*args.edges)).to_csv(), 0
 
 
-def _cmd_limit(args) -> int:
+def _cmd_limit(args) -> tuple[str, int]:
     rec = shape_from_edges(*args.edges)
     seq = SymbolSequence.parse(args.seq)
     res = limit_shape_info(seq, rec, tol=args.tol)
     out = {"angles": list(res.angles),
            "iterations": res.iterations,
            "residual": res.residual}
-    print(dumps(out))
-    return 0
+    return dumps(out) + "\n", 0
 
 
-def _cmd_address(args) -> int:
+def _cmd_address(args) -> tuple[str, int]:
     seq = SymbolSequence.parse(args.seq)
     if args.exact:
         bary = address_exact(seq)
@@ -142,33 +138,31 @@ def _cmd_address(args) -> int:
         point, bound = address_approx(seq, args.depth)
         out = {"exact": False, "depth": args.depth, "bary": list(point),
                "error_bound": bound}
-    print(dumps(out))
-    return 0
+    return dumps(out) + "\n", 0
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args) -> tuple[str, int]:
     s = SymbolSequence.parse(args.s)
     t = SymbolSequence.parse(args.t)
     witness = match_prop31(s, t, horizon=args.horizon)
     out = {"equivalent": equivalent(s, t),
            "prop31_form": witness.to_json_dict() if witness else None}
-    print(dumps(out))
-    return 0
+    return dumps(out) + "\n", 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     from . import verify  # the suites load only for the command that runs them
+    run = functools.partial(verify.run_suite, seed=args.seed, samples=args.samples)
     if args.suite == "all":
-        reports = verify.run_all(seed=args.seed, samples=args.samples)
+        reports = [run(name) for name in SUITE_NAMES]
         out = {"pass": all(r.passed for r in reports),
                "suites": [r.to_json_dict() for r in reports]}
     else:
-        out = verify.run_suite(args.suite, seed=args.seed, samples=args.samples).to_json_dict()
-    print(dumps(out))
-    return 0 if out["pass"] else 2
+        out = run(args.suite).to_json_dict()
+    return dumps(out) + "\n", 0 if out["pass"] else 2
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[str, int]:
     seq = SymbolSequence.parse(args.seq)
     n = args.grid
     if n < 1:
@@ -185,11 +179,10 @@ def _cmd_sweep(args) -> int:
                 rec = shape_from_angles(A, B, C)
                 lim = limit_shape_info(seq, rec).angles
                 lines.append(csv_line((A, B, C, lim.A, lim.B, lim.C)))
-    print("\n".join(lines))
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args) -> tuple[str, int]:
     spec = RenderSpec(model=args.model, depth=args.depth, word=args.word,
                       size=args.size, samples_per_edge=args.arc_samples)
     # the spec, the edges and their placement are checked before the file
@@ -207,7 +200,7 @@ def _cmd_render(args) -> int:
         if os.path.isfile(args.out) and not os.path.islink(args.out):
             os.remove(args.out)
         raise
-    return 0
+    return "", 0
 
 
 _HANDLERS = {
@@ -228,10 +221,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # usage errors and --help
         return int(exc.code or 0)
-    # print(flush=True) flushes stdout, and does nothing where it is None
+    # the one write of stdout: print does nothing where sys.stdout is None,
+    # and a buffered write fails at its flush here, not at exit
     try:
-        code = _HANDLERS[args.command](args)
-        print(end="", flush=True)  # a buffered write fails here, not at exit
+        text, code = _HANDLERS[args.command](args)
+        print(text, end="", flush=True)
         return code
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -5,8 +5,9 @@ times 2^-k the square root of their Heron form H = 2(pq+qr+rp) - p^2 - q^2
 - r^2 + 4pqr, k fixed where the state is made so that root starts below
 2^1000.  _start takes a state from edges: H = sinh s sinh x sinh y sinh z
 on the half-sums x = (b + c - a)/2 etc. and s = x + y + z, each rounded
-once by math.fsum, so nothing cancels on slivers (W. Kahan's remedy for
-needle-like triangles).  STEPS holds one step kernel per subdivision map,
+once by math.fsum, so the root does not cancel on slivers (W. Kahan's
+remedy for needle-like triangles), though an angle's cosine term such as
+q + r - p can (angles_from_edges).  STEPS holds one step kernel per map,
 a straight-line function from a state to its child's, k as it came: every
 cell divides the root by a factor its kernel builds, exact in any power of
 two.  Only this module reads k: the angles, their sines and the area are
@@ -157,8 +158,11 @@ def angles_from_edges(a: float, b: float, c: float) -> tuple[float, float, float
 
     A = atan2(sqrt(H), q + r - p + 2qr) with p = sinh^2(a/2) etc. and H
     their Heron form: the laws of sines and cosines in half-edge variables
-    share the denominator 2 sqrt(q r (1+q)(1+r)), so the angle keeps full
-    relative accuracy whether it is tiny, near pi/2 or near pi.
+    share the denominator 2 sqrt(q r (1+q)(1+r)).  sqrt(H) does not cancel,
+    so A is accurate to the last bits wherever q + r - p does not cancel:
+    tiny, near pi/2 or near pi.  On needles whose long edges differ by less
+    than the short one it cancels in the rounded p, q, r: edges
+    (0.5, 0.5000000000003, 1e-12) give A 4.0e-5 and B 2.7e-5 off, relative.
     """
     _check_edges(a, b, c)
     return _angles(*_start(a, b, c))
@@ -278,24 +282,15 @@ def medial_data(a: float, b: float, c: float) -> MedialData:
     return MedialData((2 + p + q + r) / K, *ms, *ls)
 
 
-class TraceCoords(namedtuple("TraceCoords", "x y z")):
-    """Doubled cosh coordinates (x, y, z) = (2cosh a, 2cosh b, 2cosh c)."""
-
-    __slots__ = ()
-
-    @classmethod
-    def from_edges(cls, a: float, b: float, c: float) -> "TraceCoords":
-        return cls(2 * math.cosh(a), 2 * math.cosh(b), 2 * math.cosh(c))
-
-
-def trace_parent_area(tc: TraceCoords) -> float:
+def trace_parent_area(x: float, y: float, z: float) -> float:
     """Parent area from trace coordinates of its medial triangle's edges.
 
-    4 cos^2(S/2) = x^2 + y^2 + z^2 - xyz for (x, y, z) built from the
-    medial edges; evaluated through sinh^2 half-edges so values near the
-    degenerate x = y = z = 2 corner stay accurate.
+    4 cos^2(S/2) = x^2 + y^2 + z^2 - xyz for (x, y, z) = (2cosh a,
+    2cosh b, 2cosh c) of the medial edges; evaluated through sinh^2
+    half-edges so values near the degenerate x = y = z = 2 corner stay
+    accurate.
     """
-    p, q, r = (tc.x - 2) / 4, (tc.y - 2) / 4, (tc.z - 2) / 4
+    p, q, r = (x - 2) / 4, (y - 2) / 4, (z - 2) / 4
     if min(p, q, r) < -CLAMP_TOL:
         raise InconsistentInputError("trace coordinates below 2 are not hyperbolic")
     p, q, r = max(p, 0.0), max(q, 0.0), max(r, 0.0)

@@ -35,7 +35,8 @@ def _renorm(x0: float, x1: float, x2: float) -> HPoint:
 def _pair_gap(u: HPoint, v: HPoint) -> float:
     # <u, v> - 1 computed difference-first; exact cancellation of the large
     # coordinate products would otherwise cost half the digits for nearby points
-    d0, d1, d2 = u.x0 - v.x0, u.x1 - v.x1, u.x2 - v.x2
+    (u0, u1, u2), (v0, v1, v2) = u, v  # HPoints or plain triples
+    d0, d1, d2 = u0 - v0, u1 - v1, u2 - v2
     return (d1 * d1 + d2 * d2 - d0 * d0) / 2
 
 

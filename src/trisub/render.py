@@ -4,21 +4,22 @@ Cells are triples of hyperboloid vertices, named by integer lattice
 keys: geodesics are straight chords in the Klein disk and sampled
 polylines in the Poincare disk.  A vertex shared by several cells is
 computed, projected and formatted once, and an edge shared by two cells
-is sampled once.  One loop per Poincare edge does the arithmetic of
-plane_model.geodesic_point in the same order and projects each
-sample: the weights sinh(t d) / sinh(d) of one end, read backwards, are
-those of the other when every 1 - t is again a parameter (a power-of-two
-sample count), so each sample takes one sinh; the end samples are the
-vertices' own cached texts; and the inner samples are formatted by one
-%-template per edge, split and reversed for the cell that runs the edge
-the other way.  One depth-first walk serves both models.  It stops one
-level above the leaves; each cell there yields the paths of its four
-children as one piece, and the document is never held whole.  In the
-Klein disk one helper, last, formats the leaf-parents' edge midpoints,
-the last-level vertices, and keeps them only as text until the second
-cell on their edge takes them (those on the outline until the end).
-Output is fully deterministic (fixed element order and number
-formatting) so renders can be compared byte for byte.
+is sampled once.  Both disks take midpoints from one inline copy of
+plane_model.midpoint.  One loop per Poincare edge does the arithmetic of
+plane_model.geodesic_point in the same order (linear weights 1 - t and t
+below d = 1e-15) and projects each sample: the weights sinh(t d)/sinh(d)
+of one end, read backwards, are those of the other when every 1 - t is
+again a parameter (a power-of-two sample count), so each sample takes
+one sinh; the end samples are the vertices' cached texts; the inner
+samples are formatted by one %-template per edge, split and reversed for
+the cell that runs the edge the other way.  One depth-first walk serves
+both models.  It stops one level above the leaves; each cell there
+yields the paths of its four children as one piece, and the document is
+never held whole.  In the Klein disk one helper, last, formats the
+leaf-parents' edge midpoints, the last-level vertices, and keeps them
+only as text until the second cell on their edge takes them (those on
+the outline until the end).  Output is deterministic (fixed element
+order and number formatting), so renders compare byte for byte.
 """
 
 import math
@@ -86,8 +87,7 @@ def svg_lines(spec: RenderSpec, edges: EdgeLengths) -> Iterator[str]:
 def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[str]:
     klein = spec.model == "klein"
     n = spec.samples_per_edge
-    ts = [i / n for i in range(n + 1)]
-    inner = ts[1:n]
+    inner = [i / n for i in range(1, n)]
     # With n a power of two, 1 - i/n is exactly (n - i)/n, so the weights of
     # u along an edge are those of v read backwards
     mirrored = all(1 - t == s for t, s in zip(inner, reversed(inner)))
@@ -123,11 +123,7 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
         k = (ku + kv) >> 1
         if k in points:
             return k
-        if not klein:
-            add(k, plane_model.midpoint(points[ku], points[kv]))
-            return k
-        # the operations of plane_model.midpoint, in the same order, on
-        # plain tuples
+        # the operations of plane_model.midpoint, in its order, on plain tuples
         u0, u1, u2 = points[ku]
         v0, v1, v2 = points[kv]
         x0, x1, x2 = u0 + v0, u1 + v1, u2 + v2
@@ -153,19 +149,15 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
             return text
         u, v = points[ku], points[kv]
         d = plane_model.dist(u, v)
-        if d < 1e-15:  # interpolated linearly, so the end at v is not v
-            pts = [_POINT % (x1 / (1 + x0) + 0.0, 0.0 - x2 / (1 + x0))
-                   for x0, x1, x2 in (plane_model.geodesic_point(u, v, t) for t in ts)]
-            pending[kv, ku] = _SEP.join(pts[n:0:-1])
-            return _SEP.join(pts[:n])
-        # the operations of plane_model.geodesic_point in the same order,
-        # each sample projected as in the branch above, in one loop
-        sinh, sqrt = math.sinh, math.sqrt
-        sinh_d = sinh(d)
-        wv = [sinh(t * d) / sinh_d for t in inner]
-        wu = wv[::-1] if mirrored else [sinh((1 - t) * d) / sinh_d for t in inner]
-        u0, u1, u2 = u
-        v0, v1, v2 = v
+        # the weights of plane_model.geodesic_point (linear below d = 1e-15);
+        # each sample is put back on the sheet and projected as in add
+        if d < 1e-15:
+            wu, wv = [1 - t for t in inner], inner
+        else:
+            sinh, sinh_d = math.sinh, math.sinh(d)
+            wv = [sinh(t * d) / sinh_d for t in inner]
+            wu = wv[::-1] if mirrored else [sinh((1 - t) * d) / sinh_d for t in inner]
+        (u0, u1, u2), (v0, v1, v2) = u, v
         xy = []
         push = xy.append
         for a, b in zip(wu, wv):
@@ -178,12 +170,12 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
         pending[kv, ku] = _SEP.join([texts[kv], *reversed(text.split(_SEP))])
         return _SEP.join((texts[ku], text))
 
+    # Klein edges are chords, each drawn from its first vertex
+    edge = (lambda ku, kv: texts[ku]) if klein else poincare_edge
+
     def path(cell, tail):
         a, b, c = cell
-        if klein:  # edges are chords, each drawn from its first vertex
-            return "".join((_HEAD, texts[a], _SEP, texts[b], _SEP, texts[c], tail))
-        e = poincare_edge
-        return "".join((_HEAD, e(a, b), _SEP, e(b, c), _SEP, e(c, a), tail))
+        return "".join((_HEAD, edge(a, b), _SEP, edge(b, c), _SEP, edge(c, a), tail))
 
     for k, p in zip(root, tri):
         add(k, p)

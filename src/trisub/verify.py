@@ -585,7 +585,3 @@ def run_suite(name: str, seed: int | None = None,
     if name == "surjectivity":
         return run_surjectivity("|M", 5)
     raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-
-
-def run_all(seed: int | None = None, samples: int | None = None) -> list[Report]:
-    return [run_suite(name, seed=seed, samples=samples) for name in SUITE_NAMES]

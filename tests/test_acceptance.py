@@ -157,7 +157,7 @@ def test_criterion_7_area_cross_agreement():
             hyptrig.defect_area(A, B, C),
             hyptrig.cagnoli_area(a, b, c, A),
             hyptrig.keogh_area(md.m_b, md.m_c, alpha),
-            hyptrig.trace_parent_area(hyptrig.TraceCoords.from_edges(*md.midlines)),
+            hyptrig.trace_parent_area(*(2 * math.cosh(m) for m in md.midlines)),
             hyptrig.area_from_edges(a, b, c),
         )
         for s1, s2 in itertools.combinations(routes, 2):

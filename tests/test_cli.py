@@ -209,6 +209,18 @@ class TestWaysOut:
             os.close(fd)
         assert (tmp_path / "stdout").read_bytes() == b""
 
+    @pytest.mark.parametrize("argv", WRITING_COMMANDS + [("render", "--edges", "2,2,3",
+                                                           "--depth", "1", "-o")])
+    def test_handlers_return_what_main_prints(self, capsys, tmp_path, argv):
+        # main is the one writer of stdout: each handler returns its text
+        if argv[0] == "render":
+            argv += (str(tmp_path / "t.svg"),)
+        args = cli.build_parser().parse_args(list(argv))
+        text, code = cli._HANDLERS[args.command](args)
+        assert capsys.readouterr().out == ""
+        assert (main(list(argv)), capsys.readouterr().out) == (code, text)
+        assert text == "" if argv[0] == "render" else text.endswith("\n")
+
     def test_no_stdout(self, capsys, monkeypatch, tmp_path):
         # a process started with its stdout closed has sys.stdout None: each
         # command that writes stdout writes nothing, render writes only its
@@ -1065,22 +1077,38 @@ class TestRenderSharing:
 
     @pytest.mark.parametrize("depth", [1, 2, 4])
     def test_one_distance_per_edge_one_midpoint_per_vertex(self, monkeypatch, depth):
-        calls = {"dist": 0, "midpoint": 0}
+        calls = {"dist": 0, "point": 0}
+        dist = plane_model.dist
 
-        def counted(name):
-            fn = getattr(plane_model, name)
+        def counted_dist(u, v):
+            calls["dist"] += 1
+            return dist(u, v)
 
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
+        class CountedPoint(str):  # the format of one vertex text
+            def __mod__(self, xy):
+                calls["point"] += 1
+                return str.__mod__(self, xy)
 
-        for name in calls:
-            monkeypatch.setattr(plane_model, name, counted(name))
+        monkeypatch.setattr(plane_model, "dist", counted_dist)
+        monkeypatch.setattr(render, "_POINT", CountedPoint(render._POINT))
         render_svg(RenderSpec(model="poincare", depth=depth), self.EDGES)
         side = 2 ** depth
         assert calls["dist"] == 3 + 3 * (4 ** depth + side) // 2
-        assert calls["midpoint"] == (side + 1) * (side + 2) // 2 - 3
+        assert calls["point"] == (side + 1) * (side + 2) // 2
+
+    @pytest.mark.parametrize("depth, edges", [(1, EDGES), (2, EDGES), (3, EDGES), (4, EDGES),
+                                              (2, EdgeLengths(1e-16, 1.5e-16, 2e-16))])
+    def test_poincare_takes_no_oracle_midpoint_or_sample(self, monkeypatch, depth, edges):
+        # render's own midpoints and samples, checked against the oracle's
+        spec = RenderSpec(model="poincare", depth=depth)
+        want = reference_svg(spec, edges)
+
+        def refused(*args):
+            raise AssertionError("render called the oracle's midpoint or geodesic_point")
+
+        monkeypatch.setattr(plane_model, "midpoint", refused)
+        monkeypatch.setattr(plane_model, "geodesic_point", refused)
+        assert render_svg(spec, edges) == want
 
 
 class TestRenderSpecValidation:

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from trisub import hyptrig
-from trisub.hyptrig import (DomainError, InconsistentInputError, TraceCoords,
-                            angles_from_edges, area_from_edges, cagnoli_area,
-                            defect_area, edges_from_angles, keogh_area,
-                            law_of_sines_ratio, medial_data, trace_parent_area)
+from trisub.hyptrig import (DomainError, InconsistentInputError, angles_from_edges,
+                            area_from_edges, cagnoli_area, defect_area, edges_from_angles,
+                            keogh_area, law_of_sines_ratio, medial_data, trace_parent_area)
 from trisub import plane_model
 from trisub.shape import AngleShape, EdgeLengths, shape_from_angles, shape_from_edges
 
@@ -191,7 +190,7 @@ class TestAreas:
     def test_trace_identity_refuses_a_right_side_above_4(self):
         # x = 6 with y = z = 2 is no triangle: its Heron form is -1
         with pytest.raises(InconsistentInputError, match="trace identity right side exceeds 4"):
-            trace_parent_area(TraceCoords(6.0, 2.0, 2.0))
+            trace_parent_area(6.0, 2.0, 2.0)
 
     def test_cagnoli_equals_defect(self):
         A, B, C = angles_from_edges(1, 1, 1)
@@ -233,19 +232,19 @@ class TestAreas:
         assert abs(S - defect_area(*angles_from_edges(*edges))) < tol
 
     def test_trace_parent_degenerate(self):
-        assert trace_parent_area(TraceCoords(2.0, 2.0, 2.0)) == 0.0
+        assert trace_parent_area(2.0, 2.0, 2.0) == 0.0
 
     @pytest.mark.parametrize("edges", [(1, 1, 1), (2, 2, 3)])
     def test_trace_parent_equals_defect(self, edges):
         md = medial_data(*edges)
-        tc = TraceCoords.from_edges(*md.midlines)
-        assert abs(trace_parent_area(tc) - defect_area(*angles_from_edges(*edges))) < 1e-9
+        xyz = (2 * math.cosh(m) for m in md.midlines)
+        assert abs(trace_parent_area(*xyz) - defect_area(*angles_from_edges(*edges))) < 1e-9
 
     def test_trace_parent_rejects_bad_coords(self):
         with pytest.raises(InconsistentInputError):
-            trace_parent_area(TraceCoords(1.5, 2.0, 2.0))
+            trace_parent_area(1.5, 2.0, 2.0)
         with pytest.raises(InconsistentInputError):
-            trace_parent_area(TraceCoords(40.0, 40.0, 40.0))
+            trace_parent_area(40.0, 40.0, 40.0)
 
     def test_area_from_edges_examples(self):
         assert area_from_edges(1e-8, 1e-8, 1e-8) < 1e-15
@@ -265,7 +264,7 @@ class TestAreas:
                 defect_area(A, B, C),
                 cagnoli_area(a, b, c, A),
                 keogh_area(md.m_b, md.m_c, alpha),
-                trace_parent_area(TraceCoords.from_edges(*md.midlines)),
+                trace_parent_area(*(2 * math.cosh(m) for m in md.midlines)),
                 area_from_edges(a, b, c),
             )
             for i in range(len(routes)):

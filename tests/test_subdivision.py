@@ -505,10 +505,11 @@ BAND_WORD = "MABCMMACBMAMBCM"
 SLIVER_RHOS = ((-15, -12), (-12, -8), (-8, -4))
 
 
-def long_edge_starts(n, seed=11):
-    """n seeded starts with edges uniform in [15, 200]."""
+def long_edge_starts(n, band=(15.0, 200.0), seed=11):
+    """n seeded starts with edges uniform in band: by default [15, 200];
+    valid edges reach the Heron form's overflow at ~237.9 (three equal)."""
     rng = random.Random(seed)
-    return [sample_edges(rng, 15.0, 200.0).as_tuple() for _ in range(n)]
+    return [sample_edges(rng, *band).as_tuple() for _ in range(n)]
 
 
 def sliver_starts(n, rho_exponents, seed=3):
@@ -590,8 +591,9 @@ def test_domain_sweep_refuses_only_by_domain_error():
 
 @pytest.mark.parametrize("starts", [
     long_edge_starts(300),
+    long_edge_starts(100, (200.0, 237.0)),
     *(sliver_starts(100, rho) for rho in SLIVER_RHOS),
-], ids=["long-15-200", "sliver-1e-15", "sliver-1e-12", "sliver-1e-8"])
+], ids=["long-15-200", "long-200-237", "sliver-1e-15", "sliver-1e-12", "sliver-1e-8"])
 def test_long_edges_and_slivers_walk_without_refusal(starts):
     # derived angles were checked again: the largest rounds to the float pi on
     # these valid starts, and limit_shape_info or orbit refused 260 of the 300
