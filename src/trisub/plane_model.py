@@ -3,8 +3,9 @@
 Points live on the sheet x0^2 - x1^2 - x2^2 = 1, x0 >= 1, with the
 Minkowski pairing <u, v> = u0 v0 - u1 v1 - u2 v2.  Distance, midpoint and
 angle are closed-form here, which is what makes this an independent check
-of the trigonometric formulas.  Points are renormalized onto the sheet
-after arithmetic so that drift does not build up over deep subdivision.
+of the trigonometric formulas.  Only midpoint renormalizes, since
+normalization is its formula; geodesic samples are never chained, so
+they cannot drift, and are left as weighted sums.
 """
 
 import math
@@ -27,11 +28,6 @@ def minkowski(u: HPoint, v: HPoint) -> float:
     return u.x0 * v.x0 - u.x1 * v.x1 - u.x2 * v.x2
 
 
-def _renorm(x0: float, x1: float, x2: float) -> HPoint:
-    s = math.sqrt(x0 * x0 - x1 * x1 - x2 * x2)
-    return HPoint(x0 / s, x1 / s, x2 / s)
-
-
 def _pair_gap(u: HPoint, v: HPoint) -> float:
     # <u, v> - 1 computed difference-first; exact cancellation of the large
     # coordinate products would otherwise cost half the digits for nearby points
@@ -52,7 +48,9 @@ def dist(u: HPoint, v: HPoint) -> float:
 
 def midpoint(u: HPoint, v: HPoint) -> HPoint:
     """Geodesic midpoint (u + v) / sqrt(2 + 2<u, v>)."""
-    return _renorm(u.x0 + v.x0, u.x1 + v.x1, u.x2 + v.x2)
+    x0, x1, x2 = u.x0 + v.x0, u.x1 + v.x1, u.x2 + v.x2
+    s = math.sqrt(x0 * x0 - x1 * x1 - x2 * x2)
+    return HPoint(x0 / s, x1 / s, x2 / s)
 
 
 def cell_children(cell: tuple, midpoint=midpoint) -> dict[str, tuple]:
@@ -129,15 +127,18 @@ def to_disk(u: HPoint, model: str = "klein") -> tuple[float, float]:
 def geodesic_point(u: HPoint, v: HPoint, t: float) -> HPoint:
     """Point at parameter t in [0, 1] along the geodesic from u to v.
 
-    Below d = 1e-15 the ends are interpolated linearly.  Above it, when t
-    is i / n with n a power of two, 1 - t is exact, so the points read
-    backwards are bit for bit those from v to u.
+    The point is the weighted sum wu u + wv v, with the weights
+    sinh((1 - t) d)/sinh(d) and sinh(t d)/sinh(d) of the distance d (1 - t
+    and t below d = 1e-15).  It is on the sheet up to rounding, and is not
+    renormalized: x0^2 - x1^2 - x2^2 would cancel like cosh^2 of its radius.
+    When t is i / n with n a power of two, 1 - t is exact, so the points
+    read backwards are bit for bit those from v to u.
     """
     d = dist(u, v)
     if d < 1e-15:
-        return _renorm(u.x0 + t * (v.x0 - u.x0), u.x1 + t * (v.x1 - u.x1),
-                       u.x2 + t * (v.x2 - u.x2))
-    sinh_d = math.sinh(d)
-    wu = math.sinh((1 - t) * d) / sinh_d
-    wv = math.sinh(t * d) / sinh_d
-    return _renorm(wu * u.x0 + wv * v.x0, wu * u.x1 + wv * v.x1, wu * u.x2 + wv * v.x2)
+        wu, wv = 1 - t, t
+    else:
+        sinh_d = math.sinh(d)
+        wu = math.sinh((1 - t) * d) / sinh_d
+        wv = math.sinh(t * d) / sinh_d
+    return HPoint(wu * u.x0 + wv * v.x0, wu * u.x1 + wv * v.x1, wu * u.x2 + wv * v.x2)

@@ -7,19 +7,20 @@ computed, projected and formatted once, and an edge shared by two cells
 is sampled once.  Both disks take midpoints from one inline copy of
 plane_model.midpoint.  One loop per Poincare edge does the arithmetic of
 plane_model.geodesic_point in the same order (linear weights 1 - t and t
-below d = 1e-15) and projects each sample: the weights sinh(t d)/sinh(d)
-of one end, read backwards, are those of the other when every 1 - t is
-again a parameter (a power-of-two sample count), so each sample takes
-one sinh; the end samples are the vertices' cached texts; the inner
-samples are formatted by one %-template per edge, split and reversed for
-the cell that runs the edge the other way.  One depth-first walk serves
-both models.  It stops one level above the leaves; each cell there
-yields the paths of its four children as one piece, and the document is
-never held whole.  In the Klein disk one helper, last, formats the
-leaf-parents' edge midpoints, the last-level vertices, and keeps them
-only as text until the second cell on their edge takes them (those on
-the outline until the end).  Output is deterministic (fixed element
-order and number formatting), so renders compare byte for byte.
+below d = 1e-15) and projects each weighted sum as it stands, with no
+square root: the weights sinh(t d)/sinh(d) of one end, read backwards,
+are those of the other when every 1 - t is again a parameter (a
+power-of-two sample count), so each sample takes one sinh; the end
+samples are the vertices' cached texts; the inner samples are formatted
+by one %-template per edge, split and reversed for the cell that runs
+the edge the other way.  One depth-first walk serves both models.  It
+stops one level above the leaves; each cell there yields the paths of
+its four children as one piece, and the document is never held whole.
+In the Klein disk one helper, last, formats the leaf-parents' edge
+midpoints, the last-level vertices, and keeps them only as text until
+the second cell on their edge takes them (those on the outline until the
+end).  Output is deterministic (fixed element order and number
+formatting), so renders compare byte for byte.
 """
 
 import math
@@ -114,10 +115,9 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
             texts[k] = _POINT % (x1 / x0 + 0.0, 0.0 - x2 / x0)
         else:
             # the sample at either end of an edge: weights 1.0 and 0.0 give
-            # the vertex itself, put back on the sheet and projected
-            s = math.sqrt(x0 * x0 - x1 * x1 - x2 * x2)
-            y = 1 + x0 / s
-            texts[k] = _POINT % (x1 / s / y + 0.0, 0.0 - x2 / s / y)
+            # the vertex itself, projected
+            y = 1 + x0
+            texts[k] = _POINT % (x1 / y + 0.0, 0.0 - x2 / y)
 
     def mid(ku, kv):
         k = (ku + kv) >> 1
@@ -150,7 +150,7 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
         u, v = points[ku], points[kv]
         d = plane_model.dist(u, v)
         # the weights of plane_model.geodesic_point (linear below d = 1e-15);
-        # each sample is put back on the sheet and projected as in add
+        # each sample is its weighted sum, projected as in add
         if d < 1e-15:
             wu, wv = [1 - t for t in inner], inner
         else:
@@ -161,11 +161,9 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
         xy = []
         push = xy.append
         for a, b in zip(wu, wv):
-            x0, x1, x2 = a * u0 + b * v0, a * u1 + b * v1, a * u2 + b * v2
-            s = sqrt(x0 * x0 - x1 * x1 - x2 * x2)
-            y = 1 + x0 / s
-            push(x1 / s / y + 0.0)
-            push(0.0 - x2 / s / y)
+            y = 1 + (a * u0 + b * v0)
+            push((a * u1 + b * v1) / y + 0.0)
+            push(0.0 - (a * u2 + b * v2) / y)
         text = template % tuple(xy)
         pending[kv, ku] = _SEP.join([texts[kv], *reversed(text.split(_SEP))])
         return _SEP.join((texts[ku], text))

@@ -1046,7 +1046,7 @@ class TestRenderSharing:
          "a99d4d4bd6171d255a269db721d2f308371246651b6a01ffedc757f132ee83a7"),
         # the depth of the CI digests and of the render-disk benchmark
         (32, {"depth": 5}, (2, 2, 3),
-         "4ae083674f9cbd78f8fd86ff3218e10cfa44b0c575a2a064d1bb95530f66a0a2"),
+         "6a9feb8ec19b8c96c0ef6aa717d0e756d50b5920fd7ebb3bac71a894411e9551"),
     ], ids=[f"{n}-{name}" for n in (32, 12, 7, 2)
             for name in ("depth3-2,2,3", "depth3-1.3,0.7,1.1", "MMABCA")] + ["32-depth5-2,2,3"])
     def test_poincare_bytes_are_pinned(self, n, kw, edges, digest):

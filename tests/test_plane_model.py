@@ -1,5 +1,6 @@
 """Tests for the hyperboloid-model oracle."""
 
+import decimal
 import math
 import random
 
@@ -223,21 +224,19 @@ class TestDisk:
 
 
 def reference_geodesic_samples(u, v, ts):
-    # the one loop from one distance that sampled Poincare edges before
-    # geodesic_point took over its arithmetic, one point per parameter
+    # the one loop from one distance that samples a Poincare edge in render:
+    # each point is the weighted sum of the ends, not renormalized
     d = dist(u, v)
     sinh_d = math.sinh(d)
     u0, u1, u2 = u
     v0, v1, v2 = v
     for t in ts:
         if d < 1e-15:
-            x0, x1, x2 = u0 + t * (v0 - u0), u1 + t * (v1 - u1), u2 + t * (v2 - u2)
+            wu, wv = 1 - t, t
         else:
             wu = math.sinh((1 - t) * d) / sinh_d
             wv = math.sinh(t * d) / sinh_d
-            x0, x1, x2 = wu * u0 + wv * v0, wu * u1 + wv * v1, wu * u2 + wv * v2
-        s = math.sqrt(x0 * x0 - x1 * x1 - x2 * x2)
-        yield x0 / s, x1 / s, x2 / s
+        yield wu * u0 + wv * v0, wu * u1 + wv * v1, wu * u2 + wv * v2
 
 
 def bits(point):
@@ -276,6 +275,69 @@ class TestGeodesicPoint:
             if dist(u, v) >= 1e-15:
                 forward = [bits(geodesic_point(u, v, t)) for t in ts]
                 assert forward[::-1] == [bits(geodesic_point(v, u, t)) for t in ts]
+
+
+def polar_point(rng, r):
+    # (cosh r, sinh r cos theta, sinh r sin theta), x0 recomputed from x1 and x2
+    theta = rng.uniform(0, 2 * math.pi)
+    x1, x2 = math.sinh(r) * math.cos(theta), math.sinh(r) * math.sin(theta)
+    return HPoint(math.sqrt(1 + x1 * x1 + x2 * x2), x1, x2)
+
+
+def far_pairs(seed, radius, n):
+    # u at the given radius, v at a uniform radius below it
+    rng = random.Random(seed)
+    return [(polar_point(rng, radius), polar_point(rng, rng.uniform(0, radius)))
+            for _ in range(n)]
+
+
+def decimal_poincare_samples(u, v, d, ts):
+    # the weights of distance d at 40 digits, on the points of the sheet with
+    # the float x1 and x2 of u and v, projected onto the Poincare disk
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+
+        def sheet(p):
+            x1, x2 = decimal.Decimal(p.x1), decimal.Decimal(p.x2)
+            return (1 + x1 * x1 + x2 * x2).sqrt(), x1, x2
+
+        def sinh(x):
+            return (x.exp() - (-x).exp()) / 2
+
+        u, v, d = sheet(u), sheet(v), decimal.Decimal(d)
+        out = []
+        for t in map(decimal.Decimal, ts):
+            wu, wv = sinh((1 - t) * d), sinh(t * d)  # over sinh(d), which cancels
+            x0, x1, x2 = (wu * p + wv * q for p, q in zip(u, v))
+            y = sinh(d) + x0
+            out.append((float(x1 / y), float(x2 / y)))
+        return out
+
+
+class TestFarFromOrigin:
+    # Renormalizing a point through sqrt(x0^2 - x1^2 - x2^2) cancels like
+    # cosh^2 of its radius: at radius 20 and 22 the root is of 0 or of a
+    # negative number for many samples, and at 15 it moves the Poincare
+    # projection by up to ~3e-10
+    TS = [i / 32 for i in range(33)]
+
+    @pytest.mark.parametrize("radius", [20, 22])
+    def test_samples_raise_nothing_and_stay_in_the_disk(self, radius):
+        for u, v in far_pairs(43, radius, 1000):
+            for t in self.TS:
+                assert math.hypot(*to_disk(geodesic_point(u, v, t), "poincare")) < 1
+
+    def test_poincare_samples_match_40_digits(self):
+        # against the same weights at 40 digits, so that the error of dist
+        # itself is left out: 5.6e-16 on these pairs, where renormalizing
+        # each sample read 2.2e-10
+        worst = 0.0
+        for u, v in far_pairs(47, 15, 200):
+            want = decimal_poincare_samples(u, v, dist(u, v), self.TS)
+            for t, (x, y) in zip(self.TS, want):
+                px, py = to_disk(geodesic_point(u, v, t), "poincare")
+                worst = max(worst, abs(px - x), abs(py - y))
+        assert worst < 1e-13
 
 
 def test_oracle_midline_agreement_sampled():
