@@ -2,28 +2,30 @@
 
 Cells are triples of hyperboloid vertices, named by integer lattice
 keys: geodesics are straight chords in the Klein disk and sampled
-polylines in the Poincare disk.  A vertex shared by several cells is
-computed, projected and formatted once, and an edge shared by two cells
-is sampled once.  Both disks take midpoints from one inline copy of
-plane_model.midpoint.  One loop per Poincare edge does the arithmetic of
-plane_model.geodesic_point in the same order (linear weights 1 - t and t
-below d = 1e-15) and projects each weighted sum as it stands, with no
-square root: the weights sinh(t d)/sinh(d) of one end, read backwards,
-are those of the other when every 1 - t is again a parameter (a
-power-of-two sample count), so each sample takes one sinh; the end
-samples are the vertices' cached texts; the inner samples are formatted
-by one %-template per edge, split and reversed for the cell that runs
-the edge the other way.  One depth-first walk serves both models.  It
-stops one level above the leaves; each cell there yields the paths of
-its four children as one piece, and the document is never held whole.
-In the Klein disk one helper, last, formats the leaf-parents' edge
-midpoints, the last-level vertices, and keeps them only as text until
-the second cell on their edge takes them (those on the outline until the
-end).  Output is deterministic (fixed element order and number
-formatting), so renders compare byte for byte.
+polylines in the Poincare disk.  Both disks take midpoints from one
+inline copy of plane_model.midpoint.  One loop per Poincare edge does
+the arithmetic of plane_model.geodesic_point in the same order (linear
+weights 1 - t and t below d = 1e-15) and projects each weighted sum as
+it stands, with no square root: the weights sinh(t d)/sinh(d) of one
+end, read backwards, are those of the other when every 1 - t is again a
+parameter (a power-of-two sample count), so each sample takes one sinh;
+the end samples are the vertices' cached texts; the inner samples are
+formatted by one %-template per edge, split and reversed for the cell
+that runs the edge the other way.  One depth-first walk serves both
+models, and a vertex it makes is computed, projected and formatted once.
+In the Poincare disk it stops one level above the leaves, and each cell
+there yields the paths of its four children as one piece.  In the Klein
+disk it stops TEMPLATE_LEVELS above the leaves (or at the root), and
+each cell there makes the vertices of one cached template in a flat loop
+and yields all its leaf paths as one piece; a vertex on its outline is
+made again, from the same two points, by the cell next door.  The
+document is never held whole.  Output is deterministic (fixed element
+order and number formatting), so renders compare byte for byte.
 """
 
+import functools
 import math
+import operator
 from collections import namedtuple
 from collections.abc import Iterator
 
@@ -33,6 +35,7 @@ from .shape import EdgeLengths, _Checked
 from .symbolic import LETTERS, _check_letter
 
 MAX_DEPTH = 8
+TEMPLATE_LEVELS = 4  # Klein depth mode draws each cell this far above the leaves at once
 
 DEFAULT_PALETTE = {
     "A": "#d62728",
@@ -76,6 +79,33 @@ _TAIL = ' Z" fill="%s" stroke="%s" stroke-width="0.004"%s />\n'
 _LEAF_TAILS = {ch: _TAIL % ("none", colour, "") for ch, colour in DEFAULT_PALETTE.items()}
 
 
+@functools.cache
+def _template(levels: int) -> tuple:
+    """One lattice cell subdivided levels times: its new vertices, in the
+    order made, as the indices of the two vertices each bisects (the
+    corners are 0, 1 and 2), and a getter that picks the 7 pieces of each
+    leaf path, in letter order, from (head, separator, the tails of A, B,
+    C and M, vertex texts...)."""
+    side = 2 ** levels
+    index = {side * (side + 1): 0, side: 1, 0: 2}  # keyed as the walk keys its root
+    new = []
+
+    def mid(ku, kv):
+        k = (ku + kv) >> 1
+        if k not in index:
+            index[k] = len(index)
+            new.append((index[ku], index[kv]))
+        return k
+
+    cells = [(tuple(index), None)]  # level by level, each in letter order
+    for _ in range(levels):
+        cells = [(child, tail) for cell, _ in cells
+                 for tail, child in enumerate(cell_children(cell, mid).values(), 2)]
+    picks = [i for (a, b, c), tail in cells
+             for i in (0, index[a] + 6, 1, index[b] + 6, 1, index[c] + 6, tail)]
+    return tuple(new), operator.itemgetter(*picks)
+
+
 def svg_lines(spec: RenderSpec, edges: EdgeLengths) -> Iterator[str]:
     """The SVG document as pieces, each ending in a newline.
 
@@ -87,12 +117,13 @@ def svg_lines(spec: RenderSpec, edges: EdgeLengths) -> Iterator[str]:
 
 def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[str]:
     klein = spec.model == "klein"
-    n = spec.samples_per_edge
-    inner = [i / n for i in range(1, n)]
-    # With n a power of two, 1 - i/n is exactly (n - i)/n, so the weights of
-    # u along an edge are those of v read backwards
-    mirrored = all(1 - t == s for t, s in zip(inner, reversed(inner)))
-    template = _SEP.join([_POINT] * (n - 1))  # the n - 1 inner samples
+    if not klein:  # the sampling tables of the Poincare disk
+        n = spec.samples_per_edge
+        inner = [i / n for i in range(1, n)]
+        # With n a power of two, 1 - i/n is exactly (n - i)/n, so the weights
+        # of u along an edge are those of v read backwards
+        mirrored = all(1 - t == s for t, s in zip(inner, reversed(inner)))
+        template = _SEP.join([_POINT] * (n - 1))  # the n - 1 inner samples
     # Vertices are lattice points (i, j, k), i + j + k = side, keyed by
     # i * (side + 1) + j, so the key of a midpoint is the mean of the keys
     # of its ends and each vertex is computed once.
@@ -101,10 +132,7 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
     sqrt = math.sqrt
     points = {}
     texts = {}    # vertex key -> its formatted point
-    # Poincare: (u, v) -> the samples from u to v, not yet used;
-    # Klein: last-level vertex key -> its text, not yet used
-    pending = {}
-    pop = pending.pop
+    pending = {}  # Poincare edge (u, v) -> the samples from u to v, not yet used
 
     def add(k, p):
         points[k] = p
@@ -130,13 +158,6 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
         s = sqrt(x0 * x0 - x1 * x1 - x2 * x2)
         add(k, (x0 / s, x1 / s, x2 / s))
         return k
-
-    def last(k, x0, x1, x2):
-        # the operations of mid and add on a last-level vertex, kept as text only
-        s = sqrt(x0 * x0 - x1 * x1 - x2 * x2)
-        x0 = x0 / s
-        text = pending[k] = _POINT % (x1 / s / x0 + 0.0, 0.0 - x2 / s / x0)
-        return text
 
     def poincare_edge(ku, kv):
         # the samples from u towards v, without the one at v.  All cells have
@@ -182,13 +203,14 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
     yield ('  <circle cx="0" cy="0" r="1" fill="none" stroke="#cccccc" '
            'stroke-width="0.004" />\n')
     yield path(root, _TAIL % ("none", "#000000", ""))
-    join, head, sep = "".join, _HEAD, _SEP
+    join, point = "".join, _POINT
     tail_a, tail_b, tail_c, tail_m = (_LEAF_TAILS[ch] for ch in LETTERS)
+    stop = TEMPLATE_LEVELS if klein else 1  # the depth of the cells that yield pieces
     stack = [(*root, spec.depth)] if spec.depth else []  # empty in word mode
     push = stack.append
     while stack:
         a, b, c, depth = stack.pop()
-        if depth > 1:  # children pushed so that they pop in A, B, C, M order
+        if depth > stop:  # children pushed so that they pop in A, B, C, M order
             m_a, m_b, m_c = mid(b, c), mid(c, a), mid(a, b)
             depth -= 1
             push((m_a, m_b, m_c, depth))
@@ -196,26 +218,28 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
             push((m_c, b, m_a, depth))
             push((a, m_c, m_b, depth))
             continue
-        # a leaf-parent yields the paths of its children A (a, m_c, m_b),
-        # B (m_c, b, m_a), C (m_b, m_a, c) and M (m_a, m_b, m_c) as one piece
         if not klein:
+            # a leaf-parent yields the paths of its children A (a, m_c, m_b),
+            # B (m_c, b, m_a), C (m_b, m_a, c) and M (m_a, m_b, m_c) as one piece
             m_a, m_b, m_c = mid(b, c), mid(c, a), mid(a, b)
             yield join((path((a, m_c, m_b), tail_a), path((m_c, b, m_a), tail_b),
                         path((m_b, m_a, c), tail_c), path((m_a, m_b, m_c), tail_m)))
             continue
-        # Klein: a last-level vertex is the end of no other midpoint, so it
-        # is kept only as text, in pending, until the second cell on its edge
-        # pops it (those on the outline until the render ends)
-        u0, u1, u2 = points[a]
-        v0, v1, v2 = points[b]
-        w0, w1, w2 = points[c]
-        m_a, m_b, m_c = (b + c) >> 1, (c + a) >> 1, (a + b) >> 1
-        t_a = pop(m_a, None) or last(m_a, v0 + w0, v1 + w1, v2 + w2)
-        t_b = pop(m_b, None) or last(m_b, w0 + u0, w1 + u1, w2 + u2)
-        t_c = pop(m_c, None) or last(m_c, u0 + v0, u1 + v1, u2 + v2)
-        a, b, c = texts[a], texts[b], texts[c]
-        yield join((head, a, sep, t_c, sep, t_b, tail_a, head, t_c, sep, b, sep, t_a, tail_b,
-                    head, t_b, sep, t_a, sep, c, tail_c, head, t_a, sep, t_b, sep, t_c, tail_m))
+        # Klein: the cell makes the vertices of its template with mid's
+        # operations, in mid's order, formats them as add does, and yields its
+        # 4^depth leaf paths as one piece.  A vertex on its outline is made
+        # again by the cell next door, from the same two points
+        new, pick = _template(depth)
+        ps = [points[a], points[b], points[c]]
+        made = ps.append
+        for i, j in new:
+            u0, u1, u2 = ps[i]
+            v0, v1, v2 = ps[j]
+            x0, x1, x2 = u0 + v0, u1 + v1, u2 + v2
+            s = sqrt(x0 * x0 - x1 * x1 - x2 * x2)
+            made((x0 / s, x1 / s, x2 / s))
+        yield join(pick((_HEAD, _SEP, *_LEAF_TAILS.values(),
+                         *[point % (x1 / x0 + 0.0, 0.0 - x2 / x0) for x0, x1, x2 in ps])))
     cell = root
     for i, letter in enumerate(spec.word or ()):  # no letters in depth mode
         cell = cell_children(cell, mid)[letter]

@@ -968,11 +968,21 @@ class TestRenderSharing:
         (RenderSpec(model="klein", depth=4), EdgeLengths(14.9, 14.9, 14.9)),
         (RenderSpec(model="klein", word="MACBM"), EdgeLengths(14.9, 14.9, 14.9)),
         (RenderSpec(model="poincare", depth=3), EdgeLengths(14.9, 14.9, 14.9)),
+        # Klein depths where the walk hands its cells over to templates: one
+        # level of walk above them, the root as a shallower template, and two
+        # levels of walk far from the origin
+        (RenderSpec(model="klein", depth=5), EDGES),
+        (RenderSpec(model="klein", depth=5), EdgeLengths(14.9, 14.9, 14.9)),
+        (RenderSpec(model="klein", depth=5), EdgeLengths(1e-16, 1.5e-16, 2e-16)),
+        (RenderSpec(model="klein", depth=3), EDGES),
+        (RenderSpec(model="klein", depth=6), EdgeLengths(14.9, 14.9, 14.9)),
     ], ids=["klein-depth4", "poincare-depth3", "poincare-word", "klein-word",
             "klein-depth0", "poincare-depth0", "klein-depth1", "poincare-depth1",
             "klein-depth6", "poincare-depth5",
             "klein-1e-16", "poincare-1e-16", "klein-depth7", "klein-long-edges",
-            "klein-word-long-edges", "poincare-long-edges"])
+            "klein-word-long-edges", "poincare-long-edges", "klein-depth5",
+            "klein-depth5-long-edges", "klein-depth5-1e-16", "klein-depth3",
+            "klein-depth6-long-edges"])
     def test_matches_cell_by_cell_reference(self, spec, edges):
         assert render_svg(spec, edges) == reference_svg(spec, edges)
 
@@ -982,19 +992,33 @@ class TestRenderSharing:
         with pytest.raises(hyptrig.DomainError, match="too short"):
             render_svg(RenderSpec(model=model, depth=2), EdgeLengths(1e-300, 1e-300, 1e-300))
 
-    def test_klein_stream_keeps_last_level_as_text_only(self):
-        # the 6,240 vertices new at the last level of a depth-7 render are
-        # held only as text, until the second cell on their edge takes them;
-        # holding every vertex as a point and its text peaked at ~2.7 MB
-        spec = RenderSpec(model="klein", depth=7)
+    @staticmethod
+    def peak_bytes(spec, edges):
+        # the tracemalloc peak of streaming the document
         tracemalloc.start()
         try:
-            for _ in svg_lines(spec, self.EDGES):
+            for _ in svg_lines(spec, edges):
                 pass
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.3e6
+
+    def test_klein_stream_keeps_last_level_as_text_only(self):
+        # the vertices below the walk live only in the template cell that
+        # makes them, as points and text, until its piece is yielded
+        assert self.peak_bytes(RenderSpec(model="klein", depth=7), self.EDGES) < 1.3e6
+
+    def test_klein_at_the_depth_guard_holds_no_level(self):
+        # the walk stops TEMPLATE_LEVELS above the leaves, and each template
+        # cell holds only its own vertices: no level of texts waits to be drawn
+        spec = RenderSpec(model="klein", depth=render.MAX_DEPTH)
+        assert self.peak_bytes(spec, self.EDGES) < 0.5e6
+
+    def test_klein_builds_no_sampling_tables(self):
+        # the sampling tables grow with samples_per_edge, and only the
+        # Poincare disk builds them
+        spec = RenderSpec(model="klein", depth=1, samples_per_edge=10 ** 6)
+        assert self.peak_bytes(spec, self.EDGES) < 1e6
 
     @pytest.mark.parametrize("spec", [RenderSpec(model="klein", depth=6),
                                       RenderSpec(model="poincare", depth=4)],
@@ -1054,9 +1078,10 @@ class TestRenderSharing:
         svg = render_svg(spec, EdgeLengths(*edges))
         assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
-    # sha256 of the document: Klein depth mode takes its last-level vertices
-    # from the walk's leaf-parent step, and word mode takes every vertex from
-    # the inline midpoint of the shared vertex function
+    # sha256 of the document: Klein depth mode takes the vertices of the
+    # last TEMPLATE_LEVELS levels from the flat loop of a template cell, and
+    # word mode takes every vertex from the inline midpoint of the walk's
+    # shared vertex function
     @pytest.mark.parametrize("kw, edges, digest", [
         ({"depth": 3}, (2, 2, 3),
          "302dc90ce64829982de55079e4aaddf3b29d32ded73a2a8867eab27b868b8141"),
