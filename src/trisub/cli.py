@@ -189,14 +189,24 @@ def _cmd_render(args) -> tuple[str, int]:
     # is opened, so that bad input leaves no empty file behind
     lines = svg_lines(spec, EdgeLengths(*args.edges))
     # a Klein depth-8 render is 10.9 MB: 256 KiB buffers write it in ~40
-    # calls, where the default 8 KiB took ~1,300
-    fh = open(args.out, "w", encoding="utf-8", buffering=256 * 1024)
+    # calls, where the default 8 KiB took ~1,300.  An existing file is
+    # written over in place and then trimmed to the length written, not
+    # truncated when opened: on ext4 a truncating rewrite of that file took
+    # 8.5 ms against 3.5 ms in place.  Symlinks, hard links and the mode
+    # are kept as "w" keeps them, but a reader that opens the file during a
+    # render may see old bytes past the new ones, not a short file.  New
+    # files, /dev/null and pipes have size 0 and are not trimmed
+    fh = open(args.out, "w", encoding="utf-8", buffering=256 * 1024,
+              opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666))
     try:
         with fh:
+            old_size = os.fstat(fh.fileno()).st_size
             fh.writelines(lines)
+            if old_size:
+                fh.truncate()
     except BaseException:
-        # no truncated SVG either; but never remove what is not a plain
-        # file, such as /dev/stdout
+        # no partial SVG, nor new bytes over old ones, either; but never
+        # remove what is not a plain file, such as /dev/stdout
         if os.path.isfile(args.out) and not os.path.islink(args.out):
             os.remove(args.out)
         raise

@@ -12,7 +12,9 @@ parameter (a power-of-two sample count), so each sample takes one sinh;
 the end samples are the vertices' cached texts; the inner samples are
 formatted by one %-template per edge, split and reversed for the cell
 that runs the edge the other way.  One depth-first walk serves both
-models, and a vertex it makes is computed, projected and formatted once.
+models, and a vertex it makes is computed once; a Poincare vertex is
+projected and formatted once, and a Klein vertex only where a path reads
+it (the outline, and the cells of word mode).
 In the Poincare disk it stops one level above the leaves, and each cell
 there yields the paths of its four children as one piece.  In the Klein
 disk it stops TEMPLATE_LEVELS above the leaves (or at the root), and
@@ -131,19 +133,15 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
     root = (side * (side + 1), side, 0)
     sqrt = math.sqrt
     points = {}
-    texts = {}    # vertex key -> its formatted point
+    texts = {}    # Poincare vertex key -> its formatted point
     pending = {}  # Poincare edge (u, v) -> the samples from u to v, not yet used
 
     def add(k, p):
         points[k] = p
-        x0, x1, x2 = p
-        if klein:
-            # SVG y grows downward, so y is mirrored; -0.0 + 0.0 and 0.0 - 0.0
-            # are +0.0, so that no zero is written as "-0.000000000000"
-            texts[k] = _POINT % (x1 / x0 + 0.0, 0.0 - x2 / x0)
-        else:
+        if not klein:
             # the sample at either end of an edge: weights 1.0 and 0.0 give
-            # the vertex itself, projected
+            # the vertex itself, projected (y mirrored as in klein_edge)
+            x0, x1, x2 = p
             y = 1 + x0
             texts[k] = _POINT % (x1 / y + 0.0, 0.0 - x2 / y)
 
@@ -189,8 +187,15 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
         pending[kv, ku] = _SEP.join([texts[kv], *reversed(text.split(_SEP))])
         return _SEP.join((texts[ku], text))
 
-    # Klein edges are chords, each drawn from its first vertex
-    edge = (lambda ku, kv: texts[ku]) if klein else poincare_edge
+    def klein_edge(ku, kv):
+        # a chord, drawn from its first vertex, which is formatted here: only
+        # the outline and word mode's cells read a vertex of the walk.  SVG y
+        # grows downward, so y is mirrored; -0.0 + 0.0 and 0.0 - 0.0 are
+        # +0.0, so that no zero is written as "-0.000000000000"
+        x0, x1, x2 = points[ku]
+        return _POINT % (x1 / x0 + 0.0, 0.0 - x2 / x0)
+
+    edge = klein_edge if klein else poincare_edge
 
     def path(cell, tail):
         a, b, c = cell
@@ -226,9 +231,9 @@ def _svg_lines(spec: RenderSpec, tri: plane_model.PlacedTriangle) -> Iterator[st
                         path((m_b, m_a, c), tail_c), path((m_a, m_b, m_c), tail_m)))
             continue
         # Klein: the cell makes the vertices of its template with mid's
-        # operations, in mid's order, formats them as add does, and yields its
-        # 4^depth leaf paths as one piece.  A vertex on its outline is made
-        # again by the cell next door, from the same two points
+        # operations, in mid's order, formats them as klein_edge does, and
+        # yields its 4^depth leaf paths as one piece.  A vertex on its outline
+        # is made again by the cell next door, from the same two points
         new, pick = _template(depth)
         ps = [points[a], points[b], points[c]]
         made = ps.append

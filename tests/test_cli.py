@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -170,6 +171,12 @@ WRITING_COMMANDS = [("shape", "--edges", "4,4,7"), ("sweep", "--seq", "|M", "--g
                     ("limit", "--edges", "4,4,7", "--seq", "|M"),
                     ("address", "--seq", "MAB|BMA", "--exact"),
                     ("equiv", "--s", "AB|C", "--t", "AC|B")]
+
+
+def disk_full(spec, edges):
+    # svg_lines on a full disk: one piece, then the write fails
+    yield "<svg>\n"
+    raise OSError(28, "No space left on device")
 
 
 class TestWaysOut:
@@ -876,16 +883,82 @@ class TestRenderCommand:
         assert out_file.read_text() == "before"
 
     def test_failed_write_removes_partial_file(self, capsys, tmp_path, monkeypatch):
-        def disk_full(spec, edges):
-            yield "<svg>\n"
-            raise OSError(28, "No space left on device")
-
         monkeypatch.setattr(cli, "svg_lines", disk_full)
         out_file = tmp_path / "t.svg"
         code, _, err = run(capsys, "render", "--edges", "1,1,1", "--depth", "1",
                            "-o", str(out_file))
         assert code == 1 and "No space left" in err
         assert not out_file.exists()
+
+
+class TestRenderInPlace:
+    """render writes over an existing -o file in place and trims it to the
+    length written: the file must hold what a render to a new path holds."""
+
+    @staticmethod
+    def render(capsys, out, *argv):
+        assert run(capsys, "render", "--edges", "2,2,3", *argv, "-o", str(out)) == (0, "", "")
+
+    def fresh(self, capsys, tmp_path, *argv):
+        out = tmp_path / "fresh.svg"
+        self.render(capsys, out, *argv)
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("before, after", [
+        (("--depth", "5"), ("--depth", "1")),
+        (("--depth", "1"), ("--depth", "3")),
+    ], ids=["over-longer", "over-shorter"])
+    def test_matches_a_render_to_a_new_path(self, capsys, tmp_path, before, after):
+        out = tmp_path / "t.svg"
+        self.render(capsys, out, *before)
+        self.render(capsys, out, *after)
+        assert out.read_bytes() == self.fresh(capsys, tmp_path, *after)
+
+    def test_through_a_symlink(self, capsys, tmp_path):
+        target, link = tmp_path / "target.svg", tmp_path / "link.svg"
+        self.render(capsys, target, "--depth", "4")
+        link.symlink_to(target)
+        self.render(capsys, link, "--depth", "1")
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == self.fresh(capsys, tmp_path, "--depth", "1")
+
+    def test_hard_link_is_kept(self, capsys, tmp_path):
+        out, other = tmp_path / "t.svg", tmp_path / "other.svg"
+        self.render(capsys, out, "--depth", "4")
+        os.link(out, other)
+        self.render(capsys, out, "--depth", "1")
+        assert os.path.samefile(out, other)
+        assert other.read_bytes() == self.fresh(capsys, tmp_path, "--depth", "1")
+
+    def test_new_file_has_the_mode_of_open_w(self, capsys, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            self.render(capsys, tmp_path / "t.svg", "--depth", "1")
+            with open(tmp_path / "w.svg", "w"):
+                pass
+        finally:
+            os.umask(umask)
+        modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("t.svg", "w.svg")}
+        assert modes == {0o666 & ~0o027}
+
+    def test_existing_file_keeps_its_mode(self, capsys, tmp_path):
+        out = tmp_path / "t.svg"
+        self.render(capsys, out, "--depth", "4")
+        out.chmod(0o604)
+        self.render(capsys, out, "--depth", "1")
+        assert stat.S_IMODE(out.stat().st_mode) == 0o604
+
+    def test_to_dev_null(self, capsys):
+        # size 0, as for a new file or a pipe: written and never trimmed
+        self.render(capsys, os.devnull, "--depth", "2")
+
+    def test_failed_write_over_a_longer_file_removes_it(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "t.svg"
+        self.render(capsys, out, "--depth", "5")
+        monkeypatch.setattr(cli, "svg_lines", disk_full)
+        code, _, err = run(capsys, "render", "--edges", "1,1,1", "--depth", "1", "-o", str(out))
+        assert code == 1 and "No space left" in err
+        assert not out.exists()
 
 
 def _reference_path(cell, spec, stroke, fill="none", extra=""):
@@ -1102,24 +1175,47 @@ class TestRenderSharing:
 
     @pytest.mark.parametrize("depth", [1, 2, 4])
     def test_one_distance_per_edge_one_midpoint_per_vertex(self, monkeypatch, depth):
-        calls = {"dist": 0, "point": 0}
+        calls = {"dist": 0}
         dist = plane_model.dist
 
         def counted_dist(u, v):
             calls["dist"] += 1
             return dist(u, v)
 
-        class CountedPoint(str):  # the format of one vertex text
-            def __mod__(self, xy):
-                calls["point"] += 1
-                return str.__mod__(self, xy)
-
         monkeypatch.setattr(plane_model, "dist", counted_dist)
-        monkeypatch.setattr(render, "_POINT", CountedPoint(render._POINT))
+        points = self.count_points(monkeypatch)
         render_svg(RenderSpec(model="poincare", depth=depth), self.EDGES)
         side = 2 ** depth
         assert calls["dist"] == 3 + 3 * (4 ** depth + side) // 2
-        assert calls["point"] == (side + 1) * (side + 2) // 2
+        assert points["calls"] == (side + 1) * (side + 2) // 2
+
+    @pytest.mark.parametrize("kw, formatted", [
+        ({"depth": 0}, 3),
+        # the outline, and the root as a template cell of 2 levels: its 15 vertices
+        ({"depth": 2}, 3 + 15),
+        # the outline, and 3 corners and 150 new vertices in each of the
+        # 4^4 template cells: the walk's 150 vertices above them are not formatted
+        ({"depth": 8}, 3 + 4 ** 4 * 153),
+        # the outline and each cell's path read 3 vertices
+        ({"word": "MMABCA"}, 3 * 7),
+    ], ids=["depth0", "depth2", "depth8", "MMABCA"])
+    def test_klein_formats_vertices_where_they_are_read(self, monkeypatch, kw, formatted):
+        points = self.count_points(monkeypatch)
+        render_svg(RenderSpec(model="klein", **kw), self.EDGES)
+        assert points["calls"] == formatted
+
+    @staticmethod
+    def count_points(monkeypatch):
+        # counts the %-formats of render._POINT, one per vertex text
+        points = {"calls": 0}
+
+        class CountedPoint(str):
+            def __mod__(self, xy):
+                points["calls"] += 1
+                return str.__mod__(self, xy)
+
+        monkeypatch.setattr(render, "_POINT", CountedPoint(render._POINT))
+        return points
 
     @pytest.mark.parametrize("depth, edges", [(1, EDGES), (2, EDGES), (3, EDGES), (4, EDGES),
                                               (2, EdgeLengths(1e-16, 1.5e-16, 2e-16))])
